@@ -14,11 +14,12 @@ import sys
 from concurrent.futures import ProcessPoolExecutor
 
 from .arith import is_prime
-from .elliptic import MIN_FURUTA_PRIMES, furuta_n, sl2_perfect
+from .elliptic import MIN_FURUTA_PRIMES, PERFECT_LIMIT, furuta_n, sl2_perfect
 from .errors import (
     CertificationRejected,
     DomainError,
     InputRangeError,
+    IntegralityError,
     NumericError,
     ResourceLimitError,
 )
@@ -28,6 +29,7 @@ from .hlsearch import (
     hl_constant,
     m_from_prime,
     search_shanks_candidates,
+    shanks_value,
 )
 from .modforms import VALID_WEIGHTS, certify_eigenform, verify_residue_claim
 from .records import (
@@ -46,8 +48,6 @@ EXIT_OK = 0
 EXIT_REJECTED = 1
 EXIT_USAGE = 2
 EXIT_NUMERIC = 3
-
-_GROUP_PERFECT_LIMIT = 100
 
 
 class _UsageError(Exception):
@@ -185,6 +185,15 @@ def _certify_worker(m: int):
         return m, ("certificate", certify_cyclotomic(m, KnownInfiniteRegistry()))
     except CertificationRejected as exc:
         return m, ("rejection", (list(exc.reasons), dict(exc.context)))
+    except IntegralityError as exc:
+        context = {
+            "m": m,
+            "ell": shanks_value(m),
+            "value": exc.value,
+            "gap": exc.gap,
+            "unit_index_suspected": exc.unit_index_suspected,
+        }
+        return m, ("integrality", (["integrality"], context))
     except NumericError as exc:
         return m, ("numeric", str(exc))
 
@@ -204,6 +213,7 @@ def _cmd_search(args, emitter) -> int:
         else:
             outcomes = dict(map(_certify_worker, prime_ms))
     registry = KnownInfiniteRegistry()
+    integrality_failures = []
     for cand in candidates:
         emitter.record(record_for(cand))
         if not (args.certify and cand.is_prime_ell):
@@ -213,11 +223,15 @@ def _cmd_search(args, emitter) -> int:
             if value.certified:
                 registry.record(value)
             emitter.record(record_for(value))
-        elif tag == "rejection":
+        elif tag in ("rejection", "integrality"):
             reasons, context = value
             emitter.record(rejection_record("certify cyclotomic", reasons, context))
+            if tag == "integrality":
+                integrality_failures.append(cand.m)
         else:
             raise NumericError(value)
+    if integrality_failures:
+        raise NumericError(f"analytic class number lost integrality for m in {integrality_failures}")
     return EXIT_OK
 
 
@@ -313,8 +327,8 @@ def _cmd_furuta(args, emitter) -> int:
 
 
 def _cmd_group_perfect(args, emitter) -> int:
-    if not 2 <= args.n <= _GROUP_PERFECT_LIMIT:
-        raise _UsageError(f"--n must lie in [2, {_GROUP_PERFECT_LIMIT}]")
+    if not 2 <= args.n <= PERFECT_LIMIT:
+        raise _UsageError(f"--n must lie in [2, {PERFECT_LIMIT}]")
     emitter.record(record_for(sl2_perfect(args.n)))
     return EXIT_OK
 

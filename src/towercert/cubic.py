@@ -22,8 +22,13 @@ and the residue of the Dedekind zeta function gives h * R = ell *
 
     h = |S|^2 / (4*R).
 
-The computation is O(ell): a discrete-log table for chi plus one pass of
-logarithmic sines.
+With g the least primitive root and chi(g^t) = w^t, the terms of S are
+bucketed by t mod 3.  Since g^((ell-1)/2) = -1 and (ell-1)/2 = 0 mod 3, the
+second half of the walk, t >= (ell-1)/2, visits ell - a for each a of the
+first half, with the same character value and the same log-sine; so S is
+twice the sum over t < (ell-1)/2.  Bucket r is its own walk g^r, g^(r+3),
+... of stride g^3.  The computation is O(ell) multiplications and
+logarithmic sines in O(1) memory; no discrete-log table is built.
 """
 
 from __future__ import annotations
@@ -37,14 +42,12 @@ from .hlsearch import shanks_value
 
 __all__ = [
     "SimplestCubicField",
-    "CubicCharacter",
     "INTEGRALITY_TOL",
     "UNIT_INDEX_ASSUMPTION",
     "cubic_poly",
     "real_roots",
     "galois_conjugate",
     "regulator",
-    "cubic_character",
     "l_sum",
     "class_number",
 ]
@@ -69,29 +72,6 @@ class SimplestCubicField:
     class_number: int
     integrality_gap: float
     valid: bool
-
-
-@dataclass(frozen=True)
-class CubicCharacter:
-    """Order-3 character mod a prime conductor ell = 1 mod 3.
-
-    ``value_index[a]`` is t mod 3 where a = g^t for the least primitive
-    root g; slot 0 is unused (-1).  chi(a) = exp(2*pi*i*value_index[a]/3).
-    """
-
-    conductor: int
-    generator: int
-    value_index: tuple[int, ...]
-
-    def index(self, a: int) -> int:
-        if not 1 <= a < self.conductor:
-            raise DomainError(f"residue {a} outside [1, {self.conductor - 1}]")
-        return self.value_index[a]
-
-    def chi(self, a: int) -> complex:
-        t = self.index(a)
-        angle = 2.0 * math.pi * t / 3.0
-        return complex(math.cos(angle), math.sin(angle))
 
 
 def cubic_poly(m: int) -> tuple[int, int, int, int]:
@@ -199,51 +179,43 @@ def _least_primitive_root(ell: int) -> int:
     raise NumericError(f"no primitive root found mod {ell}")  # unreachable for prime ell
 
 
-def cubic_character(ell: int) -> CubicCharacter:
-    """Build the discrete-log-mod-3 table for a prime ell = 1 mod 3."""
-    if not is_prime(ell):
-        raise DomainError(f"conductor {ell} is not prime")
-    if ell % 3 != 1:
-        raise DomainError(f"no cubic character mod {ell}: ell != 1 mod 3")
-    g = _least_primitive_root(ell)
-    table = [-1] * ell
-    v = 1
-    for t in range(ell - 1):
-        table[v] = t % 3
-        v = v * g % ell
-    counts = [0, 0, 0]
-    for a in range(1, ell):
-        counts[table[a]] += 1
-    if counts != [(ell - 1) // 3] * 3:
-        raise NumericError(f"character table mod {ell} not equidistributed: {counts}")
-    return CubicCharacter(ell, g, tuple(table))
+def _log_sine_walk(ell: int, v: int, stride: int, count: int):
+    """Yield log(2*sin(pi*a/ell)) for a = v, v*stride, ... (count terms) mod ell.
 
-
-def _index_bucket_sums(char: CubicCharacter, compensated: bool) -> tuple[float, float, float]:
-    """sum of log(2*sin(pi*a/ell)) over residues a, bucketed by chi-index."""
-    ell = char.conductor
-    table = char.value_index
+    stride^count must be -1 mod ell, so the walk has to end at ell - v;
+    anything else means the generator arithmetic is wrong, and NumericError
+    is raised after the last term.
+    """
     step = math.pi / ell
-    if compensated:
-        buckets = ([], [], [])
-        for a in range(1, ell):
-            buckets[table[a]].append(math.log(2.0 * math.sin(step * a)))
-        return tuple(math.fsum(b) for b in buckets)
-    sums = [0.0, 0.0, 0.0]
-    for a in range(1, ell):
-        sums[table[a]] += math.log(2.0 * math.sin(step * a))
-    return tuple(sums)
+    log, sin = math.log, math.sin
+    end = ell - v
+    for _ in range(count):
+        yield log(2.0 * sin(step * v))
+        v = v * stride % ell
+    if v != end:
+        raise NumericError(f"half walk mod {ell} does not close: ended at {v}, expected {end}")
 
 
 def l_sum(ell: int, compensated: bool = False) -> complex:
     """S = sum conj(chi(a)) * log(2*sin(pi*a/ell)) for the cubic chi mod ell.
 
-    |S|^2 = ell * |L(1,chi)|^2 feeds the class number formula.
+    |S|^2 = ell * |L(1,chi)|^2 feeds the class number formula.  Each of
+    the three half-range bucket walks is summed by ``sum`` (a running
+    float sum), or by ``math.fsum`` when ``compensated``.
     """
     if ell < 7:
         raise DomainError(f"conductor must be at least 7, got {ell}")
-    char = cubic_character(ell)
-    t0, t1, t2 = _index_bucket_sums(char, compensated)
+    if not is_prime(ell):
+        raise DomainError(f"conductor {ell} is not prime")
+    if ell % 3 != 1:
+        raise DomainError(f"no cubic character mod {ell}: ell != 1 mod 3")
+    g = _least_primitive_root(ell)
+    stride = pow(g, 3, ell)
+    count = (ell - 1) // 6
+    total = math.fsum if compensated else sum
+    t0, t1, t2 = (
+        2.0 * total(_log_sine_walk(ell, pow(g, r, ell), stride, count)) for r in range(3)
+    )
     # conj(chi) takes values 1, wbar, wbar^2 with wbar = exp(-2*pi*i/3).
     half_sqrt3 = math.sqrt(3.0) / 2.0
     return complex(t0 - 0.5 * (t1 + t2), half_sqrt3 * (t2 - t1))

@@ -32,6 +32,7 @@ __all__ = [
     "CONDUCTOR_37_GATE",
     "MIN_FURUTA_PRIMES",
     "ELEMENT_BUDGET",
+    "PERFECT_LIMIT",
     "furuta_n",
     "surjectivity_gate",
     "sl2_order",
@@ -47,7 +48,8 @@ ELEMENT_BUDGET = 10**6
 _MAX_PROGRESSION_STEPS = 10**6
 
 _ORDER_LIMIT = 1000
-_PERFECT_LIMIT = 100
+# Largest n that sl2_perfect (and `group perfect --n`) accepts.
+PERFECT_LIMIT = 100
 
 
 @dataclass(frozen=True)
@@ -222,8 +224,8 @@ def sl2_perfect(n: int) -> GroupReport:
     under multiplication, then under conjugation by U and L, iterating to a
     fixpoint.
     """
-    if not 2 <= n <= _PERFECT_LIMIT:
-        raise DomainError(f"sl2_perfect supports 2 <= n <= {_PERFECT_LIMIT}, got {n}")
+    if not 2 <= n <= PERFECT_LIMIT:
+        raise DomainError(f"sl2_perfect supports 2 <= n <= {PERFECT_LIMIT}, got {n}")
     order = sl2_order(n)
     upper = (1 % n, 1 % n, 0, 1 % n)
     lower = (1 % n, 0, 1 % n, 1 % n)

@@ -106,6 +106,65 @@ def _largest_primitive_root(ell: int) -> int:
     raise ValueError(f"no primitive root mod {ell}")
 
 
+def _least_primitive_root_by_order(ell: int) -> int:
+    """Least g whose powers reach 1 only after ell - 1 steps."""
+    for g in range(2, ell):
+        v, order = g, 1
+        while v != 1:
+            v = v * g % ell
+            order += 1
+        if order == ell - 1:
+            return g
+    raise ValueError(f"no primitive root mod {ell}")
+
+
+class CubicCharacterTable:
+    """Full table of the cubic character mod a prime ell = 1 mod 3.
+
+    Built from the power-residue criterion, with no discrete logarithm and
+    no walk in generator order: index(a) = k where a^((ell-1)/3) = zeta^k
+    and zeta = g^((ell-1)/3) for the least primitive root g (found by
+    counting its order), so chi(g) = exp(2*pi*i/3) as in the package.
+    """
+
+    def __init__(self, ell: int):
+        if not trial_division_prime(ell) or ell % 3 != 1:
+            raise ValueError(f"no cubic character mod {ell}")
+        e = (ell - 1) // 3
+        zeta = pow(_least_primitive_root_by_order(ell), e, ell)
+        slot = {1: 0, zeta: 1, zeta * zeta % ell: 2}
+        self.conductor = ell
+        self.value_index = [-1] + [slot[pow(a, e, ell)] for a in range(1, ell)]
+
+    def index(self, a: int) -> int:
+        if not 1 <= a < self.conductor:
+            raise ValueError(f"residue {a} outside [1, {self.conductor - 1}]")
+        return self.value_index[a]
+
+    def chi(self, a: int) -> complex:
+        angle = 2.0 * math.pi * self.index(a) / 3.0
+        return complex(math.cos(angle), math.sin(angle))
+
+
+def full_range_l_sum(ell: int) -> complex:
+    """S = sum_{a=1}^{ell-1} conj(chi(a)) * log(2*sin(pi*a/ell)), in residue order.
+
+    Every residue is visited (no evenness folding), chi comes from
+    CubicCharacterTable, and each character value's terms are summed by
+    math.fsum, correctly rounded.
+    """
+    table = CubicCharacterTable(ell)
+    buckets = ([], [], [])
+    for a in range(1, ell):
+        buckets[table.index(a)].append(math.log(2.0 * math.sin(math.pi * a / ell)))
+    # conj(chi(a)) = exp(-2*pi*i*k/3) on bucket k
+    return sum(
+        math.fsum(terms)
+        * complex(math.cos(2.0 * math.pi * k / 3.0), -math.sin(2.0 * math.pi * k / 3.0))
+        for k, terms in enumerate(buckets)
+    )
+
+
 def digamma_l_value_squared(ell: int) -> float:
     """ell * |L(1, chi)|^2 for a cubic character mod ell, via digamma.
 

@@ -3,6 +3,7 @@ import math
 
 import pytest
 
+from towercert import tower
 from towercert.cli import (
     EXIT_NUMERIC,
     EXIT_OK,
@@ -10,6 +11,7 @@ from towercert.cli import (
     EXIT_USAGE,
     main,
 )
+from towercert.errors import IntegralityError
 from towercert.records import parse_record
 
 
@@ -278,6 +280,30 @@ class TestSearch:
         a = strip_timestamps(serial.read_text(encoding="utf-8"))
         b = strip_timestamps(parallel.read_text(encoding="utf-8"))
         assert a == b
+
+    def test_integrality_failure_keeps_sweep_and_diagnostics(self, capsys, monkeypatch):
+        real_class_number = tower.class_number
+
+        def failing_class_number(m):
+            if m == 50:
+                raise IntegralityError("lost", value=18.66, gap=0.34, unit_index_suspected=True)
+            return real_class_number(m)
+
+        monkeypatch.setattr(tower, "class_number", failing_class_number)
+        code, out, err = run(capsys, "search", "--m-max", "60", "--certify", "--jobs", "1")
+        assert code == EXIT_NUMERIC
+        assert "m in [50]" in err
+        records = records_of(out)
+        assert records[-1].payload["m"] == 59  # the sweep ran to the end
+        (failure,) = [r for r in records if r.kind == "rejection"]
+        assert failure.payload["reasons"] == ["integrality"]
+        assert failure.payload["m"] == 50
+        assert failure.payload["ell"] == 2659
+        assert failure.payload["value"] == 18.66
+        assert failure.payload["gap"] == 0.34
+        assert failure.payload["unit_index_suspected"] is True
+        certified = [r.payload["ell"] for r in records if r.kind == "cyclotomic_tower"]
+        assert 2659 not in certified and 3547 in certified
 
     def test_bad_residues(self, capsys):
         for bad in ("13", "", "2,x", "-1"):

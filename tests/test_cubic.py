@@ -1,19 +1,21 @@
 import math
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import (
+    CubicCharacterTable,
     cubic_discriminant,
     digamma_l_value_squared,
+    full_range_l_sum,
     minkowski_class_number_one,
 )
 from towercert.cubic import (
     INTEGRALITY_TOL,
     UNIT_INDEX_ASSUMPTION,
     class_number,
-    cubic_character,
     cubic_poly,
     galois_conjugate,
     l_sum,
@@ -143,17 +145,23 @@ class TestRegulator:
 
 
 class TestCubicCharacter:
+    """The brute-force table in oracles.py that the L-sum tests compare against."""
+
     def test_rejects_composite(self):
         with pytest.raises(DomainError):
-            cubic_character(25)
+            l_sum(25)
+        with pytest.raises(ValueError):
+            CubicCharacterTable(25)
 
     def test_rejects_2_mod_3(self):
         with pytest.raises(DomainError):
-            cubic_character(11)
+            l_sum(11)
+        with pytest.raises(ValueError):
+            CubicCharacterTable(11)
 
     def test_equidistribution(self):
         for ell in (13, 19, 163, 2659):
-            char = cubic_character(ell)
+            char = CubicCharacterTable(ell)
             counts = [0, 0, 0]
             for a in range(1, ell):
                 counts[char.index(a)] += 1
@@ -161,7 +169,7 @@ class TestCubicCharacter:
 
     def test_multiplicative_exhaustive_small(self):
         for ell in (13, 19, 31, 37, 43, 127, 307):
-            char = cubic_character(ell)
+            char = CubicCharacterTable(ell)
             for a in range(1, ell):
                 for b in range(1, ell):
                     assert char.index(a * b % ell) == (char.index(a) + char.index(b)) % 3
@@ -169,23 +177,41 @@ class TestCubicCharacter:
     @given(st.integers(min_value=1, max_value=2658), st.integers(min_value=1, max_value=2658))
     @settings(max_examples=200, deadline=None)
     def test_multiplicative_sampled_large(self, a, b):
-        char = cubic_character(2659)
+        char = CubicCharacterTable(2659)
         assert char.index(a * b % 2659) == (char.index(a) + char.index(b)) % 3
 
     def test_index_domain(self):
-        char = cubic_character(13)
-        with pytest.raises(DomainError):
+        char = CubicCharacterTable(13)
+        with pytest.raises(ValueError):
             char.index(0)
-        with pytest.raises(DomainError):
+        with pytest.raises(ValueError):
             char.index(13)
 
 
 class TestLSum:
     def test_character_orthogonality(self):
         for ell in (13, 19, 163):
-            char = cubic_character(ell)
+            char = CubicCharacterTable(ell)
             total = sum(char.chi(a) for a in range(1, ell))
             assert abs(total) < 1e-9
+
+    @pytest.mark.parametrize("ell", [13, 19, 163, 2659, 101449])
+    def test_half_walk_matches_full_range_oracle(self, ell):
+        expected = full_range_l_sum(ell)
+        for compensated in (False, True):
+            assert abs(l_sum(ell, compensated=compensated) - expected) < 1e-9
+
+    @pytest.mark.parametrize("compensated", [False, True])
+    @pytest.mark.parametrize("ell", [2659, 248509])
+    def test_memory_bounded(self, ell, compensated):
+        # the old discrete-log table alone took 8 bytes per residue
+        tracemalloc.start()
+        try:
+            l_sum(ell, compensated=compensated)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 4096
 
     def test_against_digamma_oracle(self):
         for ell in (13, 19, 163):
