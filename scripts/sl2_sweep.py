@@ -1,4 +1,4 @@
-"""Tabulate perfectness of SL2(Z/n) by brute-force commutator closure.
+"""Tabulate perfectness of SL2(Z/n) by normal closure of the commutator [U, L].
 
 The linear-disjointness argument needs SL2(Z/n) perfect for n coprime to
 30; this sweep shows exactly where perfectness fails (n sharing a factor
@@ -9,7 +9,7 @@ import argparse
 import math
 import time
 
-from towercert.elliptic import sl2_perfect
+from towercert.elliptic import PERFECT_LIMIT, sl2_perfect
 
 
 def parse_args(argv=None):
@@ -25,8 +25,8 @@ def parse_args(argv=None):
 
 def main(argv=None) -> int:
     args = parse_args(argv)
-    if not 2 <= args.n_min <= args.n_max <= 100:
-        raise SystemExit("moduli must satisfy 2 <= n-min <= n-max <= 100")
+    if not 2 <= args.n_min <= args.n_max <= PERFECT_LIMIT:
+        raise SystemExit(f"moduli must satisfy 2 <= n-min <= n-max <= {PERFECT_LIMIT}")
 
     print(f"{'n':>4}  {'|SL2|':>8}  {'ab.':>4}  {'perfect':>7}  {'ms':>7}")
     failures = []

@@ -19,6 +19,7 @@ __all__ = [
     "jacobi_symbol",
     "exact_sqrt",
     "primes_up_to",
+    "factorize",
     "gcd",
 ]
 
@@ -109,3 +110,22 @@ def primes_up_to(bound: int) -> list[int]:
             start = p * p
             flags[start : bound + 1 : p] = b"\x00" * ((bound - start) // p + 1)
     return [i for i, v in enumerate(flags) if v]
+
+
+def factorize(n: int) -> list[tuple[int, int]]:
+    """Prime factorisation of n >= 1 by trial division: ascending (p, e) pairs."""
+    if n < 1:
+        raise DomainError(f"factorize needs a positive integer, got {n}")
+    out = []
+    d = 2
+    while d * d <= n:
+        if n % d == 0:
+            e = 0
+            while n % d == 0:
+                n //= d
+                e += 1
+            out.append((d, e))
+        d += 1
+    if n > 1:
+        out.append((n, 1))
+    return out

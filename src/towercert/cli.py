@@ -180,7 +180,11 @@ def _parse_residues(text: str) -> frozenset[int]:
 
 
 def _certify_worker(m: int):
-    """Pool worker: certification outcome for one m, exceptions as values."""
+    """Pool worker: certification outcome for one m, exceptions as values.
+
+    A numeric failure is tagged "failure" and carries its diagnostics as a
+    rejection context, so the sweep can emit it in place and carry on.
+    """
     try:
         return m, ("certificate", certify_cyclotomic(m, KnownInfiniteRegistry()))
     except CertificationRejected as exc:
@@ -193,9 +197,10 @@ def _certify_worker(m: int):
             "gap": exc.gap,
             "unit_index_suspected": exc.unit_index_suspected,
         }
-        return m, ("integrality", (["integrality"], context))
+        return m, ("failure", (["integrality"], context))
     except NumericError as exc:
-        return m, ("numeric", str(exc))
+        context = {"m": m, "ell": shanks_value(m), "message": str(exc)}
+        return m, ("failure", (["numeric"], context))
 
 
 def _cmd_search(args, emitter) -> int:
@@ -213,7 +218,7 @@ def _cmd_search(args, emitter) -> int:
         else:
             outcomes = dict(map(_certify_worker, prime_ms))
     registry = KnownInfiniteRegistry()
-    integrality_failures = []
+    failures = []
     for cand in candidates:
         emitter.record(record_for(cand))
         if not (args.certify and cand.is_prime_ell):
@@ -223,15 +228,13 @@ def _cmd_search(args, emitter) -> int:
             if value.certified:
                 registry.record(value)
             emitter.record(record_for(value))
-        elif tag in ("rejection", "integrality"):
+        else:
             reasons, context = value
             emitter.record(rejection_record("certify cyclotomic", reasons, context))
-            if tag == "integrality":
-                integrality_failures.append(cand.m)
-        else:
-            raise NumericError(value)
-    if integrality_failures:
-        raise NumericError(f"analytic class number lost integrality for m in {integrality_failures}")
+            if tag == "failure":
+                failures.append(cand.m)
+    if failures:
+        raise NumericError(f"class number computation failed for m in {failures}")
     return EXIT_OK
 
 

@@ -36,7 +36,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .arith import is_prime
+from .arith import factorize, is_prime
 from .errors import DomainError, IntegralityError, NumericError
 from .hlsearch import shanks_value
 
@@ -157,22 +157,8 @@ def regulator(m: int, embeddings: tuple[int, int] = (0, 1)) -> float:
     return abs(det)
 
 
-def _factor_distinct(n: int) -> list[int]:
-    out = []
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            while n % d == 0:
-                n //= d
-        d += 1
-    if n > 1:
-        out.append(n)
-    return out
-
-
 def _least_primitive_root(ell: int) -> int:
-    exponents = [(ell - 1) // q for q in _factor_distinct(ell - 1)]
+    exponents = [(ell - 1) // q for q, _ in factorize(ell - 1)]
     for g in range(2, ell):
         if all(pow(g, e, ell) != 1 for e in exponents):
             return g

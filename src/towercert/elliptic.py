@@ -12,9 +12,13 @@ an infinite ell-class field tower.  The witness records the primes and
 their exact product, the one place arbitrary-width integers are needed.
 
 The linear-disjointness step relies on SL2(Z/n) being perfect for
-(n, 30) = 1; sl2_perfect verifies that by brute-force commutator closure
-for n <= 100 and reports the abelianization order so failures (n = 2, 3)
-are informative.
+(n, 30) = 1; sl2_perfect verifies that for n <= 100 by computing the
+normal closure of the commutator [U, L] exactly, and reports the
+abelianization order so failures (n = 2, 3) are informative.  The closure
+is incremental: normality is tested on the subgroup's generators only
+(conjugating them by U and L suffices in a finite group), a conjugate
+outside the subgroup joins the generators, and the one BFS over the
+subgroup continues from where it stood instead of starting again.
 """
 
 from __future__ import annotations
@@ -22,7 +26,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .arith import gcd, is_prime
+from .arith import factorize, gcd, is_prime
 from .errors import DomainError, ResourceLimitError
 
 __all__ = [
@@ -151,28 +155,12 @@ def surjectivity_gate(n: int, m_e: int) -> bool:
     return gcd(n, m_e) == 1
 
 
-def _factorize(n: int) -> list[tuple[int, int]]:
-    out = []
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            e = 0
-            while n % d == 0:
-                n //= d
-                e += 1
-            out.append((d, e))
-        d += 1
-    if n > 1:
-        out.append((n, 1))
-    return out
-
-
 def sl2_order(n: int) -> int:
     """Order of SL2(Z/n): multiplicative, p^(3k-2)*(p^2-1) per prime power."""
     if not 2 <= n <= _ORDER_LIMIT:
         raise DomainError(f"sl2_order supports 2 <= n <= {_ORDER_LIMIT}, got {n}")
     order = 1
-    for p, e in _factorize(n):
+    for p, e in factorize(n):
         order *= p ** (3 * e - 2) * (p * p - 1)
     return order
 
@@ -193,55 +181,61 @@ def _commutator(x, y, n):
     return _mul(_mul(x, y, n), _mul(_inv(x, n), _inv(y, n), n), n)
 
 
-def _generated_subgroup(generators, n, budget):
-    """BFS closure under right multiplication; finiteness supplies inverses."""
-    identity = (1 % n, 0, 0, 1 % n)
-    members = {identity}
-    frontier = [identity]
-    while frontier:
-        grown = []
-        for g in frontier:
-            for s in generators:
-                h = _mul(g, s, n)
-                if h not in members:
-                    if len(members) >= budget:
-                        raise ResourceLimitError(
-                            f"subgroup closure exceeded {budget} elements at n={n}"
-                        )
-                    members.add(h)
-                    grown.append(h)
-        frontier = grown
-    return members
-
-
 def sl2_perfect(n: int) -> GroupReport:
-    """Brute-force commutator subgroup of SL2(Z/n) and its abelianization.
+    """Commutator subgroup of SL2(Z/n) by incremental normal closure.
 
     The derived subgroup is the normal closure of the commutator [U, L] of
     the elementary generators U = [[1,1],[0,1]], L = [[1,0],[1,1]]: any
     normal subgroup containing [U, L] has abelian quotient (the images of U
-    and L commute and generate), and conversely.  So: close {[U,L], [L,U]}
-    under multiplication, then under conjugation by U and L, iterating to a
-    fixpoint.
+    and L commute and generate), and conversely.
+
+    Normality is checked on generators only.  For H = <S> inside the finite
+    group G = <U, L>, H is normal iff t*s*t^-1 lies in H for every s in S
+    and t in {U, L}: then t*H*t^-1 = <t*S*t^-1> is contained in H and has
+    the same order, so the two are equal.
+
+    H grows in place as one BFS under right multiplication by the
+    generators; finiteness supplies inverses.  Elements before the `closed`
+    pointer have been multiplied by every generator.  A conjugate not yet
+    in H becomes a new generator: only the elements before the pointer are
+    multiplied by it, and the BFS then continues, so H is never rebuilt.
+    Each generator queues its conjugates by U and L, which are tested once H
+    is closed again; when the queue is empty, H is the normal closure.
     """
     if not 2 <= n <= PERFECT_LIMIT:
         raise DomainError(f"sl2_perfect supports 2 <= n <= {PERFECT_LIMIT}, got {n}")
     order = sl2_order(n)
+    budget = ELEMENT_BUDGET
     upper = (1 % n, 1 % n, 0, 1 % n)
     lower = (1 % n, 0, 1 % n, 1 % n)
-    generators = [_commutator(upper, lower, n), _commutator(lower, upper, n)]
-    while True:
-        members = _generated_subgroup(generators, n, ELEMENT_BUDGET)
-        missing = []
-        for t in (upper, lower):
-            t_inv = _inv(t, n)
-            for g in members:
-                conj = _mul(_mul(t, g, n), t_inv, n)
-                if conj not in members:
-                    missing.append(conj)
-        if not missing:
-            break
-        generators.extend(dict.fromkeys(missing))
+    conjugators = [(t, _inv(t, n)) for t in (upper, lower)]
+    identity = (1 % n, 0, 0, 1 % n)
+    members = {identity}
+    elements = [identity]
+    closed = 0
+    generators = []
+
+    def insert(h):
+        if h not in members:
+            if len(members) >= budget:
+                raise ResourceLimitError(f"subgroup closure exceeded {budget} elements at n={n}")
+            members.add(h)
+            elements.append(h)
+
+    pending = [_commutator(upper, lower, n)]
+    while pending:
+        s = pending.pop()
+        if s in members:
+            continue
+        generators.append(s)
+        for g in elements[:closed]:
+            insert(_mul(g, s, n))
+        while closed < len(elements):
+            g = elements[closed]
+            closed += 1
+            for t in generators:
+                insert(_mul(g, t, n))
+        pending.extend(_mul(_mul(t, s, n), t_inv, n) for t, t_inv in conjugators)
     commutator_order = len(members)
     # a subgroup order always divides the group order; a mismatch means a bug
     if order % commutator_order != 0:

@@ -19,7 +19,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .arith import is_prime
+from .arith import factorize, is_prime
 from .errors import DomainError
 from .tower import DEFAULT_REGISTRY, KnownInfiniteRegistry
 
@@ -172,20 +172,6 @@ def certify_eigenform(
     )
 
 
-def _prime_factors(n: int) -> tuple[int, ...]:
-    out = []
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            while n % d == 0:
-                n //= d
-        d += 1
-    if n > 1:
-        out.append(n)
-    return tuple(out)
-
-
 def verify_residue_claim(k: int) -> ResidueClaimReport:
     """Check whether ell = m^2+3m+9 can avoid 1 mod q for every q | k-1.
 
@@ -195,7 +181,7 @@ def verify_residue_claim(k: int) -> ResidueClaimReport:
     """
     if k not in EXCEPTIONAL_PRIMES:
         raise DomainError(f"no unique level-1 eigenform of weight {k}")
-    divisors = _prime_factors(k - 1)
+    divisors = tuple(p for p, _ in factorize(k - 1))
     verdicts = []
     for q in divisors:
         witnesses = []

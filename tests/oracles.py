@@ -209,6 +209,67 @@ def sl2_order_bruteforce(n: int) -> int:
     return count
 
 
+def _mul(x, y, n):
+    a, b, c, d = x
+    e, f, g, h = y
+    return ((a * e + b * g) % n, (a * f + b * h) % n, (c * e + d * g) % n, (c * f + d * h) % n)
+
+
+def _inv(x, n):
+    # only valid for determinant-1 matrices, which is all we move around
+    a, b, c, d = x
+    return (d % n, -b % n, -c % n, a % n)
+
+
+def _commutator(x, y, n):
+    return _mul(_mul(x, y, n), _mul(_inv(x, n), _inv(y, n), n), n)
+
+
+def _generated_subgroup(generators, n):
+    """BFS closure under right multiplication; finiteness supplies inverses."""
+    identity = (1 % n, 0, 0, 1 % n)
+    members = {identity}
+    frontier = [identity]
+    while frontier:
+        grown = []
+        for g in frontier:
+            for s in generators:
+                h = _mul(g, s, n)
+                if h not in members:
+                    members.add(h)
+                    grown.append(h)
+        frontier = grown
+    return members
+
+
+def sl2_perfect_restart(n: int) -> tuple[int, int, bool]:
+    """(|SL2(Z/n)|, abelianization order, perfect) by restart-from-scratch closure.
+
+    Closes {[U,L], [L,U]} under multiplication, conjugates every member by
+    U and L, adds the conjugates that fall outside as generators, and
+    rebuilds the subgroup from the identity until nothing is missing.  The
+    group order comes from sl2_order_paircount.  Slow (seconds past n = 30).
+    """
+    order = sl2_order_paircount(n)
+    upper = (1 % n, 1 % n, 0, 1 % n)
+    lower = (1 % n, 0, 1 % n, 1 % n)
+    generators = [_commutator(upper, lower, n), _commutator(lower, upper, n)]
+    while True:
+        members = _generated_subgroup(generators, n)
+        missing = []
+        for t in (upper, lower):
+            t_inv = _inv(t, n)
+            for g in members:
+                conj = _mul(_mul(t, g, n), t_inv, n)
+                if conj not in members:
+                    missing.append(conj)
+        if not missing:
+            break
+        generators.extend(dict.fromkeys(missing))
+    abelianization = order // len(members)
+    return order, abelianization, abelianization == 1
+
+
 def brute_quadratic_prime_count(a: int, b: int, c: int, x: int) -> int:
     """#{k >= 0 : a*k^2 + b*k + c < x and prime}, by trial division."""
     count = 0

@@ -1,3 +1,5 @@
+import math
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -6,6 +8,7 @@ from oracles import odd_wheel_sieve, trial_division_prime
 from towercert.arith import (
     MAX_NATURAL,
     exact_sqrt,
+    factorize,
     gcd,
     is_prime,
     jacobi_symbol,
@@ -145,3 +148,23 @@ class TestGcd:
     def test_zero_argument(self):
         assert gcd(0, 7) == 7
         assert gcd(0, 0) == 0
+
+
+class TestFactorize:
+    def test_small_values(self):
+        assert factorize(1) == []
+        assert factorize(2) == [(2, 1)]
+        assert factorize(360) == [(2, 3), (3, 2), (5, 1)]
+        assert factorize(2658) == [(2, 1), (3, 1), (443, 1)]
+
+    def test_nonpositive_rejected(self):
+        with pytest.raises(DomainError):
+            factorize(0)
+
+    def test_against_bruteforce_product(self):
+        for n in range(1, 3001):
+            pairs = factorize(n)
+            assert math.prod(p**e for p, e in pairs) == n, n
+            primes = [p for p, _ in pairs]
+            assert primes == sorted(set(primes)), n
+            assert all(trial_division_prime(p) and e >= 1 for p, e in pairs), n

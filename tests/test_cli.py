@@ -11,7 +11,7 @@ from towercert.cli import (
     EXIT_USAGE,
     main,
 )
-from towercert.errors import IntegralityError
+from towercert.errors import IntegralityError, NumericError
 from towercert.records import parse_record
 
 
@@ -304,6 +304,30 @@ class TestSearch:
         assert failure.payload["unit_index_suspected"] is True
         certified = [r.payload["ell"] for r in records if r.kind == "cyclotomic_tower"]
         assert 2659 not in certified and 3547 in certified
+
+    def test_numeric_failure_keeps_sweep_and_diagnostics(self, capsys, monkeypatch):
+        real_class_number = tower.class_number
+
+        def failing_class_number(m):
+            if m == 50:
+                raise NumericError("Newton polish did not converge")
+            return real_class_number(m)
+
+        monkeypatch.setattr(tower, "class_number", failing_class_number)
+        code, out, err = run(capsys, "search", "--m-max", "60", "--certify", "--jobs", "1")
+        assert code == EXIT_NUMERIC
+        assert len(err.strip().splitlines()) == 1
+        assert "m in [50]" in err
+        records = records_of(out)
+        (failure,) = [r for r in records if r.kind == "rejection"]
+        assert failure.payload["reasons"] == ["numeric"]
+        assert failure.payload["m"] == 50
+        assert failure.payload["ell"] == 2659
+        assert failure.payload["message"] == "Newton polish did not converge"
+        emitted = {r.payload["m"] for r in records}
+        assert {55, 58, 59} <= emitted  # the sweep ran past the failure
+        certified = [r.payload["ell"] for r in records if r.kind == "cyclotomic_tower"]
+        assert 3547 in certified
 
     def test_bad_residues(self, capsys):
         for bad in ("13", "", "2,x", "-1"):

@@ -4,7 +4,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import FROZEN_61BIT_PRIMES, sl2_order_bruteforce, sl2_order_paircount
+from oracles import (
+    FROZEN_61BIT_PRIMES,
+    sl2_order_bruteforce,
+    sl2_order_paircount,
+    sl2_perfect_restart,
+)
 from towercert.elliptic import (
     CONDUCTOR_37_GATE,
     ELEMENT_BUDGET,
@@ -175,6 +180,22 @@ class TestSL2Perfect:
         for n in range(2, 38):
             if math.gcd(n, 30) == 1:
                 assert sl2_perfect(n).perfect, n
+
+    def test_matches_restart_oracle_up_to_30(self):
+        for n in range(2, 31):
+            report = sl2_perfect(n)
+            assert (report.group_order, report.abelianization_order, report.perfect) == (
+                sl2_perfect_restart(n)
+            ), n
+
+    def test_abelianization_multiplicative_on_coprime_pairs(self):
+        # SL2(Z/ab) = SL2(Z/a) x SL2(Z/b) for coprime a, b, and the
+        # abelianization of a direct product is the product of theirs
+        pairs = [(a, b) for a in range(2, 51) for b in range(a + 1, 51) if math.gcd(a, b) == 1 and a * b <= 100]
+        moduli = {m for a, b in pairs for m in (a, b, a * b)}
+        ab_order = {n: sl2_perfect(n).abelianization_order for n in moduli}
+        for a, b in pairs:
+            assert ab_order[a * b] == ab_order[a] * ab_order[b], (a, b)
 
     def test_out_of_range(self):
         with pytest.raises(DomainError):
