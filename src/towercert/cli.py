@@ -83,9 +83,6 @@ def _common_parent() -> argparse.ArgumentParser:
     parent.add_argument(
         "--out", metavar="FILE", default=None, help="write records to FILE instead of stdout"
     )
-    parent.add_argument(
-        "--jobs", type=int, default=1, metavar="J", help="parallel workers for sweeps"
-    )
     return parent
 
 
@@ -109,6 +106,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     search.add_argument(
         "--certify", action="store_true", help="run tower certification on prime conductors"
+    )
+    search.add_argument(
+        "--jobs", type=int, default=1, metavar="J", help="parallel workers for --certify"
     )
     search.set_defaults(handler=_cmd_search)
 
@@ -217,7 +217,6 @@ def _cmd_search(args, emitter) -> int:
                 outcomes = dict(pool.map(_certify_worker, prime_ms))
         else:
             outcomes = dict(map(_certify_worker, prime_ms))
-    registry = KnownInfiniteRegistry()
     failures = []
     for cand in candidates:
         emitter.record(record_for(cand))
@@ -225,8 +224,6 @@ def _cmd_search(args, emitter) -> int:
             continue
         tag, value = outcomes[cand.m]
         if tag == "certificate":
-            if value.certified:
-                registry.record(value)
             emitter.record(record_for(value))
         else:
             reasons, context = value
@@ -268,10 +265,10 @@ def _load_registry(path: str, registry: KnownInfiniteRegistry) -> None:
     for number, line in enumerate(lines, start=1):
         try:
             record = parse_record(line)
+            if record.kind == "cyclotomic_tower" and record.payload.get("certified"):
+                registry.record(tower_certificate_from_payload(record.payload))
         except DomainError as exc:
             raise _UsageError(f"bad registry record at {path}:{number}: {exc}") from exc
-        if record.kind == "cyclotomic_tower" and record.payload.get("certified"):
-            registry.record(tower_certificate_from_payload(record.payload))
 
 
 def _cmd_certify_eigenform(args, emitter) -> int:

@@ -1,7 +1,11 @@
 """Line-delimited certificate records with byte-stable serialization.
 
-Every CLI emission is one JSON object per line.  The serialization is
-canonical: keys keep their builder-defined insertion order, floats print
+Every CLI emission is one JSON object per line.  A result object's payload
+keys follow its dataclass field order, then the derived properties listed
+in _DERIVED; nested result objects become objects the same way and tuples
+become arrays.  Adding, renaming or reordering a field of a result class
+therefore changes its records (and needs a SCHEMA_VERSION bump).  The
+serialization is canonical: keys keep their insertion order, floats print
 with 17 significant digits (lowercase exponent, trailing ".0" when the
 mantissa would otherwise look integral), strings escape to ASCII.  The
 content hash is sha256 over the canonical bytes of (schema_version, kind,
@@ -14,14 +18,14 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from datetime import datetime, timezone
 
 from .cubic import SimplestCubicField
 from .elliptic import FurutaWitness, GroupReport
 from .errors import DomainError
 from .hlsearch import HLConstantResult, PrimeCountReport, ShanksCandidate
-from .modforms import EigenformCertificate, ResidueClaimReport
+from .modforms import EigenformCertificate, ResidueClaimReport, ResidueQVerdict
 from .tower import CyclotomicTowerCertificate, TowerProvenance
 
 __all__ = [
@@ -150,122 +154,45 @@ def make_record(kind: str, payload: dict, timestamp: str | None = None) -> Certi
     )
 
 
-def _tower_payload(cert: CyclotomicTowerCertificate) -> dict:
-    p = cert.provenance
-    return {
-        "ell": cert.ell,
-        "m": cert.m,
-        "h": cert.h,
-        "rho": cert.rho,
-        "rhs": cert.rhs,
-        "certified": cert.certified,
-        "assumptions": list(cert.assumptions),
-        "provenance": {
-            "m_mod_12": p.m_mod_12,
-            "ell_mod_12": p.ell_mod_12,
-            "primality_method": p.primality_method,
-            "primality_witnesses": list(p.primality_witnesses),
-            "class_number_float": p.class_number_float,
-            "integrality_gap": p.integrality_gap,
-            "ramified_infinite_places": p.ramified_infinite_places,
-            "ramified_finite_primes": p.ramified_finite_primes,
-        },
-    }
+_KINDS = {
+    CyclotomicTowerCertificate: "cyclotomic_tower",
+    EigenformCertificate: "eigenform",
+    FurutaWitness: "furuta",
+    GroupReport: "group_report",
+    HLConstantResult: "hl_constant",
+    PrimeCountReport: "prime_count",
+    ResidueClaimReport: "residue_claim",
+    ShanksCandidate: "shanks_candidate",
+}
+
+# Properties emitted after a class's dataclass fields, in this order.
+_DERIVED = {
+    EigenformCertificate: ("rejection_reasons",),
+    ResidueQVerdict: ("never_one", "forced"),
+}
+
+# Payload keys per class, computed once: dataclasses.fields() per record is slow.
+_NAMES = {
+    cls: tuple(f.name for f in fields(cls)) + _DERIVED.get(cls, ())
+    for cls in (*_KINDS, TowerProvenance, ResidueQVerdict)
+}
 
 
-def _eigenform_payload(cert: EigenformCertificate) -> dict:
-    return {
-        "k": cert.k,
-        "ell": cert.ell,
-        "not_exceptional": cert.not_exceptional,
-        "det_index": cert.det_index,
-        "galois_group_full": cert.galois_group_full,
-        "tower_evidence": cert.tower_evidence,
-        "certified": cert.certified,
-        "rejection_reasons": list(cert.rejection_reasons),
-    }
-
-
-def _furuta_payload(witness: FurutaWitness) -> dict:
-    return {
-        "ell": witness.ell,
-        "m_e": witness.m_e,
-        "primes": list(witness.primes),
-        "n": witness.n,
-    }
-
-
-def _group_payload(report: GroupReport) -> dict:
-    return {
-        "n": report.n,
-        "group_order": report.group_order,
-        "abelianization_order": report.abelianization_order,
-        "perfect": report.perfect,
-    }
-
-
-def _hl_constant_payload(result: HLConstantResult) -> dict:
-    return {
-        "prime_bound": result.prime_bound,
-        "partial_product": result.partial_product,
-        "constant": result.constant,
-        "terms_used": result.terms_used,
-    }
-
-
-def _prime_count_payload(report: PrimeCountReport) -> dict:
-    return {
-        "x": report.x,
-        "count": report.count,
-        "estimate": report.estimate,
-        "ratio": report.ratio,
-    }
-
-
-def _residue_claim_payload(report: ResidueClaimReport) -> dict:
-    return {
-        "k": report.k,
-        "prime_divisors": list(report.prime_divisors),
-        "verdicts": [
-            {
-                "q": v.q,
-                "witnesses": list(v.witnesses),
-                "zero_classes": list(v.zero_classes),
-                "never_one": v.never_one,
-                "forced": v.forced,
-            }
-            for v in report.verdicts
-        ],
-        "claim_holds": report.claim_holds,
-    }
-
-
-def _shanks_payload(candidate: ShanksCandidate) -> dict:
-    return {
-        "m": candidate.m,
-        "ell": candidate.ell,
-        "residue": candidate.residue,
-        "is_prime_ell": candidate.is_prime_ell,
-    }
-
-
-_BUILDERS = (
-    (CyclotomicTowerCertificate, "cyclotomic_tower", _tower_payload),
-    (EigenformCertificate, "eigenform", _eigenform_payload),
-    (FurutaWitness, "furuta", _furuta_payload),
-    (GroupReport, "group_report", _group_payload),
-    (HLConstantResult, "hl_constant", _hl_constant_payload),
-    (PrimeCountReport, "prime_count", _prime_count_payload),
-    (ResidueClaimReport, "residue_claim", _residue_claim_payload),
-    (ShanksCandidate, "shanks_candidate", _shanks_payload),
-)
+def _payload(obj):
+    """JSON shape of a result: known classes become dicts, tuples become lists."""
+    names = _NAMES.get(type(obj))
+    if names is not None:
+        return {name: _payload(getattr(obj, name)) for name in names}
+    if isinstance(obj, tuple):
+        return [_payload(v) for v in obj]
+    return obj
 
 
 def record_for(obj, timestamp: str | None = None) -> CertificateRecord:
     """Wrap a module result object in its CertificateRecord."""
-    for cls, kind, builder in _BUILDERS:
-        if isinstance(obj, cls):
-            return make_record(kind, builder(obj), timestamp)
+    kind = _KINDS.get(type(obj))
+    if kind is not None:
+        return make_record(kind, _payload(obj), timestamp)
     if isinstance(obj, SimplestCubicField):
         raise DomainError("SimplestCubicField is internal; emit the tower certificate")
     raise DomainError(f"no record kind for {type(obj).__name__}")
@@ -316,25 +243,23 @@ def parse_record(line: str) -> CertificateRecord:
     return record
 
 
+def _arguments(cls, payload) -> dict:
+    """Constructor arguments for cls from a payload keyed exactly by its fields."""
+    names = _NAMES[cls]
+    if not isinstance(payload, dict) or set(payload) != set(names):
+        raise DomainError(f"{cls.__name__} payload keys must be exactly {list(names)}")
+    return {key: tuple(v) if isinstance(v, list) else v for key, v in payload.items()}
+
+
 def tower_certificate_from_payload(payload: dict) -> CyclotomicTowerCertificate:
-    """Rebuild a tower certificate from a parsed record payload."""
-    p = payload["provenance"]
-    return CyclotomicTowerCertificate(
-        ell=payload["ell"],
-        m=payload["m"],
-        h=payload["h"],
-        rho=payload["rho"],
-        rhs=payload["rhs"],
-        certified=payload["certified"],
-        assumptions=tuple(payload["assumptions"]),
-        provenance=TowerProvenance(
-            m_mod_12=p["m_mod_12"],
-            ell_mod_12=p["ell_mod_12"],
-            primality_method=p["primality_method"],
-            primality_witnesses=tuple(p["primality_witnesses"]),
-            class_number_float=p["class_number_float"],
-            integrality_gap=p["integrality_gap"],
-            ramified_infinite_places=p["ramified_infinite_places"],
-            ramified_finite_primes=p["ramified_finite_primes"],
-        ),
-    )
+    """Rebuild a tower certificate from a parsed record payload.
+
+    Raises DomainError unless the keys at both levels are exactly the
+    dataclass fields and the values construct a valid certificate.
+    """
+    args = _arguments(CyclotomicTowerCertificate, payload)
+    args["provenance"] = TowerProvenance(**_arguments(TowerProvenance, args["provenance"]))
+    try:
+        return CyclotomicTowerCertificate(**args)
+    except TypeError as exc:
+        raise DomainError(f"malformed tower payload: {exc}") from exc

@@ -20,7 +20,6 @@ The fields above F_m are symbolic here: only degrees, signatures, and
 from __future__ import annotations
 
 import math
-import threading
 from dataclasses import dataclass
 
 from .arith import MR_WITNESSES, is_prime
@@ -129,14 +128,13 @@ class KnownInfiniteRegistry:
 
     Seeded with the conductors whose infinite towers are established in the
     literature; seeds are never overwritten, though a computed certificate
-    may be attached alongside.  Reads are lock-free on an immutable-entry
-    dict; appends are serialized (single-writer contract).
+    may be attached alongside.  Entries are immutable; the map is plain
+    process-local state with no locking, as nothing here runs threads.
     """
 
     LITERATURE_CONDUCTORS = (877,)
 
     def __init__(self):
-        self._lock = threading.Lock()
         self._entries: dict[int, RegistryEntry] = {
             ell: RegistryEntry(ell, literature=True, certificate=None)
             for ell in self.LITERATURE_CONDUCTORS
@@ -145,19 +143,18 @@ class KnownInfiniteRegistry:
     def record(self, certificate: CyclotomicTowerCertificate) -> None:
         if not certificate.certified:
             raise DomainError("only certified certificates enter the registry")
-        with self._lock:
-            existing = self._entries.get(certificate.ell)
-            if existing is None:
-                self._entries[certificate.ell] = RegistryEntry(
-                    certificate.ell, literature=False, certificate=certificate
-                )
-            elif existing.certificate is None:
-                # keep the literature flag, attach the computation
-                self._entries[certificate.ell] = RegistryEntry(
-                    certificate.ell,
-                    literature=existing.literature,
-                    certificate=certificate,
-                )
+        existing = self._entries.get(certificate.ell)
+        if existing is None:
+            self._entries[certificate.ell] = RegistryEntry(
+                certificate.ell, literature=False, certificate=certificate
+            )
+        elif existing.certificate is None:
+            # keep the literature flag, attach the computation
+            self._entries[certificate.ell] = RegistryEntry(
+                certificate.ell,
+                literature=existing.literature,
+                certificate=certificate,
+            )
 
     def known_infinite(self, ell: int) -> RegistryEntry | None:
         if not is_prime(ell):

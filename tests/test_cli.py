@@ -12,7 +12,7 @@ from towercert.cli import (
     main,
 )
 from towercert.errors import IntegralityError, NumericError
-from towercert.records import parse_record
+from towercert.records import make_record, parse_record, to_json_line
 
 
 def run(capsys, *argv):
@@ -215,6 +215,31 @@ class TestCertifyEigenform:
             str(tmp_path / "absent.jsonl"),
         )
         assert code == EXIT_USAGE
+
+    @pytest.mark.parametrize("case", ["missing_keys", "rho_not_4h"])
+    def test_malformed_tower_record_is_usage(self, capsys, tmp_path, case):
+        if case == "missing_keys":
+            payload = {"certified": True, "ell": 2659}
+        else:
+            _, out, _ = run(capsys, "certify", "cyclotomic", "--m", "50")
+            payload = dict(records_of(out)[0].payload, rho=75)
+        registry_file = tmp_path / "bad.jsonl"
+        line = to_json_line(make_record("cyclotomic_tower", payload))
+        registry_file.write_text(line + "\n", encoding="utf-8")
+        code, out, err = run(
+            capsys,
+            "certify",
+            "eigenform",
+            "--weight",
+            "12",
+            "--ell",
+            "2659",
+            "--registry",
+            str(registry_file),
+        )
+        assert code == EXIT_USAGE
+        assert f"bad registry record at {registry_file}:1" in err
+        assert out == ""
 
 
 class TestSearch:
@@ -489,6 +514,25 @@ class TestPlumbing:
         code, out, err = run(capsys, "verify", "residue-claim", "--weight", "26")
         for line in out.splitlines():
             parse_record(line)
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("certify", "cyclotomic", "--m", "50"),
+            ("certify", "eigenform", "--weight", "12", "--ell", "877"),
+            ("hl", "constant", "--prime-bound", "100"),
+            ("hl", "count", "--x", "1000"),
+            ("furuta", "--ell", "5", "--m-e", "30"),
+            ("group", "perfect", "--n", "5"),
+            ("verify", "residue-claim", "--weight", "12"),
+        ],
+        ids=lambda argv: "-".join(a for a in argv if not a[0].isdigit() and a[0] != "-"),
+    )
+    def test_jobs_only_on_search(self, capsys, argv):
+        assert run(capsys, *argv)[0] != EXIT_USAGE
+        code, out, err = run(capsys, *argv, "--jobs", "2")
+        assert code == EXIT_USAGE
+        assert out == ""
 
     def test_exit_codes_are_distinct(self):
         assert len({EXIT_OK, EXIT_REJECTED, EXIT_USAGE, EXIT_NUMERIC}) == 4

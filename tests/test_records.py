@@ -176,6 +176,25 @@ class TestRoundTrip:
         parsed = parse_record(to_json_line(record_for(cert, timestamp=TS_A)))
         assert tower_certificate_from_payload(parsed.payload) == cert
 
+    @pytest.mark.parametrize("level", ["top", "provenance"])
+    @pytest.mark.parametrize("change", ["missing", "extra"])
+    def test_tower_payload_keys_must_match_fields(self, level, change):
+        payload = record_for(sample_objects()["cyclotomic_tower"], timestamp=TS_A).payload
+        target = payload if level == "top" else payload["provenance"]
+        if change == "missing":
+            del target["m" if level == "top" else "integrality_gap"]
+        else:
+            target["note"] = "x"
+        with pytest.raises(DomainError, match="payload keys must be exactly"):
+            tower_certificate_from_payload(payload)
+
+    def test_tower_payload_bad_values_rejected(self):
+        payload = record_for(sample_objects()["cyclotomic_tower"], timestamp=TS_A).payload
+        with pytest.raises(DomainError, match="rho"):
+            tower_certificate_from_payload(dict(payload, rho=75))
+        with pytest.raises(DomainError, match="malformed"):
+            tower_certificate_from_payload(dict(payload, h=None))
+
     def test_line_is_plain_json(self):
         record = record_for(sample_objects()["group_report"], timestamp=TS_A)
         raw = json.loads(to_json_line(record))
@@ -225,3 +244,110 @@ class TestRecordFor:
         field = class_number(2)
         with pytest.raises(DomainError, match="internal"):
             record_for(field)
+
+
+# Full record lines under TS_A, pinned so that any change to record bytes is
+# deliberate.  The tower line changes whenever the class-number computation
+# changes class_number_float or integrality_gap.
+GOLDEN_LINES = {
+    "cyclotomic_tower": (
+        '{"schema_version":"1","kind":"cyclotomic_tower","payload":{"ell":2659,'
+        '"m":50,"h":19,"rho":76,"rhs":75.231546211727817,"certified":true,'
+        '"assumptions":["unit-index Q=1","torsion-units=+/-1"],'
+        '"provenance":{"m_mod_12":2,"ell_mod_12":7,'
+        '"primality_method":"deterministic-miller-rabin","primality_witnesses":[2,'
+        '325,9375,28178,450775,9780504,1795265022],'
+        '"class_number_float":19.000000000000057,'
+        '"integrality_gap":5.6843418860808015e-14,"ramified_infinite_places":57,'
+        '"ramified_finite_primes":19}},'
+        '"content_hash":"b314a2cb3fccc844d42b6d4b53a00d3d06e84de5b81e867d79e0bbc7f023924a",'
+        '"timestamp":"2026-01-01T00:00:00Z"}'
+    ),
+    "eigenform": (
+        '{"schema_version":"1","kind":"eigenform","payload":{"k":12,"ell":877,'
+        '"not_exceptional":true,"det_index":1,"galois_group_full":true,'
+        '"tower_evidence":"literature","certified":true,"rejection_reasons":[]},'
+        '"content_hash":"c0dd6c25d749665710182f5c24b7aaf05dc316067230ee7d14add6e52a8f8061",'
+        '"timestamp":"2026-01-01T00:00:00Z"}'
+    ),
+    "eigenform_uncertified": (
+        '{"schema_version":"1","kind":"eigenform","payload":{"k":12,"ell":2659,'
+        '"not_exceptional":true,"det_index":1,"galois_group_full":true,'
+        '"tower_evidence":null,"certified":false,'
+        '"rejection_reasons":["no_tower_evidence"]},'
+        '"content_hash":"d082d8713377a68b79709c9ea33bef0bd4380ea3b2d9cb73ec99fae2d764ecad",'
+        '"timestamp":"2026-01-01T00:00:00Z"}'
+    ),
+    "furuta": (
+        '{"schema_version":"1","kind":"furuta","payload":{"ell":5,"m_e":30,'
+        '"primes":[11,31,41,61,71,101,131,151,181],"n":21896495439314771},'
+        '"content_hash":"c68985045e8c616cf24d940f8fed52c40ffcadff48684508104ace7a52fc90c6",'
+        '"timestamp":"2026-01-01T00:00:00Z"}'
+    ),
+    "group_report": (
+        '{"schema_version":"1","kind":"group_report","payload":{"n":7,'
+        '"group_order":336,"abelianization_order":1,"perfect":true},'
+        '"content_hash":"33664995a27291d5e76934cc4dc4bec313ef5c1593c29d3e4d8b96bf25b2b2d2",'
+        '"timestamp":"2026-01-01T00:00:00Z"}'
+    ),
+    "hl_constant": (
+        '{"schema_version":"1","kind":"hl_constant","payload":{"prime_bound":100,'
+        '"partial_product":1.101278268347188,"constant":0.275319567086797,'
+        '"terms_used":23},'
+        '"content_hash":"06c916980fa53676ed428e3f93070c2a7c72b303730b7758c2404af8c6c6894f",'
+        '"timestamp":"2026-01-01T00:00:00Z"}'
+    ),
+    "prime_count": (
+        '{"schema_version":"1","kind":"prime_count","payload":{"x":1000,"count":1,'
+        '"estimate":1.2603760284543499,"ratio":0.79341401091731367},'
+        '"content_hash":"245dda89bfbfaaab4cda03140d5550761d1f6f62a521f393050a617f7d9a0849",'
+        '"timestamp":"2026-01-01T00:00:00Z"}'
+    ),
+    "rejection": (
+        '{"schema_version":"1","kind":"rejection",'
+        '"payload":{"command":"certify cyclotomic","reasons":["composite","residue"],'
+        '"m":3,"ell":27},'
+        '"content_hash":"aee68445037095888489364c10aaa9f69387f13b9fe434d4c4a087d95da4c843",'
+        '"timestamp":"2026-01-01T00:00:00Z"}'
+    ),
+    "residue_claim": (
+        '{"schema_version":"1","kind":"residue_claim","payload":{"k":16,'
+        '"prime_divisors":[3,5],"verdicts":[{"q":3,"witnesses":[1,2],'
+        '"zero_classes":[0],"never_one":false,"forced":true},{"q":5,"witnesses":[],'
+        '"zero_classes":[],"never_one":true,"forced":false}],"claim_holds":false},'
+        '"content_hash":"8d9ba4150e005d18de8715b3359bbd6dce0c9b8cb1e3e77b6a65c57fc7e5ba26",'
+        '"timestamp":"2026-01-01T00:00:00Z"}'
+    ),
+    "shanks_candidate": (
+        '{"schema_version":"1","kind":"shanks_candidate","payload":{"m":2,"ell":19,'
+        '"residue":2,"is_prime_ell":true},'
+        '"content_hash":"05d07a004b192021ee4dcf8249a2dbabd767b98c894c346e923dec7823ff0310",'
+        '"timestamp":"2026-01-01T00:00:00Z"}'
+    ),
+}
+
+
+def golden_record(case):
+    if case == "rejection":
+        return rejection_record(
+            "certify cyclotomic", ("composite", "residue"), {"m": 3, "ell": 27}, timestamp=TS_A
+        )
+    if case == "eigenform_uncertified":
+        obj = certify_eigenform(12, 2659, KnownInfiniteRegistry())
+    else:
+        obj = sample_objects()[case]
+    return record_for(obj, timestamp=TS_A)
+
+
+class TestGoldenRecords:
+    def test_every_kind_pinned(self):
+        assert {json.loads(line)["kind"] for line in GOLDEN_LINES.values()} == RECORD_KINDS
+
+    @pytest.mark.parametrize("case", sorted(GOLDEN_LINES))
+    def test_content_hash_pinned(self, case):
+        expected = json.loads(GOLDEN_LINES[case])["content_hash"]
+        assert golden_record(case).content_hash == expected
+
+    @pytest.mark.parametrize("case", sorted(GOLDEN_LINES))
+    def test_line_pinned(self, case):
+        assert to_json_line(golden_record(case)) == GOLDEN_LINES[case]
