@@ -59,13 +59,11 @@ from .modforms import (
 )
 from .records import CertificateRecord, make_record, parse_record, record_for, to_json_line
 from .tower import (
-    DEFAULT_REGISTRY,
     CyclotomicTowerCertificate,
     FieldSignature,
     KnownInfiniteRegistry,
     SchoofInput,
     certify_cyclotomic,
-    known_infinite,
     ramified_count,
     schoof_holds,
     schoof_rhs,
@@ -107,13 +105,11 @@ __all__ = [
     "SchoofInput",
     "CyclotomicTowerCertificate",
     "KnownInfiniteRegistry",
-    "DEFAULT_REGISTRY",
     "unit_2rank",
     "ramified_count",
     "schoof_rhs",
     "schoof_holds",
     "certify_cyclotomic",
-    "known_infinite",
     # modforms
     "EXCEPTIONAL_PRIMES",
     "EigenformCertificate",

@@ -186,7 +186,7 @@ def _certify_worker(m: int):
     rejection context, so the sweep can emit it in place and carry on.
     """
     try:
-        return m, ("certificate", certify_cyclotomic(m, KnownInfiniteRegistry()))
+        return m, ("certificate", certify_cyclotomic(m))
     except CertificationRejected as exc:
         return m, ("rejection", (list(exc.reasons), dict(exc.context)))
     except IntegralityError as exc:
@@ -251,7 +251,7 @@ def _cmd_certify_cyclotomic(args, emitter) -> int:
                 )
             )
             return EXIT_REJECTED
-    certificate = certify_cyclotomic(m, KnownInfiniteRegistry())
+    certificate = certify_cyclotomic(m)
     emitter.record(record_for(certificate))
     return EXIT_OK if certificate.certified else EXIT_REJECTED
 

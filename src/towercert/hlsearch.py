@@ -157,6 +157,7 @@ def search_shanks_candidates(
         raise DomainError("residue set must be nonempty")
     if not all(0 <= r < 12 for r in residues):
         raise DomainError(f"residues must lie in [0, 12), got {sorted(residues)}")
+    shanks_value(m_max)  # overflow raises InputRangeError here, before any work
     out = []
     for m in range(1, m_max + 1):
         if m % 12 not in residues:
@@ -202,6 +203,8 @@ def empirical_prime_count(
     """
     if x < 19:
         raise DomainError(f"cutoff x must be at least 19, got {x}")
+    if x > MAX_NATURAL:
+        raise InputRangeError(f"cutoff x={x} outside the 63-bit range")
     if poly.a <= 0:
         raise DomainError("polynomial must have positive leading coefficient")
     if constant <= 0:

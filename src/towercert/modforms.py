@@ -5,7 +5,8 @@ cuspidal eigenform of level 1, and Swinnerton-Dyer's table lists the finitely
 many exceptional primes ell where the mod-ell representation is small.  Away
 from those, the image is the full determinant-one preimage; it is all of
 GL2(F_ell) exactly when gcd(k-1, ell-1) = 1.  Certification of the fixed
-field additionally needs tower evidence for Q(zeta_ell) from the registry.
+field additionally needs tower evidence for Q(zeta_ell) from a registry
+the caller passes.
 
 The residue-claim verifier checks, per prime q | k-1, whether the family
 ell = m^2+3m+9 can avoid ell = 1 mod q at all.  For q = 3 it cannot: any m
@@ -21,7 +22,7 @@ from dataclasses import dataclass
 
 from .arith import factorize, is_prime
 from .errors import DomainError
-from .tower import DEFAULT_REGISTRY, KnownInfiniteRegistry
+from .tower import KnownInfiniteRegistry
 
 __all__ = [
     "VALID_WEIGHTS",
@@ -145,9 +146,7 @@ def det_image_index(k: int, ell: int) -> int:
     return math.gcd(k - 1, ell - 1)
 
 
-def certify_eigenform(
-    k: int, ell: int, registry: KnownInfiniteRegistry | None = None
-) -> EigenformCertificate:
+def certify_eigenform(k: int, ell: int, registry: KnownInfiniteRegistry) -> EigenformCertificate:
     """Evaluate the three hypotheses for the weight-k, prime-ell fixed field.
 
     Rejections are structured (flags plus rejection_reasons), never raised;
@@ -156,11 +155,8 @@ def certify_eigenform(
     """
     exceptional = exceptional_primes(k)
     det_index = det_image_index(k, ell)
-    if registry is None:
-        registry = DEFAULT_REGISTRY
-    entry = registry.known_infinite(ell)
+    evidence = registry.known_infinite(ell)
     not_exceptional = ell not in exceptional
-    evidence = entry.provenance if entry is not None else None
     return EigenformCertificate(
         k=k,
         ell=ell,

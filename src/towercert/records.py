@@ -44,21 +44,6 @@ __all__ = [
 
 SCHEMA_VERSION = "1"
 
-RECORD_KINDS = frozenset(
-    {
-        "cyclotomic_tower",
-        "eigenform",
-        "furuta",
-        "group_report",
-        "hl_constant",
-        "residue_claim",
-        # artifact additions beyond the core six:
-        "shanks_candidate",
-        "prime_count",
-        "rejection",
-    }
-)
-
 
 def format_float(x: float) -> str:
     """17 significant digits, lowercase exponent, always visibly a real."""
@@ -70,7 +55,8 @@ def format_float(x: float) -> str:
     return text
 
 
-def _canonical(obj) -> str:
+def canonical_json(obj) -> str:
+    """Canonical JSON text of obj: the exact bytes records and hashes use."""
     if obj is None:
         return "null"
     if obj is True:
@@ -84,19 +70,15 @@ def _canonical(obj) -> str:
     if isinstance(obj, str):
         return json.dumps(obj, ensure_ascii=True)
     if isinstance(obj, (list, tuple)):
-        return "[" + ",".join(_canonical(v) for v in obj) + "]"
+        return "[" + ",".join(canonical_json(v) for v in obj) + "]"
     if isinstance(obj, dict):
         parts = []
         for key, value in obj.items():
             if not isinstance(key, str):
                 raise DomainError(f"record keys must be strings, got {key!r}")
-            parts.append(json.dumps(key, ensure_ascii=True) + ":" + _canonical(value))
+            parts.append(json.dumps(key, ensure_ascii=True) + ":" + canonical_json(value))
         return "{" + ",".join(parts) + "}"
     raise DomainError(f"unsupported record value of type {type(obj).__name__}")
-
-
-def canonical_json(obj) -> str:
-    return _canonical(obj)
 
 
 def _normalize(obj):
@@ -136,7 +118,7 @@ class CertificateRecord:
 
 def _hash_body(kind: str, payload: dict) -> str:
     body = {"schema_version": SCHEMA_VERSION, "kind": kind, "payload": payload}
-    return hashlib.sha256(_canonical(body).encode("ascii")).hexdigest()
+    return hashlib.sha256(canonical_json(body).encode("ascii")).hexdigest()
 
 
 def _now() -> str:
@@ -164,6 +146,8 @@ _KINDS = {
     ResidueClaimReport: "residue_claim",
     ShanksCandidate: "shanks_candidate",
 }
+
+RECORD_KINDS = frozenset(_KINDS.values()) | {"rejection"}
 
 # Properties emitted after a class's dataclass fields, in this order.
 _DERIVED = {
@@ -215,7 +199,7 @@ def to_json_line(record: CertificateRecord) -> str:
         "content_hash": record.content_hash,
         "timestamp": record.timestamp,
     }
-    return _canonical(body)
+    return canonical_json(body)
 
 
 def parse_record(line: str) -> CertificateRecord:

@@ -32,16 +32,13 @@ __all__ = [
     "SchoofInput",
     "TowerProvenance",
     "CyclotomicTowerCertificate",
-    "RegistryEntry",
     "KnownInfiniteRegistry",
-    "DEFAULT_REGISTRY",
     "TORSION_ASSUMPTION",
     "unit_2rank",
     "ramified_count",
     "schoof_rhs",
     "schoof_holds",
     "certify_cyclotomic",
-    "known_infinite",
 ]
 
 # Both fields in the quadratic step are assumed to contain no roots of
@@ -93,7 +90,9 @@ class CyclotomicTowerCertificate:
 
     The verdict for a single ell is unconditional (modulo the named
     assumptions); no infinitude claim is made, so "Hardy-Littlewood" never
-    appears in the assumption list.
+    appears in the assumption list.  The constructor checks rho, rhs and
+    certified against h, so no certificate claims more than its h supports;
+    h itself is taken as given.
     """
 
     ell: int
@@ -108,66 +107,38 @@ class CyclotomicTowerCertificate:
     def __post_init__(self):
         if self.rho != 4 * self.h:
             raise DomainError(f"rho {self.rho} != 4h for h={self.h}")
-
-
-@dataclass(frozen=True)
-class RegistryEntry:
-    """Evidence that Q(zeta_ell) has an infinite tower, with provenance."""
-
-    ell: int
-    literature: bool
-    certificate: CyclotomicTowerCertificate | None
-
-    @property
-    def provenance(self) -> str:
-        return "literature" if self.literature else "computed"
+        # Both 2-ranks are 3h, so h alone fixes rhs and the verdict.
+        d2 = 3 * self.h
+        if self.rhs != schoof_rhs(d2, d2):
+            raise DomainError(f"rhs {self.rhs} != 3 + 3h + 2*sqrt(3h+1) for h={self.h}")
+        if self.certified != schoof_holds(SchoofInput(self.rho, d2, d2)):
+            raise DomainError(f"certified flag contradicts the Schoof bound for h={self.h}")
 
 
 class KnownInfiniteRegistry:
-    """Append-only map from prime conductors to tower evidence.
+    """Map from prime conductors to tower evidence: "literature" or "computed".
 
     Seeded with the conductors whose infinite towers are established in the
-    literature; seeds are never overwritten, though a computed certificate
-    may be attached alongside.  Entries are immutable; the map is plain
-    process-local state with no locking, as nothing here runs threads.
+    literature; a seed is never overwritten, and neither is an earlier
+    computed entry.  There is no shared instance: each caller builds its
+    own registry and passes it wherever evidence is recorded or read.
     """
 
     LITERATURE_CONDUCTORS = (877,)
 
     def __init__(self):
-        self._entries: dict[int, RegistryEntry] = {
-            ell: RegistryEntry(ell, literature=True, certificate=None)
-            for ell in self.LITERATURE_CONDUCTORS
-        }
+        self._evidence = dict.fromkeys(self.LITERATURE_CONDUCTORS, "literature")
 
     def record(self, certificate: CyclotomicTowerCertificate) -> None:
         if not certificate.certified:
             raise DomainError("only certified certificates enter the registry")
-        existing = self._entries.get(certificate.ell)
-        if existing is None:
-            self._entries[certificate.ell] = RegistryEntry(
-                certificate.ell, literature=False, certificate=certificate
-            )
-        elif existing.certificate is None:
-            # keep the literature flag, attach the computation
-            self._entries[certificate.ell] = RegistryEntry(
-                certificate.ell,
-                literature=existing.literature,
-                certificate=certificate,
-            )
+        self._evidence.setdefault(certificate.ell, "computed")
 
-    def known_infinite(self, ell: int) -> RegistryEntry | None:
+    def known_infinite(self, ell: int) -> str | None:
+        """Evidence that Q(zeta_ell) has an infinite tower, or None."""
         if not is_prime(ell):
             raise DomainError(f"registry keys are prime conductors, got {ell}")
-        return self._entries.get(ell)
-
-    def conductors(self) -> list[int]:
-        return sorted(self._entries)
-
-
-# Shared process-wide registry; the 877 literature seed is always present.
-# Callers needing isolation pass their own KnownInfiniteRegistry.
-DEFAULT_REGISTRY = KnownInfiniteRegistry()
+        return self._evidence.get(ell)
 
 
 def unit_2rank(sig: FieldSignature) -> int:
@@ -215,10 +186,8 @@ def certify_cyclotomic(
     the conductor is not prime or m is outside the mod-12 filter; returns a
     certificate with certified=False when the conductor is prime but the
     class number stays below the threshold.  Certified conductors are
-    recorded in the registry (DEFAULT_REGISTRY when none is given).
+    recorded in the registry when one is given.
     """
-    if registry is None:
-        registry = DEFAULT_REGISTRY
     ell = shanks_value(m)
     reasons = []
     if not is_prime(ell):
@@ -254,13 +223,6 @@ def certify_cyclotomic(
             ramified_finite_primes=h,
         ),
     )
-    if certificate.certified:
+    if certificate.certified and registry is not None:
         registry.record(certificate)
     return certificate
-
-
-def known_infinite(
-    ell: int, registry: KnownInfiniteRegistry | None = None
-) -> RegistryEntry | None:
-    """Registry lookup: evidence that Q(zeta_ell) has an infinite tower."""
-    return (registry if registry is not None else DEFAULT_REGISTRY).known_infinite(ell)

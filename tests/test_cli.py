@@ -216,13 +216,17 @@ class TestCertifyEigenform:
         )
         assert code == EXIT_USAGE
 
-    @pytest.mark.parametrize("case", ["missing_keys", "rho_not_4h"])
+    @pytest.mark.parametrize("case", ["missing_keys", "rho_not_4h", "forged_certified"])
     def test_malformed_tower_record_is_usage(self, capsys, tmp_path, case):
         if case == "missing_keys":
             payload = {"certified": True, "ell": 2659}
-        else:
+        elif case == "rho_not_4h":
             _, out, _ = run(capsys, "certify", "cyclotomic", "--m", "50")
             payload = dict(records_of(out)[0].payload, rho=75)
+        else:
+            # m = 2: ell = 19, h = 1, rho = 4 < rhs = 10, so the bound fails
+            _, out, _ = run(capsys, "certify", "cyclotomic", "--m", "2")
+            payload = dict(records_of(out)[0].payload, certified=True)
         registry_file = tmp_path / "bad.jsonl"
         line = to_json_line(make_record("cyclotomic_tower", payload))
         registry_file.write_text(line + "\n", encoding="utf-8")
@@ -233,7 +237,7 @@ class TestCertifyEigenform:
             "--weight",
             "12",
             "--ell",
-            "2659",
+            str(payload["ell"]),
             "--registry",
             str(registry_file),
         )
@@ -363,6 +367,13 @@ class TestSearch:
         code, out, err = run(capsys, "search", "--m-max", "0")
         assert code == EXIT_USAGE
 
+    def test_m_max_overflowing_conductor_is_usage(self, capsys):
+        # m = 1e10 gives ell ~ 1e20 > 2^63 - 1; rejected before any candidate is built
+        code, out, err = run(capsys, "search", "--m-max", "10000000000")
+        assert code == EXIT_USAGE
+        assert "63-bit" in err
+        assert out == ""
+
 
 class TestHL:
     def test_constant_bound_5(self, capsys):
@@ -408,6 +419,14 @@ class TestHL:
     def test_count_x_too_small(self, capsys):
         code, out, err = run(capsys, "hl", "count", "--x", "18")
         assert code == EXIT_USAGE
+
+    def test_count_x_above_63_bits_is_usage(self, capsys):
+        # rejected at entry, not after ~1e9 primality tests reach the bound
+        argv = ("hl", "count", "--x", str(2**63), "--prime-bound", "5")
+        code, out, err = run(capsys, *argv)
+        assert code == EXIT_USAGE
+        assert "63-bit" in err
+        assert out == ""
 
 
 class TestFuruta:

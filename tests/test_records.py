@@ -41,7 +41,7 @@ def sample_objects():
     tower = certify_cyclotomic(50, registry=registry)
     return {
         "cyclotomic_tower": tower,
-        "eigenform": certify_eigenform(12, 877),
+        "eigenform": certify_eigenform(12, 877, registry),
         "furuta": furuta_n(5, 30),
         "group_report": sl2_perfect(7),
         "hl_constant": hl_constant(100),
@@ -194,6 +194,11 @@ class TestRoundTrip:
             tower_certificate_from_payload(dict(payload, rho=75))
         with pytest.raises(DomainError, match="malformed"):
             tower_certificate_from_payload(dict(payload, h=None))
+        with pytest.raises(DomainError, match="rhs"):
+            tower_certificate_from_payload(dict(payload, rhs=10.0))
+        # h = 1 gives rhs = 10 > rho = 4: the bound fails, so certified must be false
+        with pytest.raises(DomainError, match="certified flag"):
+            tower_certificate_from_payload(dict(payload, h=1, rho=4, rhs=10.0))
 
     def test_line_is_plain_json(self):
         record = record_for(sample_objects()["group_report"], timestamp=TS_A)
