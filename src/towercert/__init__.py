@@ -8,7 +8,7 @@ determinant-index gates, and Furuta-style composites via nine-prime
 witnesses with SL2(Z/n) perfectness checks.
 """
 
-from .arith import exact_sqrt, gcd, is_prime, jacobi_symbol, primes_up_to
+from .arith import exact_sqrt, is_prime, jacobi_symbol, primes_up_to
 from .cubic import (
     SimplestCubicField,
     class_number,
@@ -18,16 +18,7 @@ from .cubic import (
     real_roots,
     regulator,
 )
-from .elliptic import (
-    CONDUCTOR_37_GATE,
-    EllipticGate,
-    FurutaWitness,
-    GroupReport,
-    furuta_n,
-    sl2_order,
-    sl2_perfect,
-    surjectivity_gate,
-)
+from .elliptic import FurutaWitness, GroupReport, furuta_n, sl2_order, sl2_perfect
 from .errors import (
     CertificationRejected,
     DomainError,
@@ -60,14 +51,12 @@ from .modforms import (
 from .records import CertificateRecord, make_record, parse_record, record_for, to_json_line
 from .tower import (
     CyclotomicTowerCertificate,
-    FieldSignature,
     KnownInfiniteRegistry,
     SchoofInput,
     certify_cyclotomic,
     ramified_count,
     schoof_holds,
     schoof_rhs,
-    unit_2rank,
 )
 
 __version__ = "0.1.0"
@@ -79,7 +68,6 @@ __all__ = [
     "jacobi_symbol",
     "exact_sqrt",
     "primes_up_to",
-    "gcd",
     # hlsearch
     "QuadraticIntPoly",
     "ShanksCandidate",
@@ -101,11 +89,9 @@ __all__ = [
     "l_sum",
     "class_number",
     # tower
-    "FieldSignature",
     "SchoofInput",
     "CyclotomicTowerCertificate",
     "KnownInfiniteRegistry",
-    "unit_2rank",
     "ramified_count",
     "schoof_rhs",
     "schoof_holds",
@@ -118,12 +104,9 @@ __all__ = [
     "certify_eigenform",
     "verify_residue_claim",
     # elliptic
-    "EllipticGate",
     "FurutaWitness",
     "GroupReport",
-    "CONDUCTOR_37_GATE",
     "furuta_n",
-    "surjectivity_gate",
     "sl2_order",
     "sl2_perfect",
     # records

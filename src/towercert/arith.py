@@ -8,7 +8,7 @@ locally.  Primality is deterministic, never probabilistic.
 
 from __future__ import annotations
 
-from math import gcd, isqrt
+from math import isqrt
 
 from .errors import DomainError, InputRangeError
 
@@ -20,7 +20,6 @@ __all__ = [
     "exact_sqrt",
     "primes_up_to",
     "factorize",
-    "gcd",
 ]
 
 MAX_NATURAL = 2**63 - 1

@@ -71,7 +71,6 @@ class SimplestCubicField:
     class_number_float: float
     class_number: int
     integrality_gap: float
-    valid: bool
 
 
 def cubic_poly(m: int) -> tuple[int, int, int, int]:
@@ -136,21 +135,18 @@ def galois_conjugate(rho: float) -> float:
     return -1.0 / (1.0 + rho)
 
 
-def regulator(m: int, embeddings: tuple[int, int] = (0, 1)) -> float:
+def regulator(m: int) -> float:
     """Regulator of the unit pair {rho, -1/(1+rho)}.
 
-    Absolute determinant of the 2x2 log-embedding matrix built from two of
-    the three real embeddings.  The three row vectors sum to zero (both
-    units have norm +-1), so the choice of pair does not matter.
+    Absolute determinant of the 2x2 matrix of log|unit| at the two largest
+    roots of f_m.  The three rows, one per real embedding, sum to zero
+    (both units have norm +-1), so any two rows give the same value.
     """
-    i, j = embeddings
-    if i == j or not (0 <= i < 3 and 0 <= j < 3):
-        raise DomainError(f"embeddings must be two distinct indices in 0..2, got {embeddings}")
     roots = real_roots(m)
-    r00 = math.log(abs(roots[i]))
-    r01 = math.log(abs(galois_conjugate(roots[i])))
-    r10 = math.log(abs(roots[j]))
-    r11 = math.log(abs(galois_conjugate(roots[j])))
+    r00 = math.log(abs(roots[0]))
+    r01 = math.log(abs(galois_conjugate(roots[0])))
+    r10 = math.log(abs(roots[1]))
+    r11 = math.log(abs(galois_conjugate(roots[1])))
     det = r00 * r11 - r01 * r10
     if abs(det) < 1e-12:
         raise NumericError(f"degenerate unit lattice for m={m}: |det|={abs(det):e}")
@@ -235,7 +231,6 @@ def class_number(m: int) -> SimplestCubicField:
                 class_number_float=h_float,
                 class_number=h,
                 integrality_gap=gap,
-                valid=True,
             )
     thirds_gap = abs(3.0 * h_float - round(3.0 * h_float))
     raise IntegralityError(

@@ -2,9 +2,8 @@
 
 For a non-CM elliptic curve E with exceptional-prime product A_E, the mod-n
 torsion representation is surjective for every n coprime to M_E = 30*A_E.
-A_E is user input here: computing it needs the full image machinery.  The
-worked example A_E = 1 (conductor-37 curve), M_E = 30, ships as
-CONDUCTOR_37_GATE.
+Callers pass M_E = 30*A_E: computing A_E needs the full image machinery.
+For the conductor-37 curve y^2 + y = x^3 - x, A_E = 1 and M_E = 30.
 
 Furuta's construction takes n to be a product of nine or more primes
 congruent to 1 mod ell and coprime to M_E; the resulting K_n then inherits
@@ -26,19 +25,16 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .arith import factorize, gcd, is_prime
+from .arith import factorize, is_prime
 from .errors import DomainError, ResourceLimitError
 
 __all__ = [
-    "EllipticGate",
     "FurutaWitness",
     "GroupReport",
-    "CONDUCTOR_37_GATE",
     "MIN_FURUTA_PRIMES",
     "ELEMENT_BUDGET",
     "PERFECT_LIMIT",
     "furuta_n",
-    "surjectivity_gate",
     "sl2_order",
     "sl2_perfect",
 ]
@@ -54,24 +50,6 @@ _MAX_PROGRESSION_STEPS = 10**6
 _ORDER_LIMIT = 1000
 # Largest n that sl2_perfect (and `group perfect --n`) accepts.
 PERFECT_LIMIT = 100
-
-
-@dataclass(frozen=True)
-class EllipticGate:
-    """Surjectivity gate data for one curve: A_E and M_E = 30*A_E."""
-
-    a_e: int
-    m_e: int
-
-    def __post_init__(self):
-        if self.a_e < 1:
-            raise DomainError(f"A_E must be a positive integer, got {self.a_e}")
-        if self.m_e != 30 * self.a_e:
-            raise DomainError(f"M_E must equal 30*A_E, got {self.m_e}")
-
-
-# y^2 + y = x^3 - x (conductor 37) has no exceptional primes: A_E = 1.
-CONDUCTOR_37_GATE = EllipticGate(a_e=1, m_e=30)
 
 
 @dataclass(frozen=True)
@@ -94,7 +72,7 @@ class FurutaWitness:
                 raise DomainError(f"witness entry {p} is not prime")
             if p % self.ell != 1:
                 raise DomainError(f"witness prime {p} is not 1 mod {self.ell}")
-            if gcd(p, self.m_e) != 1:
+            if math.gcd(p, self.m_e) != 1:
                 raise DomainError(f"witness prime {p} shares a factor with {self.m_e}")
         if self.n != math.prod(self.primes):
             raise DomainError("witness product n does not match its primes")
@@ -114,11 +92,6 @@ class GroupReport:
             raise DomainError("perfect flag contradicts the abelianization order")
 
 
-def _check_m_e(m_e: int) -> None:
-    if m_e < 30 or m_e % 30 != 0:
-        raise DomainError(f"M_E must be a positive multiple of 30, got {m_e}")
-
-
 def furuta_n(ell: int, m_e: int, count: int = MIN_FURUTA_PRIMES) -> FurutaWitness:
     """The `count` smallest primes p = 1 mod ell with gcd(p, m_e) = 1.
 
@@ -128,7 +101,8 @@ def furuta_n(ell: int, m_e: int, count: int = MIN_FURUTA_PRIMES) -> FurutaWitnes
     """
     if not is_prime(ell):
         raise DomainError(f"ell must be prime, got {ell}")
-    _check_m_e(m_e)
+    if m_e < 30 or m_e % 30 != 0:
+        raise DomainError(f"M_E must be a positive multiple of 30, got {m_e}")
     if count < MIN_FURUTA_PRIMES:
         raise DomainError(
             f"the construction requires nine or more primes, got count={count}"
@@ -136,7 +110,7 @@ def furuta_n(ell: int, m_e: int, count: int = MIN_FURUTA_PRIMES) -> FurutaWitnes
     primes = []
     for step in range(1, _MAX_PROGRESSION_STEPS + 1):
         candidate = step * ell + 1
-        if is_prime(candidate) and gcd(candidate, m_e) == 1:
+        if is_prime(candidate) and math.gcd(candidate, m_e) == 1:
             primes.append(candidate)
             if len(primes) == count:
                 break
@@ -145,14 +119,6 @@ def furuta_n(ell: int, m_e: int, count: int = MIN_FURUTA_PRIMES) -> FurutaWitnes
             f"no {count} primes = 1 mod {ell} within {_MAX_PROGRESSION_STEPS} steps"
         )
     return FurutaWitness(ell=ell, m_e=m_e, primes=tuple(primes), n=math.prod(primes))
-
-
-def surjectivity_gate(n: int, m_e: int) -> bool:
-    """True iff gcd(n, m_e) = 1, so the mod-n representation is surjective."""
-    if n < 1:
-        raise DomainError(f"n must be positive, got {n}")
-    _check_m_e(m_e)
-    return gcd(n, m_e) == 1
 
 
 def sl2_order(n: int) -> int:

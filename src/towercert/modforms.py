@@ -27,7 +27,6 @@ from .tower import KnownInfiniteRegistry
 __all__ = [
     "VALID_WEIGHTS",
     "EXCEPTIONAL_PRIMES",
-    "EigenformGate",
     "EigenformCertificate",
     "ResidueQVerdict",
     "ResidueClaimReport",
@@ -50,18 +49,6 @@ EXCEPTIONAL_PRIMES: dict[int, frozenset[int]] = {
     22: frozenset({2, 3, 5, 7, 13, 17, 131, 593}),
     26: frozenset({2, 3, 5, 7, 11, 17, 19, 657931}),
 }
-
-
-@dataclass(frozen=True)
-class EigenformGate:
-    k: int
-    exceptional: frozenset[int]
-
-    def __post_init__(self):
-        if self.k not in VALID_WEIGHTS:
-            raise DomainError(f"no unique level-1 eigenform of weight {self.k}")
-        if self.exceptional != EXCEPTIONAL_PRIMES[self.k]:
-            raise DomainError(f"exceptional set does not match the table for k={self.k}")
 
 
 @dataclass(frozen=True)

@@ -8,13 +8,17 @@ d2_top, has an infinite class field tower once
     rho >= 3 + d2_base + 2*sqrt(d2_top + 1).
 
 Here the extension is the totally imaginary quadratic step above the
-Hilbert class field of the simplest cubic field F_m: with h the class
-number of F_m, both 2-ranks equal 3h, and rho = 4h (all 3h infinite places
-plus the h primes above ell).  The inequality then reads
-4h >= 3 + 3h + 2*sqrt(3h+1), which holds exactly when h >= 18.
+Hilbert class field of the simplest cubic field F_m, and h is the class
+number of F_m.  A unit group's 2-rank is r1 + r2: Dirichlet's free rank
+r1 + r2 - 1 plus the torsion unit -1, assuming the roots of unity are
+exactly +-1.  The class field is totally real of degree 3h (r1 = 3h,
+r2 = 0) and the step above it totally imaginary (r1 = 0, r2 = 3h), so both
+2-ranks equal 3h, and rho = 4h (all 3h infinite places plus the h primes
+above ell).  The inequality then reads 4h >= 3 + 3h + 2*sqrt(3h+1), which
+holds exactly when h >= 18.
 
-The fields above F_m are symbolic here: only degrees, signatures, and
-2-ranks are data.  Nothing in this module constructs a tower.
+The fields above F_m are symbolic here: only h and the counts derived
+from it are data.  Nothing in this module constructs a tower.
 """
 
 from __future__ import annotations
@@ -28,13 +32,11 @@ from .errors import CertificationRejected, DomainError
 from .hlsearch import DEFAULT_RESIDUES, shanks_value
 
 __all__ = [
-    "FieldSignature",
     "SchoofInput",
     "TowerProvenance",
     "CyclotomicTowerCertificate",
     "KnownInfiniteRegistry",
     "TORSION_ASSUMPTION",
-    "unit_2rank",
     "ramified_count",
     "schoof_rhs",
     "schoof_holds",
@@ -44,19 +46,6 @@ __all__ = [
 # Both fields in the quadratic step are assumed to contain no roots of
 # unity beyond +-1; recorded, not proved.
 TORSION_ASSUMPTION = "torsion-units=+/-1"
-
-
-@dataclass(frozen=True)
-class FieldSignature:
-    degree: int
-    r1: int
-    r2: int
-
-    def __post_init__(self):
-        if self.degree < 1 or self.r1 < 0 or self.r2 < 0:
-            raise DomainError(f"invalid signature {self}")
-        if self.r1 + 2 * self.r2 != self.degree:
-            raise DomainError(f"r1 + 2*r2 != degree in {self}")
 
 
 @dataclass(frozen=True)
@@ -90,9 +79,12 @@ class CyclotomicTowerCertificate:
 
     The verdict for a single ell is unconditional (modulo the named
     assumptions); no infinitude claim is made, so "Hardy-Littlewood" never
-    appears in the assumption list.  The constructor checks rho, rhs and
-    certified against h, so no certificate claims more than its h supports;
-    h itself is taken as given.
+    appears in the assumption list.  The constructor requires h to be a
+    positive int and checks rho, rhs and certified against it, then checks
+    that ell = m^2+3m+9 is prime with m in the mod-12 filter and that the
+    provenance residues and ramification counts match m, ell and h.  So no
+    certificate, loaded ones included, claims more than its h supports; h
+    itself is taken as given.
     """
 
     ell: int
@@ -107,12 +99,24 @@ class CyclotomicTowerCertificate:
     def __post_init__(self):
         if self.rho != 4 * self.h:
             raise DomainError(f"rho {self.rho} != 4h for h={self.h}")
+        if type(self.h) is not int or self.h < 1:
+            raise DomainError(f"h must be a positive int, got {self.h!r}")
         # Both 2-ranks are 3h, so h alone fixes rhs and the verdict.
         d2 = 3 * self.h
         if self.rhs != schoof_rhs(d2, d2):
             raise DomainError(f"rhs {self.rhs} != 3 + 3h + 2*sqrt(3h+1) for h={self.h}")
         if self.certified != schoof_holds(SchoofInput(self.rho, d2, d2)):
             raise DomainError(f"certified flag contradicts the Schoof bound for h={self.h}")
+        if self.m % 12 not in DEFAULT_RESIDUES:
+            raise DomainError(f"m={self.m} is outside the mod-12 residue filter")
+        if self.ell != shanks_value(self.m):
+            raise DomainError(f"ell {self.ell} != m^2+3m+9 for m={self.m}")
+        if not is_prime(self.ell):
+            raise DomainError(f"conductor {self.ell} is not prime")
+        p = self.provenance
+        claimed = (p.m_mod_12, p.ell_mod_12, p.ramified_infinite_places, p.ramified_finite_primes)
+        if claimed != (self.m % 12, self.ell % 12, d2, self.h):
+            raise DomainError("provenance residues or ramification counts contradict m, ell, h")
 
 
 class KnownInfiniteRegistry:
@@ -139,15 +143,6 @@ class KnownInfiniteRegistry:
         if not is_prime(ell):
             raise DomainError(f"registry keys are prime conductors, got {ell}")
         return self._evidence.get(ell)
-
-
-def unit_2rank(sig: FieldSignature) -> int:
-    """2-rank of the unit group: r1 + r2.
-
-    Dirichlet gives free rank r1 + r2 - 1; the torsion unit -1 contributes
-    one more, assuming the roots of unity are exactly +-1.
-    """
-    return sig.r1 + sig.r2
 
 
 def ramified_count(h: int) -> int:
@@ -200,17 +195,14 @@ def certify_cyclotomic(
     field = class_number(m)
     h = field.class_number
     rho = ramified_count(h)
-    base_sig = FieldSignature(degree=3 * h, r1=3 * h, r2=0)
-    top_sig = FieldSignature(degree=6 * h, r1=0, r2=3 * h)
-    d2_base = unit_2rank(base_sig)
-    d2_top = unit_2rank(top_sig)
+    d2 = 3 * h  # r1 + r2 = 3h for the class field and the step above it
     certificate = CyclotomicTowerCertificate(
         ell=ell,
         m=m,
         h=h,
         rho=rho,
-        rhs=schoof_rhs(d2_base, d2_top),
-        certified=schoof_holds(SchoofInput(rho, d2_base, d2_top)),
+        rhs=schoof_rhs(d2, d2),
+        certified=schoof_holds(SchoofInput(rho, d2, d2)),
         assumptions=(UNIT_INDEX_ASSUMPTION, TORSION_ASSUMPTION),
         provenance=TowerProvenance(
             m_mod_12=m % 12,
@@ -219,7 +211,7 @@ def certify_cyclotomic(
             primality_witnesses=MR_WITNESSES,
             class_number_float=field.class_number_float,
             integrality_gap=field.integrality_gap,
-            ramified_infinite_places=3 * h,
+            ramified_infinite_places=d2,
             ramified_finite_primes=h,
         ),
     )

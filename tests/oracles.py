@@ -65,6 +65,24 @@ def cubic_discriminant(b: int, c: int, d: int) -> int:
     )
 
 
+def log_embedding_det(m: int, pair: tuple[int, int]) -> float:
+    """|det| of log|rho|, log|-1/(1+rho)| at two real roots of f_m.
+
+    The roots come from mpmath.polyroots at 40 digits, not from the
+    package's trigonometric closed form; pair indexes them in descending
+    order.  Any pair gives the regulator, since the three rows sum to zero.
+    """
+    with mpmath.workdps(40):
+        roots = sorted(
+            (mpmath.re(r) for r in mpmath.polyroots([1, -m, -(m + 3), -1], extraprec=40)),
+            reverse=True,
+        )
+        (a, b), (c, d) = (
+            (mpmath.log(abs(r)), mpmath.log(abs(-1 / (1 + r)))) for r in (roots[i] for i in pair)
+        )
+        return float(abs(a * d - b * c))
+
+
 def minkowski_class_number_one(ell: int) -> bool | None:
     """Triviality oracle for the cyclic cubic of prime conductor ell.
 

@@ -9,7 +9,6 @@ from towercert.arith import (
     MAX_NATURAL,
     exact_sqrt,
     factorize,
-    gcd,
     is_prime,
     jacobi_symbol,
     primes_up_to,
@@ -136,18 +135,6 @@ class TestPrimesUpTo:
     @given(st.integers(min_value=0, max_value=3000))
     def test_against_independent_sieve_sampled(self, bound):
         assert primes_up_to(bound) == odd_wheel_sieve(bound)
-
-
-class TestGcd:
-    def test_weight_12_at_877(self):
-        assert gcd(11, 876) == 1
-
-    def test_weight_16_at_2659(self):
-        assert gcd(15, 2658) == 3
-
-    def test_zero_argument(self):
-        assert gcd(0, 7) == 7
-        assert gcd(0, 0) == 0
 
 
 class TestFactorize:

@@ -1,5 +1,7 @@
+import hashlib
 import json
 import math
+import re
 
 import pytest
 
@@ -216,17 +218,38 @@ class TestCertifyEigenform:
         )
         assert code == EXIT_USAGE
 
-    @pytest.mark.parametrize("case", ["missing_keys", "rho_not_4h", "forged_certified"])
+    @pytest.mark.parametrize(
+        "case",
+        [
+            "missing_keys",
+            "rho_not_4h",
+            "forged_certified",
+            "ell_mismatch",
+            "fractional_h",
+            "negative_h",
+        ],
+    )
     def test_malformed_tower_record_is_usage(self, capsys, tmp_path, case):
         if case == "missing_keys":
             payload = {"certified": True, "ell": 2659}
         elif case == "rho_not_4h":
             _, out, _ = run(capsys, "certify", "cyclotomic", "--m", "50")
             payload = dict(records_of(out)[0].payload, rho=75)
-        else:
+        elif case == "forged_certified":
             # m = 2: ell = 19, h = 1, rho = 4 < rhs = 10, so the bound fails
             _, out, _ = run(capsys, "certify", "cyclotomic", "--m", "2")
             payload = dict(records_of(out)[0].payload, certified=True)
+        elif case == "ell_mismatch":
+            # the real m = 50 record (ell = 2659, h = 19) cited for ell = 19
+            _, out, _ = run(capsys, "certify", "cyclotomic", "--m", "50")
+            payload = dict(records_of(out)[0].payload, ell=19)
+        else:
+            # m = 2 record with rho, rhs and certified consistent with a bad h
+            _, out, _ = run(capsys, "certify", "cyclotomic", "--m", "2")
+            h = 19.5 if case == "fractional_h" else -1
+            payload = dict(records_of(out)[0].payload, h=h, rho=4 * h, certified=True)
+            if case == "fractional_h":
+                payload["rhs"] = tower.schoof_rhs(3 * h, 3 * h)
         registry_file = tmp_path / "bad.jsonl"
         line = to_json_line(make_record("cyclotomic_tower", payload))
         registry_file.write_text(line + "\n", encoding="utf-8")
@@ -555,3 +578,54 @@ class TestPlumbing:
 
     def test_exit_codes_are_distinct(self):
         assert len({EXIT_OK, EXIT_REJECTED, EXIT_USAGE, EXIT_NUMERIC}) == 4
+
+
+# Fixed command set whose timestamp-stripped output and exit codes are pinned
+# by one sha256: a refactor that keeps this digest keeps the CLI's bytes.
+# "{registry}" is the --out file the first command writes.
+COMMAND_SET = (
+    ("search", "--m-max", "120", "--certify", "--out", "{registry}"),
+    ("search", "--m-max", "120", "--certify", "--jobs", "2"),
+    ("certify", "cyclotomic", "--m", "50"),
+    ("certify", "cyclotomic", "--m", "2"),
+    ("certify", "cyclotomic", "--ell", "3547"),
+    ("certify", "cyclotomic", "--ell", "20"),
+    *(
+        ("certify", "eigenform", "--weight", str(k), "--ell", str(ell), *registry)
+        for k in (12, 16, 18, 20, 22, 26)
+        for ell in (877, 2659, 691)
+        for registry in ((), ("--registry", "{registry}"))
+    ),
+    ("hl", "constant", "--prime-bound", "10000"),
+    ("hl", "count", "--x", "1000000", "--prime-bound", "10000"),
+    ("hl", "count", "--x", "1000000", "--prime-bound", "10000", "--format", "csv"),
+    ("furuta", "--ell", "5", "--m-e", "30"),
+    ("furuta", "--ell", "2659", "--m-e", "330"),
+    ("group", "perfect", "--n", "1"),
+    ("group", "perfect", "--n", "5"),
+    ("group", "perfect", "--n", "6"),
+    ("group", "perfect", "--n", "49"),
+    *(("verify", "residue-claim", "--weight", str(k)) for k in (12, 16, 18, 20, 22, 26)),
+)
+
+COMMAND_SET_SHA256 = "fae01c3758fd6f86a41b0af5907b3792f2837735c19f4e149dff7e40973d8c28"
+
+
+def _without_timestamp(text):
+    return re.sub(r',"timestamp":"[^"]*"', "", text)
+
+
+class TestCommandSetDigest:
+    def test_command_set_bytes_pinned(self, capsys, tmp_path):
+        registry = str(tmp_path / "registry.jsonl")
+        digest = hashlib.sha256()
+        for template in COMMAND_SET:
+            argv = [a.format(registry=registry) for a in template]
+            code, out, _ = run(capsys, *argv)
+            if "--out" in argv:
+                with open(registry, encoding="utf-8", newline="") as handle:
+                    out = handle.read()
+            out = _without_timestamp(out)
+            assert '"timestamp"' not in out
+            digest.update(f"{' '.join(template)} exit {code}\n{out}".encode("utf-8"))
+        assert digest.hexdigest() == COMMAND_SET_SHA256

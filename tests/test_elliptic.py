@@ -11,34 +11,17 @@ from oracles import (
     sl2_perfect_restart,
 )
 from towercert.elliptic import (
-    CONDUCTOR_37_GATE,
     ELEMENT_BUDGET,
     MIN_FURUTA_PRIMES,
-    EllipticGate,
     FurutaWitness,
     GroupReport,
     furuta_n,
     sl2_order,
     sl2_perfect,
-    surjectivity_gate,
 )
 from towercert.errors import DomainError, ResourceLimitError
 
 ELL5_NINE_PRIMES = (11, 31, 41, 61, 71, 101, 131, 151, 181)
-
-
-class TestEllipticGate:
-    def test_conductor_37_example(self):
-        assert CONDUCTOR_37_GATE.a_e == 1
-        assert CONDUCTOR_37_GATE.m_e == 30
-
-    def test_m_e_must_match(self):
-        with pytest.raises(DomainError):
-            EllipticGate(a_e=2, m_e=30)
-
-    def test_a_e_positive(self):
-        with pytest.raises(DomainError):
-            EllipticGate(a_e=0, m_e=0)
 
 
 class TestFurutaN:
@@ -46,6 +29,7 @@ class TestFurutaN:
         witness = furuta_n(5, 30)
         assert witness.primes == ELL5_NINE_PRIMES
         assert witness.n == math.prod(ELL5_NINE_PRIMES)
+        assert math.gcd(witness.n, 30) == 1
 
     def test_product_reconstructs_mod_frozen_primes(self):
         witness = furuta_n(5, 30)
@@ -102,22 +86,6 @@ class TestFurutaN:
         descending = tuple(reversed(ELL5_NINE_PRIMES))
         with pytest.raises(DomainError):
             FurutaWitness(5, 30, descending, n=math.prod(descending))
-
-
-class TestSurjectivityGate:
-    def test_prime_to_30(self):
-        assert surjectivity_gate(7, 30)
-
-    def test_shares_factor(self):
-        assert not surjectivity_gate(10, 30)
-
-    def test_furuta_product_passes(self):
-        witness = furuta_n(5, 30)
-        assert surjectivity_gate(witness.n, 30)
-
-    def test_nonpositive_rejected(self):
-        with pytest.raises(DomainError):
-            surjectivity_gate(0, 30)
 
 
 class TestSL2Order:

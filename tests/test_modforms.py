@@ -9,7 +9,6 @@ from towercert.errors import DomainError
 from towercert.modforms import (
     EXCEPTIONAL_PRIMES,
     VALID_WEIGHTS,
-    EigenformGate,
     certify_eigenform,
     det_image_index,
     exceptional_primes,
@@ -45,13 +44,6 @@ class TestExceptionalTable:
         )
         digest = hashlib.sha256(canonical.encode("ascii")).hexdigest()
         assert digest == EXCEPTIONAL_TABLE_SHA256
-
-    def test_gate_type_validates(self):
-        EigenformGate(12, frozenset({2, 3, 5, 7, 23, 691}))
-        with pytest.raises(DomainError):
-            EigenformGate(12, frozenset({2, 3}))
-        with pytest.raises(DomainError):
-            EigenformGate(14, frozenset())
 
 
 class TestDetImageIndex:

@@ -28,7 +28,7 @@ from towercert.records import (
     to_json_line,
     tower_certificate_from_payload,
 )
-from towercert.tower import KnownInfiniteRegistry, certify_cyclotomic
+from towercert.tower import KnownInfiniteRegistry, certify_cyclotomic, schoof_rhs
 
 TS_A = "2026-01-01T00:00:00Z"
 TS_B = "2027-06-15T12:34:56Z"
@@ -199,6 +199,17 @@ class TestRoundTrip:
         # h = 1 gives rhs = 10 > rho = 4: the bound fails, so certified must be false
         with pytest.raises(DomainError, match="certified flag"):
             tower_certificate_from_payload(dict(payload, h=1, rho=4, rhs=10.0))
+        # ell_mismatch: the m = 50 record claiming ell = 19
+        with pytest.raises(DomainError, match="ell 19"):
+            tower_certificate_from_payload(dict(payload, ell=19))
+        # fractional_h: rho, rhs and certified all consistent with h = 19.5
+        with pytest.raises(DomainError, match="positive int"):
+            tower_certificate_from_payload(
+                dict(payload, h=19.5, rho=78.0, rhs=schoof_rhs(58.5, 58.5))
+            )
+        # negative_h: rho = 4h holds, and 3h + 1 < 0 would break the square root
+        with pytest.raises(DomainError, match="positive int"):
+            tower_certificate_from_payload(dict(payload, h=-1, rho=-4))
 
     def test_line_is_plain_json(self):
         record = record_for(sample_objects()["group_report"], timestamp=TS_A)

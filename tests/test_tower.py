@@ -8,7 +8,6 @@ from towercert.errors import CertificationRejected, DomainError
 from towercert.tower import (
     TORSION_ASSUMPTION,
     CyclotomicTowerCertificate,
-    FieldSignature,
     KnownInfiniteRegistry,
     SchoofInput,
     TowerProvenance,
@@ -16,53 +15,24 @@ from towercert.tower import (
     ramified_count,
     schoof_holds,
     schoof_rhs,
-    unit_2rank,
 )
+from towercert.hlsearch import shanks_value
 
 
-def _synthetic_certificate(ell: int, h: int, certified: bool) -> CyclotomicTowerCertificate:
-    return CyclotomicTowerCertificate(
+def _synthetic_certificate(m: int, h: int, certified: bool, **changes) -> CyclotomicTowerCertificate:
+    """A certificate for the real m with a given h; changes override its fields."""
+    ell = shanks_value(m)
+    fields = dict(
         ell=ell,
-        m=1,
+        m=m,
         h=h,
         rho=4 * h,
         rhs=schoof_rhs(3 * h, 3 * h),
         certified=certified,
         assumptions=("unit-index Q=1", TORSION_ASSUMPTION),
-        provenance=TowerProvenance(1, 1, "synthetic", (), float(h), 0.0, 3 * h, h),
+        provenance=TowerProvenance(m % 12, ell % 12, "synthetic", (), float(h), 0.0, 3 * h, h),
     )
-
-
-class TestFieldSignature:
-    def test_valid(self):
-        FieldSignature(degree=6, r1=0, r2=3)
-
-    def test_mismatch_rejected(self):
-        with pytest.raises(DomainError):
-            FieldSignature(degree=6, r1=1, r2=3)
-
-    def test_negative_rejected(self):
-        with pytest.raises(DomainError):
-            FieldSignature(degree=1, r1=-1, r2=1)
-
-
-class TestUnit2Rank:
-    def test_totally_real_3h(self):
-        h = 18
-        assert unit_2rank(FieldSignature(3 * h, 3 * h, 0)) == 3 * h
-
-    def test_totally_imaginary_6h(self):
-        h = 18
-        assert unit_2rank(FieldSignature(6 * h, 0, 3 * h)) == 3 * h
-
-    def test_rationals(self):
-        assert unit_2rank(FieldSignature(1, 1, 0)) == 1
-
-    def test_depends_only_on_r1_plus_r2(self):
-        for degree in range(1, 61):
-            for r2 in range(degree // 2 + 1):
-                r1 = degree - 2 * r2
-                assert unit_2rank(FieldSignature(degree, r1, r2)) == r1 + r2
+    return CyclotomicTowerCertificate(**dict(fields, **changes))
 
 
 class TestRamifiedCount:
@@ -186,24 +156,38 @@ class TestRegistry:
     def test_record_rejects_uncertified(self):
         registry = KnownInfiniteRegistry()
         with pytest.raises(DomainError):
-            registry.record(_synthetic_certificate(13, 1, certified=False))
+            registry.record(_synthetic_certificate(2, 1, certified=False))
 
     def test_seed_never_overwritten(self):
-        registry = KnownInfiniteRegistry()
-        registry.record(_synthetic_certificate(877, 18, certified=True))
-        assert registry.known_infinite(877) == "literature"
+        # 877 has m = 28, outside the residue filter, so it never carries a
+        # computed certificate; seed a registry with m = 50's conductor instead.
+        class Seeded(KnownInfiniteRegistry):
+            LITERATURE_CONDUCTORS = (2659,)
+
+        registry = Seeded()
+        registry.record(_synthetic_certificate(50, 19, certified=True))
+        assert registry.known_infinite(2659) == "literature"
 
 
 class TestCertificateInvariants:
     def test_rho_must_be_4h(self):
         with pytest.raises(DomainError):
-            _synthetic_certificate(13, 1, certified=False).__class__(
-                ell=13,
-                m=1,
-                h=1,
-                rho=5,
-                rhs=5.0,
-                certified=False,
-                assumptions=(),
-                provenance=TowerProvenance(1, 1, "synthetic", (), 1.0, 0.0, 3, 1),
-            )
+            _synthetic_certificate(2, 1, certified=False, rho=5)
+
+    @pytest.mark.parametrize(
+        "m, h, changes, match",
+        [
+            (2, True, {}, "positive int"),
+            (2, 0, {}, "positive int"),
+            (1, 1, {}, "residue filter"),  # ell = 13 is prime, but m = 1 mod 12
+            (50, 19, {"ell": 19}, "m\\^2\\+3m\\+9"),
+            (26, 1, {}, "not prime"),  # 26 = 2 mod 12, but 763 = 7*109
+            (50, 19, {"provenance": TowerProvenance(2, 7, "x", (), 19.0, 0.0, 57, 18)}, "provenance"),
+            (50, 19, {"provenance": TowerProvenance(2, 1, "x", (), 19.0, 0.0, 57, 19)}, "provenance"),
+        ],
+        ids=["bool_h", "zero_h", "residue", "ell_mismatch", "composite", "finite_primes",
+             "ell_mod_12"],
+    )
+    def test_constructor_rejects_unsupported_claims(self, m, h, changes, match):
+        with pytest.raises(DomainError, match=match):
+            _synthetic_certificate(m, h, certified=h >= 18, **changes)
