@@ -10,8 +10,11 @@ the timestamp field.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
+from contextlib import nullcontext
+from functools import partial
+from multiprocessing import Pool
 
 from .arith import is_prime
 from .elliptic import MIN_FURUTA_PRIMES, PERFECT_LIMIT, furuta_n, sl2_perfect
@@ -29,7 +32,6 @@ from .hlsearch import (
     hl_constant,
     m_from_prime,
     search_shanks_candidates,
-    shanks_value,
 )
 from .modforms import VALID_WEIGHTS, certify_eigenform, verify_residue_claim
 from .records import (
@@ -179,57 +181,49 @@ def _parse_residues(text: str) -> frozenset[int]:
     return values
 
 
-def _certify_worker(m: int):
-    """Pool worker: certification outcome for one m, exceptions as values.
+def _search_records(certify: bool, cand):
+    """The records for one search candidate, and whether it failed numerically.
 
-    A numeric failure is tagged "failure" and carries its diagnostics as a
-    rejection context, so the sweep can emit it in place and carry on.
+    Serial and parallel sweeps both call this, so they emit the same records.
+    A numeric failure becomes a rejection record that keeps its diagnostics,
+    so the sweep emits it in place and carries on.
     """
+    records = [record_for(cand)]
+    if not (certify and cand.is_prime_ell):
+        return records, False
+    context = {"m": cand.m, "ell": cand.ell}
     try:
-        return m, ("certificate", certify_cyclotomic(m))
+        records.append(record_for(certify_cyclotomic(cand.m)))
+        return records, False
     except CertificationRejected as exc:
-        return m, ("rejection", (list(exc.reasons), dict(exc.context)))
+        reasons, context, failed = exc.reasons, exc.context, False
     except IntegralityError as exc:
-        context = {
-            "m": m,
-            "ell": shanks_value(m),
-            "value": exc.value,
-            "gap": exc.gap,
-            "unit_index_suspected": exc.unit_index_suspected,
-        }
-        return m, ("failure", (["integrality"], context))
+        reasons, failed = ["integrality"], True
+        context.update(value=exc.value, gap=exc.gap, unit_index_suspected=exc.unit_index_suspected)
     except NumericError as exc:
-        context = {"m": m, "ell": shanks_value(m), "message": str(exc)}
-        return m, ("failure", (["numeric"], context))
+        reasons, failed = ["numeric"], True
+        context["message"] = str(exc)
+    records.append(rejection_record("certify cyclotomic", reasons, context))
+    return records, failed
 
 
 def _cmd_search(args, emitter) -> int:
     if args.m_max < 1:
         raise _UsageError("--m-max must be a positive integer")
-    residues = _parse_residues(args.residues)
-    candidates = search_shanks_candidates(args.m_max, residues)
-    outcomes = {}
-    if args.certify:
-        prime_ms = [c.m for c in candidates if c.is_prime_ell]
-        jobs = max(1, args.jobs)
-        if jobs > 1 and len(prime_ms) > 1:
-            with ProcessPoolExecutor(max_workers=jobs) as pool:
-                outcomes = dict(pool.map(_certify_worker, prime_ms))
-        else:
-            outcomes = dict(map(_certify_worker, prime_ms))
+    if args.jobs < 1:
+        raise _UsageError("--jobs must be a positive integer")
+    candidates = search_shanks_candidates(args.m_max, _parse_residues(args.residues))
+    work = partial(_search_records, args.certify)
+    # A pool forks all its workers at once; the output does not depend on how many.
+    workers = min(args.jobs, os.cpu_count() or 1) if args.certify else 1
     failures = []
-    for cand in candidates:
-        emitter.record(record_for(cand))
-        if not (args.certify and cand.is_prime_ell):
-            continue
-        tag, value = outcomes[cand.m]
-        if tag == "certificate":
-            emitter.record(record_for(value))
-        else:
-            reasons, context = value
-            emitter.record(rejection_record("certify cyclotomic", reasons, context))
-            if tag == "failure":
-                failures.append(cand.m)
+    with Pool(workers) if workers > 1 else nullcontext() as pool:
+        outcomes = pool.imap(work, candidates) if pool else map(work, candidates)
+        for records, failed in outcomes:
+            for record in records:
+                emitter.record(record)
+            if failed:
+                failures.append(records[0].payload["m"])
     if failures:
         raise NumericError(f"class number computation failed for m in {failures}")
     return EXIT_OK

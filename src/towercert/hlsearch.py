@@ -9,6 +9,7 @@ prime values below a cutoff.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 from .arith import MAX_NATURAL, exact_sqrt, is_prime, jacobi_symbol, primes_up_to
@@ -22,6 +23,7 @@ __all__ = [
     "PrimeCountReport",
     "CONDUCTOR_POLY",
     "DEFAULT_RESIDUES",
+    "MAX_PRIME_BOUND",
     "discriminant",
     "hl_admissible",
     "shanks_value",
@@ -34,6 +36,10 @@ __all__ = [
 # Residues of m mod 12 that force ell = m^2+3m+9 = 7 mod 12, making the
 # sextic subfield of Q(zeta_ell) totally imaginary.
 DEFAULT_RESIDUES = frozenset({2, 7, 10, 11})
+
+# Largest hl_constant bound: its sieve holds a byte per integer and a list
+# of the primes up to the bound, about 0.4 GB at 10**8.
+MAX_PRIME_BOUND = 10**8
 
 
 @dataclass(frozen=True)
@@ -143,11 +149,17 @@ def m_from_prime(ell: int) -> int | None:
     return m if m >= 1 else None
 
 
+def _candidate(m: int) -> ShanksCandidate:
+    ell = shanks_value(m)
+    return ShanksCandidate(m, ell, m % 12, is_prime(ell))
+
+
 def search_shanks_candidates(
     m_max: int, residues: frozenset[int] = DEFAULT_RESIDUES
-) -> list[ShanksCandidate]:
-    """All candidates m <= m_max in the residue filter, ascending.
+) -> Iterator[ShanksCandidate]:
+    """Lazy iterator over the candidates m <= m_max in the residue filter, ascending.
 
+    The arguments are checked when this is called, not on the first next().
     Candidates whose conductor is composite are kept (flagged) so sweep
     reports can show why an m was skipped.
     """
@@ -158,13 +170,7 @@ def search_shanks_candidates(
     if not all(0 <= r < 12 for r in residues):
         raise DomainError(f"residues must lie in [0, 12), got {sorted(residues)}")
     shanks_value(m_max)  # overflow raises InputRangeError here, before any work
-    out = []
-    for m in range(1, m_max + 1):
-        if m % 12 not in residues:
-            continue
-        ell = shanks_value(m)
-        out.append(ShanksCandidate(m, ell, m % 12, is_prime(ell)))
-    return out
+    return (_candidate(m) for m in range(1, m_max + 1) if m % 12 in residues)
 
 
 def hl_constant(prime_bound: int) -> HLConstantResult:
@@ -177,6 +183,8 @@ def hl_constant(prime_bound: int) -> HLConstantResult:
     """
     if prime_bound < 5:
         raise DomainError(f"prime bound must be at least 5, got {prime_bound}")
+    if prime_bound > MAX_PRIME_BOUND:
+        raise InputRangeError(f"prime bound {prime_bound} exceeds {MAX_PRIME_BOUND}")
     log_sum = 0.0
     comp = 0.0
     terms = 0

@@ -1,11 +1,18 @@
 import hashlib
 import json
 import math
+import multiprocessing
+import os
 import re
+import select
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from towercert import tower
+import towercert
+from towercert import cli, tower
 from towercert.cli import (
     EXIT_NUMERIC,
     EXIT_OK,
@@ -14,6 +21,7 @@ from towercert.cli import (
     main,
 )
 from towercert.errors import IntegralityError, NumericError
+from towercert.hlsearch import MAX_PRIME_BOUND
 from towercert.records import make_record, parse_record, to_json_line
 
 
@@ -381,6 +389,93 @@ class TestSearch:
         certified = [r.payload["ell"] for r in records if r.kind == "cyclotomic_tower"]
         assert 3547 in certified
 
+    @pytest.mark.skipif(
+        multiprocessing.get_start_method() != "fork",
+        reason="pool workers see the patched class_number only when forked",
+    )
+    @pytest.mark.parametrize(
+        "error",
+        [
+            NumericError("Newton polish did not converge"),
+            IntegralityError("lost", value=18.66, gap=0.34, unit_index_suspected=True),
+        ],
+        ids=["numeric", "integrality"],
+    )
+    def test_failure_under_jobs_matches_serial(self, capsys, monkeypatch, error):
+        real_class_number = tower.class_number
+
+        def failing_class_number(m):
+            if m == 50:
+                raise error
+            return real_class_number(m)
+
+        monkeypatch.setattr(tower, "class_number", failing_class_number)
+        outputs = []
+        for jobs in ("1", "2"):
+            code, out, err = run(capsys, "search", "--m-max", "60", "--certify", "--jobs", jobs)
+            assert code == EXIT_NUMERIC
+            assert err.splitlines() == [
+                "towercert: numeric/resource failure: "
+                "class number computation failed for m in [50]"
+            ]
+            outputs.append(strip_timestamps(out))
+        assert outputs[0] == outputs[1]
+
+    @pytest.mark.parametrize(
+        "cpus, jobs, pool_sizes",
+        [(3, 100000, [3]), (3, 2, [2]), (3, 1, []), (None, 100000, [])],
+    )
+    def test_jobs_capped_at_cpu_count(self, capsys, monkeypatch, cpus, jobs, pool_sizes):
+        sizes = []
+
+        class SerialPool:
+            """Records the worker count it is given and maps in-process."""
+
+            def __init__(self, processes):
+                sizes.append(processes)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc_info):
+                return None
+
+            def imap(self, func, iterable):
+                return map(func, iterable)
+
+        argv = ("search", "--m-max", "14", "--certify")
+        _, serial, _ = run(capsys, *argv)
+        monkeypatch.setattr(cli, "Pool", SerialPool)
+        monkeypatch.setattr(cli.os, "cpu_count", lambda: cpus)
+        code, out, err = run(capsys, *argv, "--jobs", str(jobs))
+        assert code == EXIT_OK
+        assert sizes == pool_sizes
+        assert strip_timestamps(out) == strip_timestamps(serial)
+
+    @pytest.mark.parametrize("jobs", ["0", "-1"])
+    @pytest.mark.parametrize("certify", [(), ("--certify",)], ids=["plain", "certify"])
+    def test_jobs_below_1_is_usage(self, capsys, jobs, certify):
+        code, out, err = run(capsys, "search", "--m-max", "12", *certify, "--jobs", jobs)
+        assert code == EXIT_USAGE
+        assert "--jobs" in err
+        assert out == ""
+
+    def test_huge_m_max_streams(self, tmp_path):
+        src = str(Path(towercert.__file__).resolve().parent.parent)
+        env = {**os.environ, "PYTHONPATH": src}  # the towercert this suite imported
+        argv = [sys.executable, "-m", "towercert.cli", "search", "--m-max", "3000000000"]
+        proc = subprocess.Popen(
+            argv, stdout=subprocess.PIPE, stderr=subprocess.DEVNULL, cwd=tmp_path, env=env
+        )
+        try:
+            ready, _, _ = select.select([proc.stdout], [], [], 5)
+            line = proc.stdout.readline() if ready else b""
+        finally:
+            proc.kill()
+            proc.wait(timeout=10)
+        assert line, "no record within 5 s"
+        assert parse_record(line.decode("utf-8").rstrip("\n")).payload["m"] == 2
+
     def test_bad_residues(self, capsys):
         for bad in ("13", "", "2,x", "-1"):
             code, out, err = run(capsys, "search", "--m-max", "12", "--residues", bad)
@@ -442,6 +537,14 @@ class TestHL:
     def test_count_x_too_small(self, capsys):
         code, out, err = run(capsys, "hl", "count", "--x", "18")
         assert code == EXIT_USAGE
+
+    @pytest.mark.parametrize("bound", [MAX_PRIME_BOUND + 1, 2**63])
+    @pytest.mark.parametrize("target", [("constant",), ("count", "--x", "1000")], ids=str)
+    def test_prime_bound_above_max_is_usage(self, capsys, target, bound):
+        code, out, err = run(capsys, "hl", *target, "--prime-bound", str(bound))
+        assert code == EXIT_USAGE
+        assert str(MAX_PRIME_BOUND) in err
+        assert out == ""
 
     def test_count_x_above_63_bits_is_usage(self, capsys):
         # rejected at entry, not after ~1e9 primality tests reach the bound

@@ -1,4 +1,5 @@
 import math
+from itertools import islice
 
 import pytest
 from hypothesis import given, settings
@@ -10,6 +11,7 @@ from towercert.errors import DomainError, InputRangeError
 from towercert.hlsearch import (
     CONDUCTOR_POLY,
     DEFAULT_RESIDUES,
+    MAX_PRIME_BOUND,
     QuadraticIntPoly,
     discriminant,
     empirical_prime_count,
@@ -119,7 +121,7 @@ class TestMFromPrime:
 
 class TestSearch:
     def test_m_max_12(self):
-        candidates = search_shanks_candidates(12)
+        candidates = list(search_shanks_candidates(12))
         assert [(c.m, c.ell) for c in candidates] == [
             (2, 19),
             (7, 79),
@@ -129,7 +131,12 @@ class TestSearch:
         assert all(c.is_prime_ell for c in candidates)
 
     def test_m_max_1_empty(self):
-        assert search_shanks_candidates(1) == []
+        assert list(search_shanks_candidates(1)) == []
+
+    def test_lazy_at_large_m_max(self):
+        # a list of the ~2e9 candidates would never arrive
+        head = islice(search_shanks_candidates(3_000_000_000), 3)
+        assert [c.m for c in head] == [2, 7, 10]
 
     def test_prime_conductors_above_2000_at_m_max_58(self):
         candidates = search_shanks_candidates(58)
@@ -170,6 +177,11 @@ class TestHLConstant:
     def test_below_5_rejected(self):
         with pytest.raises(DomainError):
             hl_constant(4)
+
+    @pytest.mark.parametrize("bound", [MAX_PRIME_BOUND + 1, 2**63])
+    def test_above_max_bound_rejected_before_sieving(self, bound):
+        with pytest.raises(InputRangeError):
+            hl_constant(bound)
 
     def test_recomputation_bit_identical(self):
         first = hl_constant(10**4)

@@ -47,7 +47,7 @@ def sample_objects():
         "hl_constant": hl_constant(100),
         "prime_count": empirical_prime_count(CONDUCTOR_POLY, 1000, hl_constant(100).constant),
         "residue_claim": verify_residue_claim(16),
-        "shanks_candidate": search_shanks_candidates(12)[0],
+        "shanks_candidate": next(search_shanks_candidates(12)),
     }
 
 

@@ -1,13 +1,17 @@
-"""The public surface: every exported name resolves and the README example runs."""
+"""The public surface: every exported name resolves and the README examples run."""
 
 import importlib
 import pathlib
 import pkgutil
 import re
+import shlex
 
 import pytest
 
 import towercert
+from towercert.cli import main
+
+README = pathlib.Path(__file__).resolve().parent.parent / "README.md"
 
 MODULES = ["towercert"] + [
     f"towercert.{info.name}" for info in pkgutil.iter_modules(towercert.__path__)
@@ -21,7 +25,17 @@ def test_all_names_resolve(name):
 
 
 def test_readme_library_snippet_runs():
-    readme = pathlib.Path(__file__).resolve().parent.parent / "README.md"
-    section = readme.read_text(encoding="utf-8").split("\n## Library\n", 1)[1]
+    section = README.read_text(encoding="utf-8").split("\n## Library\n", 1)[1]
     code = re.search(r"```python\n(.*?)```", section, re.DOTALL).group(1)
     exec(compile(code, "README.md#library", "exec"), {})
+
+
+def test_readme_commands_exit_0(tmp_path, monkeypatch):
+    section = README.read_text(encoding="utf-8").split("\n## Command line\n", 1)[1]
+    block = re.search(r"```sh\n(.*?)```", section, re.DOTALL).group(1)
+    lines = [line for line in block.splitlines() if line.startswith("towercert ")]
+    commands = [shlex.split(line)[1:] for line in lines]
+    assert commands
+    monkeypatch.chdir(tmp_path)  # the sweep writes the registry file a later command reads
+    for argv in commands:
+        assert main(argv) == 0, argv
