@@ -254,7 +254,7 @@ def _load_registry(path: str, registry: KnownInfiniteRegistry) -> None:
     try:
         with open(path, encoding="utf-8") as handle:
             lines = [line for line in handle.read().splitlines() if line.strip()]
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise _UsageError(f"cannot read registry file {path}: {exc}") from exc
     for number, line in enumerate(lines, start=1):
         try:
@@ -338,7 +338,11 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return EXIT_USAGE if exc.code is None else int(exc.code)
-    emitter = _Emitter(getattr(args, "out", None))
+    try:
+        emitter = _Emitter(getattr(args, "out", None))
+    except OSError as exc:
+        print(f"towercert: error: cannot open output file: {exc}", file=sys.stderr)
+        return EXIT_USAGE
     try:
         return args.handler(args, emitter)
     except _UsageError as exc:

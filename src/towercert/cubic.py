@@ -12,23 +12,32 @@ property of this family for squarefree conductor; every consumer records
 that assumption by name).
 
 For prime conductor the class number comes out of the analytic formula.
-With chi a cubic character mod ell and
+Let chi be the cubic character mod ell with chi(g) = w = exp(2*pi*i/3) for
+the least primitive root g; it is even and primitive, with root number
+W = tau(chi)/sqrt(ell) of modulus 1.  The residue of the Dedekind zeta
+function gives h * R = ell * |L(1,chi)|^2 / 4, so with
 
-    S = sum_{a=1}^{ell-1} conj(chi(a)) * log(2*sin(pi*a/ell)),
+    S = -sqrt(ell) * L(1,chi) / W = sum_{a=1}^{ell-1} conj(chi(a)) * log(2*sin(pi*a/ell))
 
-one has |L(1,chi)|^2 = |S|^2 / ell (the Gauss-sum magnitude ell cancels),
-and the residue of the Dedekind zeta function gives h * R = ell *
-|L(1,chi)|^2 / 4, hence
+one has h = |S|^2 / (4*R).
 
-    h = |S|^2 / (4*R).
+L(1,chi) comes from the smoothed approximate functional equation
+(Rubinstein, arXiv:math/0412181): for every T > 0,
 
-With g the least primitive root and chi(g^t) = w^t, the terms of S are
-bucketed by t mod 3.  Since g^((ell-1)/2) = -1 and (ell-1)/2 = 0 mod 3, the
-second half of the walk, t >= (ell-1)/2, visits ell - a for each a of the
-first half, with the same character value and the same log-sine; so S is
-twice the sum over t < (ell-1)/2.  Bucket r is its own walk g^r, g^(r+3),
-... of stride g^3.  The computation is O(ell) multiplications and
-logarithmic sines in O(1) memory; no discrete-log table is built.
+    L(1,chi) = sum_n chi(n) * erfc(n*sqrt(pi*T/ell)) / n
+             + (W/sqrt(ell)) * sum_n conj(chi(n)) * E1(pi*n^2/(ell*T)).
+
+Both kernels fall below exp(-37) after O(sqrt(ell)) terms, and each chi(n)
+is one modular power n^((ell-1)/3), so S costs O(sqrt(ell) * log(ell))
+time and O(1) memory; no character table is built.
+
+The root number comes from tau(chi)^3 = ell * J(chi,chi) (Ireland-Rosen,
+GTM 84, ch. 9).  The Jacobi sum J = a + b*w is the primary element
+(a = 2 mod 3, b = 0 mod 3, so 4*ell = (2a-b)^2 + 27*(b/3)^2) that satisfies
+a + b*g^((ell-1)/3) = 0 mod ell, which tells it from its conjugate.  So W is
+one of the three cube roots of J/sqrt(ell).  A wrong root shifts the
+right-hand side by an amount that depends on T, so W is the root at which
+T = 0.25 and T = 0.3 give the same L(1,chi).
 """
 
 from __future__ import annotations
@@ -53,6 +62,16 @@ __all__ = [
 ]
 
 INTEGRALITY_TOL = 1e-3
+
+# Smoothing parameters T of the approximate functional equation.  The root
+# number is the cube root of J/sqrt(ell) at which both give one L(1, chi):
+# the right root agrees to _ROOT_AGREE, the wrong ones differ by _ROOT_APART.
+_SMOOTHING = (0.25, 0.3)
+_ROOT_AGREE = 1e-9
+_ROOT_APART = 1e-6
+# Each series stops once its kernel is below exp(-_KERNEL_CUTOFF).
+_KERNEL_CUTOFF = 37.0
+_EULER_GAMMA = 0.57721566490153286
 
 # Named assumption carried into every certificate that consumes these class
 # numbers: the exceptional units generate the full unit group modulo +-1.
@@ -161,29 +180,146 @@ def _least_primitive_root(ell: int) -> int:
     raise NumericError(f"no primitive root found mod {ell}")  # unreachable for prime ell
 
 
-def _log_sine_walk(ell: int, v: int, stride: int, count: int):
-    """Yield log(2*sin(pi*a/ell)) for a = v, v*stride, ... (count terms) mod ell.
+def _e1(x: float) -> float:
+    """Exponential integral E1(x) = integral of exp(-t)/t over t > x, for x > 0.
 
-    stride^count must be -1 mod ell, so the walk has to end at ell - v;
-    anything else means the generator arithmetic is wrong, and NumericError
-    is raised after the last term.
+    Power series for x <= 1; above that the continued fraction
+    exp(-x) / (x+1 - 1/(x+3 - 4/(x+5 - 9/...))), evaluated from the bottom
+    up at depth 10 + 100/x (within 4.4e-16 relative of mpmath on (1, 40],
+    where a forward Lentz product drifts to 1e-14 near x = 1); 0 past
+    x = 40, where E1(x) < 1e-19.
     """
-    step = math.pi / ell
-    log, sin = math.log, math.sin
-    end = ell - v
-    for _ in range(count):
-        yield log(2.0 * sin(step * v))
-        v = v * stride % ell
-    if v != end:
-        raise NumericError(f"half walk mod {ell} does not close: ended at {v}, expected {end}")
+    if x > 40.0:
+        return 0.0
+    if x <= 1.0:
+        # E1(x) = -gamma - log(x) - sum_{k >= 1} (-x)^k / (k * k!)
+        total, power, k = 0.0, 1.0, 0
+        while True:
+            k += 1
+            power *= -x / k
+            total += power / k
+            if abs(power) < 1e-17:
+                return -_EULER_GAMMA - math.log(x) - total
+    depth = 10 + int(100.0 / x)
+    tail = x + 2 * depth + 1
+    for i in range(depth, 0, -1):
+        tail = x + (2 * i - 1) - i * i / tail
+    return math.exp(-x) / tail
+
+
+def _jacobi_sum(ell: int, zeta: int) -> tuple[int, int]:
+    """(a, b) with J(chi, chi) = a + b*w, for chi(n) = w^k where n^((ell-1)/3) = zeta^k mod ell.
+
+    Cornacchia's algorithm, started from the square root 2*zeta + 1 of -3,
+    solves x^2 + 3y^2 = ell; then x + y*sqrt(-3) = (x + y) + 2y*w has norm
+    ell.  J is the one of its six associates and their conjugates that is
+    primary (a = 2 mod 3, b = 0 mod 3, so 4*ell = (2a - b)^2 + 27*(b/3)^2)
+    and lies over the prime (ell, w - zeta) of Z[w]: a + b*zeta = 0 mod ell.
+    """
+    r0, r1 = ell, (2 * zeta + 1) % ell
+    while r1 * r1 > ell:
+        r0, r1 = r1, r0 % r1
+    y = math.isqrt((ell - r1 * r1) // 3)
+    if r1 * r1 + 3 * y * y != ell:
+        raise NumericError(f"Cornacchia found no x^2 + 3y^2 = {ell}")
+    a, b = r1 + y, 2 * y
+    for _ in range(6):
+        for c, d in ((a, b), (a - b, -b)):  # the element and its conjugate
+            if c % 3 == 2 and d % 3 == 0 and (c + d * zeta) % ell == 0:
+                return c, d
+        a, b = b, b - a  # multiply by the unit -w
+    raise NumericError(f"no primary Jacobi sum found mod {ell}")  # unreachable for prime ell
+
+
+def _afe_sums(ell: int, zeta: int, compensated: bool) -> list[complex]:
+    """The AFE series of chi mod ell at each smoothing parameter T.
+
+    Returns [A(T1), A(T2), B(T1), B(T2)] with
+
+        A(T) = sum chi(n) * erfc(n * sqrt(pi*T/ell)) / n,
+        B(T) = sum conj(chi(n)) * E1(pi * n^2 / (ell*T)),
+
+    each series cut once its kernel is below exp(-_KERNEL_CUTOFF).  One
+    pass over n computes chi(n) once and keeps twelve running sums (series
+    by value of chi), plain or Neumaier-compensated.
+    """
+    e = (ell - 1) // 3
+    bucket = {1: 0, zeta: 1, zeta * zeta % ell: 2}
+    erfc, e1 = math.erfc, _e1
+    # erfc(x) <= exp(-x^2) and E1(x) < exp(-x) bound the kernels.
+    series = []
+    for t in _SMOOTHING:
+        alpha = math.sqrt(math.pi * t / ell)
+        series.append((lambda n, alpha=alpha: erfc(n * alpha) / n,
+                       int(math.sqrt(_KERNEL_CUTOFF) / alpha)))
+    for t in _SMOOTHING:
+        beta = math.pi / (ell * t)
+        series.append((lambda n, beta=beta: e1(beta * n * n),
+                       int(math.sqrt(_KERNEL_CUTOFF / beta))))
+    total = [0.0] * 12
+    carry = [0.0] * 12
+    for n in range(1, max(cutoff for _, cutoff in series) + 1):
+        r = pow(n, e, ell)
+        if r == 0:
+            continue  # a multiple of ell, reached only for small ell
+        i = bucket[r]
+        for kernel, cutoff in series:
+            if n <= cutoff:
+                x = kernel(n)
+                s = total[i]
+                total[i] = u = s + x
+                if compensated:
+                    carry[i] += (s - u) + x if abs(s) >= abs(x) else (x - u) + s
+            i += 3
+    half_sqrt3 = math.sqrt(3.0) / 2.0
+    sums = []
+    for j in range(0, 12, 3):
+        s0, s1, s2 = (total[i] + carry[i] for i in range(j, j + 3))
+        # chi takes the values 1, w, w^2 on the three buckets
+        sums.append(complex(s0 - 0.5 * (s1 + s2), half_sqrt3 * (s1 - s2)))
+    a1, a2, b1, b2 = sums
+    return [a1, a2, b1.conjugate(), b2.conjugate()]  # the B series carry conj(chi)
+
+
+def _l_value(ell: int, compensated: bool) -> tuple[complex, complex]:
+    """L(1, chi) and the root number W = tau(chi)/sqrt(ell), for prime ell = 1 mod 3.
+
+    chi(g) = w for the least primitive root g.  L(1, chi) is
+    A(T) + (W/sqrt(ell)) * B(T) (see _afe_sums) at T = 0.25, and W is the
+    cube root of J(chi,chi)/sqrt(ell) at which T = 0.3 gives the same value.
+    NumericError is raised unless that root agrees to _ROOT_AGREE while the
+    other two roots disagree by more than _ROOT_APART.
+    """
+    zeta = pow(_least_primitive_root(ell), (ell - 1) // 3, ell)
+    a1, a2, b1, b2 = _afe_sums(ell, zeta, compensated)
+    a, b = _jacobi_sum(ell, zeta)
+    # W^3 = tau^3 / ell^(3/2) = J / sqrt(ell), and |J| = sqrt(ell)
+    angle = math.atan2(b * math.sqrt(3.0) / 2.0, a - b / 2.0)
+    root = math.sqrt(ell)
+    candidates = []
+    for k in range(3):
+        theta = (angle + 2.0 * math.pi * k) / 3.0
+        w = complex(math.cos(theta), math.sin(theta))
+        value = a1 + w * b1 / root
+        candidates.append((abs(value - (a2 + w * b2 / root)), value, w))
+    candidates.sort(key=lambda c: c[0])
+    (spread, l_value, w), rest = candidates[0], candidates[1:]
+    if not (spread < _ROOT_AGREE and all(other > _ROOT_APART for other, _, _ in rest)):
+        raise NumericError(
+            f"root number mod {ell} not resolved: the three cube roots move "
+            f"L(1, chi) by {[c[0] for c in candidates]} between T = {_SMOOTHING}"
+        )
+    return l_value, w
 
 
 def l_sum(ell: int, compensated: bool = False) -> complex:
-    """S = sum conj(chi(a)) * log(2*sin(pi*a/ell)) for the cubic chi mod ell.
+    """S = -sqrt(ell) * L(1, chi) / W for the cubic chi mod ell with chi(g) = w.
 
-    |S|^2 = ell * |L(1,chi)|^2 feeds the class number formula.  Each of
-    the three half-range bucket walks is summed by ``sum`` (a running
-    float sum), or by ``math.fsum`` when ``compensated``.
+    S equals the log-sine sum sum conj(chi(a)) * log(2*sin(pi*a/ell)), and
+    |S|^2 = ell * |L(1,chi)|^2 feeds the class number formula.  L(1, chi)
+    and W come from the approximate functional equation (see _l_value)
+    in O(sqrt(ell) * log(ell)) time and O(1) memory.  Its running sums are
+    plain floats, or Neumaier-compensated when ``compensated``.
     """
     if ell < 7:
         raise DomainError(f"conductor must be at least 7, got {ell}")
@@ -191,25 +327,35 @@ def l_sum(ell: int, compensated: bool = False) -> complex:
         raise DomainError(f"conductor {ell} is not prime")
     if ell % 3 != 1:
         raise DomainError(f"no cubic character mod {ell}: ell != 1 mod 3")
-    g = _least_primitive_root(ell)
-    stride = pow(g, 3, ell)
-    count = (ell - 1) // 6
-    total = math.fsum if compensated else sum
-    t0, t1, t2 = (
-        2.0 * total(_log_sine_walk(ell, pow(g, r, ell), stride, count)) for r in range(3)
-    )
-    # conj(chi) takes values 1, wbar, wbar^2 with wbar = exp(-2*pi*i/3).
-    half_sqrt3 = math.sqrt(3.0) / 2.0
-    return complex(t0 - 0.5 * (t1 + t2), half_sqrt3 * (t2 - t1))
+    l_value, w = _l_value(ell, compensated)
+    return -math.sqrt(ell) * l_value / w
+
+
+def _class_group_obstruction(h: int) -> str | None:
+    """Why no cyclic cubic field of prime conductor has class number h, or None.
+
+    Genus theory with one ramified prime gives 3 not dividing h.  The norm
+    1 + sigma + sigma^2 kills the class group, so it is a Z[w]-module; a
+    prime q = 2 mod 3 stays prime in Z[w], so q divides h to an even power
+    (Washington, Introduction to Cyclotomic Fields, GTM 83).
+    """
+    for q, e in factorize(h):
+        if q == 3:
+            return "3 divides h"
+        if q % 3 == 2 and e % 2:
+            return f"{q} divides h to an odd power"
+    return None
 
 
 def class_number(m: int) -> SimplestCubicField:
     """Analytic class number h = |S|^2 / (4R) with integrality diagnostics.
 
-    Requires prime conductor.  If the analytic value misses every integer
-    by at least INTEGRALITY_TOL even after compensated resummation, the
-    computation fails loudly; a value near an integer divided by 3 is
-    flagged as a possible unit-index failure rather than rounded.
+    Requires prime conductor.  The computation fails loudly if, even after
+    compensated resummation, the analytic value misses every integer by at
+    least INTEGRALITY_TOL or rounds to an h that no cyclic cubic field of
+    prime conductor has (see _class_group_obstruction).  A value near an
+    integer divided by 3 is flagged as a possible unit-index failure rather
+    than rounded.
     """
     ell = shanks_value(m)
     if not is_prime(ell):
@@ -221,7 +367,12 @@ def class_number(m: int) -> SimplestCubicField:
         h_float = (s.real * s.real + s.imag * s.imag) / (4.0 * reg)
         h = round(h_float)
         gap = abs(h_float - h)
-        if gap < INTEGRALITY_TOL and h >= 1:
+        integral = gap < INTEGRALITY_TOL and h >= 1
+        if not integral:
+            problem = f"misses integrality tolerance {INTEGRALITY_TOL}"
+        elif (obstruction := _class_group_obstruction(h)) is not None:
+            problem = f"rounds to {h}, which no cyclic cubic field of prime conductor has: {obstruction}"
+        else:
             return SimplestCubicField(
                 m=m,
                 ell=ell,
@@ -234,9 +385,8 @@ def class_number(m: int) -> SimplestCubicField:
             )
     thirds_gap = abs(3.0 * h_float - round(3.0 * h_float))
     raise IntegralityError(
-        f"analytic class number {h_float!r} for m={m} misses integrality "
-        f"tolerance {INTEGRALITY_TOL}",
+        f"analytic class number {h_float!r} for m={m} {problem}",
         value=h_float,
         gap=gap,
-        unit_index_suspected=thirds_gap < 3.0 * INTEGRALITY_TOL,
+        unit_index_suspected=not integral and thirds_gap < 3.0 * INTEGRALITY_TOL,
     )

@@ -114,6 +114,8 @@ class CertificateRecord:
             raise DomainError(f"unsupported schema version {self.schema_version!r}")
         if self.kind not in RECORD_KINDS:
             raise DomainError(f"unknown record kind {self.kind!r}")
+        if not isinstance(self.payload, dict):
+            raise DomainError("record payload must be a JSON object")
 
 
 def _hash_body(kind: str, payload: dict) -> str:

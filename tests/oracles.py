@@ -183,6 +183,35 @@ def full_range_l_sum(ell: int) -> complex:
     )
 
 
+def jacobi_sum_bruteforce(ell: int) -> tuple[int, int]:
+    """(a, b) with J(chi, chi) = sum_x chi(x) * chi(1 - x) = a + b*w, by direct count.
+
+    chi comes from CubicCharacterTable, so chi(g) = w = exp(2*pi*i/3) for
+    the least primitive root g; the counts of each value w^k are reduced
+    with 1 + w + w^2 = 0.
+    """
+    table = CubicCharacterTable(ell)
+    counts = [0, 0, 0]
+    for x in range(2, ell):
+        counts[(table.index(x) + table.index(ell + 1 - x)) % 3] += 1
+    return counts[0] - counts[2], counts[1] - counts[2]
+
+
+def gauss_sum_root_number(ell: int) -> complex:
+    """tau(chi)/sqrt(ell) = sum_x chi(x) * exp(2*pi*i*x/ell) / sqrt(ell), at 30 digits.
+
+    chi comes from CubicCharacterTable; each term is exp(2*pi*i*(k/3 + x/ell))
+    with chi(x) = w^k, summed in mpmath.
+    """
+    table = CubicCharacterTable(ell)
+    with mpmath.workdps(30):
+        total = mpmath.fsum(
+            mpmath.expjpi(mpmath.mpf(2 * (table.index(x) * ell + 3 * x)) / (3 * ell))
+            for x in range(1, ell)
+        )
+        return complex(total / mpmath.sqrt(ell))
+
+
 def digamma_l_value_squared(ell: int) -> float:
     """ell * |L(1, chi)|^2 for a cubic character mod ell, via digamma.
 

@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 
 import towercert
-from towercert import cli, tower
+from towercert import cli, cubic, tower
 from towercert.cli import (
     EXIT_NUMERIC,
     EXIT_OK,
@@ -22,7 +22,13 @@ from towercert.cli import (
 )
 from towercert.errors import IntegralityError, NumericError
 from towercert.hlsearch import MAX_PRIME_BOUND
-from towercert.records import make_record, parse_record, to_json_line
+from towercert.records import (
+    SCHEMA_VERSION,
+    canonical_json,
+    make_record,
+    parse_record,
+    to_json_line,
+)
 
 
 def run(capsys, *argv):
@@ -212,6 +218,33 @@ class TestCertifyEigenform:
         )
         assert code == EXIT_USAGE
 
+    def test_non_utf8_registry_is_usage(self, capsys, tmp_path):
+        registry_file = tmp_path / "latin1.jsonl"
+        registry_file.write_bytes(b"\xff\xfe not utf-8\n")
+        code, out, err = run(
+            capsys, "certify", "eigenform", "--weight", "12", "--ell", "877",
+            "--registry", str(registry_file),
+        )
+        assert code == EXIT_USAGE
+        assert f"cannot read registry file {registry_file}" in err
+        assert out == ""
+
+    @pytest.mark.parametrize("payload", [[1], 5, None], ids=["list", "int", "null"])
+    def test_non_object_payload_is_usage(self, capsys, tmp_path, payload):
+        # a correct content hash over a payload that is not a JSON object
+        body = {"schema_version": SCHEMA_VERSION, "kind": "cyclotomic_tower", "payload": payload}
+        digest = hashlib.sha256(canonical_json(body).encode("ascii")).hexdigest()
+        line = canonical_json(dict(body, content_hash=digest, timestamp="2026-01-01T00:00:00Z"))
+        registry_file = tmp_path / "bad.jsonl"
+        registry_file.write_text(line + "\n", encoding="utf-8")
+        code, out, err = run(
+            capsys, "certify", "eigenform", "--weight", "12", "--ell", "877",
+            "--registry", str(registry_file),
+        )
+        assert code == EXIT_USAGE
+        assert f"bad registry record at {registry_file}:1" in err
+        assert out == ""
+
     def test_missing_registry_file_is_usage(self, capsys, tmp_path):
         code, out, err = run(
             capsys,
@@ -388,6 +421,40 @@ class TestSearch:
         assert {55, 58, 59} <= emitted  # the sweep ran past the failure
         certified = [r.payload["ell"] for r in records if r.kind == "cyclotomic_tower"]
         assert 3547 in certified
+
+    def test_impossible_class_number_is_integrality_rejection(self, capsys, monkeypatch):
+        real_l_sum = cubic.l_sum
+        reg = cubic.regulator(50)
+
+        def l_sum_with_h_20(ell, compensated=False):
+            if ell == 2659:
+                return complex(math.sqrt(80.0 * reg), 0.0)
+            return real_l_sum(ell, compensated)
+
+        monkeypatch.setattr(cubic, "l_sum", l_sum_with_h_20)
+        code, out, err = run(capsys, "search", "--m-max", "60", "--certify", "--jobs", "1")
+        assert code == EXIT_NUMERIC
+        assert "m in [50]" in err
+        records = records_of(out)
+        (failure,) = [r for r in records if r.kind == "rejection"]
+        assert failure.payload["reasons"] == ["integrality"]
+        assert failure.payload["m"] == 50
+        assert failure.payload["value"] == pytest.approx(20.0, abs=1e-9)
+        assert failure.payload["unit_index_suspected"] is False
+        assert records[-1].payload["m"] == 59  # the sweep ran to the end
+
+    def test_unresolved_root_number_is_numeric_rejection(self, capsys, monkeypatch):
+        # at one smoothing parameter no cube root of J/sqrt(ell) stands out
+        monkeypatch.setattr(cubic, "_SMOOTHING", (0.25, 0.25))
+        code, out, err = run(capsys, "search", "--m-max", "12", "--certify", "--jobs", "1")
+        assert code == EXIT_NUMERIC
+        failures = [r for r in records_of(out) if r.kind == "rejection"]
+        assert [r.payload["m"] for r in failures] == [2, 7, 10, 11]
+        for failure in failures:
+            assert failure.payload["reasons"] == ["numeric"]
+            assert failure.payload["message"].startswith(
+                f"root number mod {failure.payload['ell']} not resolved"
+            )
 
     @pytest.mark.skipif(
         multiprocessing.get_start_method() != "fork",
@@ -655,6 +722,13 @@ class TestPlumbing:
         assert a == b
         assert a[0]["content_hash"] == b[0]["content_hash"]
 
+    def test_unopenable_out_file_is_usage(self, capsys, tmp_path):
+        target = tmp_path / "absent" / "records.jsonl"
+        code, out, err = run(capsys, "hl", "constant", "--prime-bound", "100", "--out", str(target))
+        assert code == EXIT_USAGE
+        assert "cannot open output file" in err
+        assert out == ""
+
     def test_stdout_lines_parse_back(self, capsys):
         code, out, err = run(capsys, "verify", "residue-claim", "--weight", "26")
         for line in out.splitlines():
@@ -711,7 +785,7 @@ COMMAND_SET = (
     *(("verify", "residue-claim", "--weight", str(k)) for k in (12, 16, 18, 20, 22, 26)),
 )
 
-COMMAND_SET_SHA256 = "fae01c3758fd6f86a41b0af5907b3792f2837735c19f4e149dff7e40973d8c28"
+COMMAND_SET_SHA256 = "702679a5abaf3e01c00f671e06201f28a504456efa135608358294980f391555"
 
 
 def _without_timestamp(text):

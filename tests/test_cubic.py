@@ -1,6 +1,7 @@
 import math
 import tracemalloc
 
+import mpmath
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -10,12 +11,20 @@ from oracles import (
     cubic_discriminant,
     digamma_l_value_squared,
     full_range_l_sum,
+    gauss_sum_root_number,
+    jacobi_sum_bruteforce,
     log_embedding_det,
     minkowski_class_number_one,
+    trial_division_prime,
 )
+from towercert import cubic
 from towercert.cubic import (
     INTEGRALITY_TOL,
     UNIT_INDEX_ASSUMPTION,
+    _e1,
+    _jacobi_sum,
+    _l_value,
+    _least_primitive_root,
     class_number,
     cubic_poly,
     galois_conjugate,
@@ -23,7 +32,7 @@ from towercert.cubic import (
     real_roots,
     regulator,
 )
-from towercert.errors import DomainError
+from towercert.errors import DomainError, IntegralityError, NumericError
 from towercert.hlsearch import shanks_value
 
 # Analytic class numbers frozen after cross-checking small conductors
@@ -225,6 +234,53 @@ class TestLSum:
             l_sum(3)
 
 
+class TestExponentialIntegral:
+    def test_against_mpmath_on_log_grid(self):
+        lo, hi = math.log(1e-8), math.log(40.0)
+        for i in range(2001):
+            x = min(math.exp(lo + (hi - lo) * i / 2000), 40.0)
+            expected = float(mpmath.e1(x))
+            assert abs(_e1(x) - expected) <= 1e-14 * expected, x
+
+    def test_zero_past_40(self):
+        assert _e1(40.0) > 0.0
+        assert _e1(40.5) == 0.0
+
+
+class TestRootNumber:
+    def test_jacobi_sum_matches_bruteforce_below_3000(self):
+        checked = 0
+        for ell in range(7, 3000, 6):  # the primes = 1 mod 3 are = 1 mod 6
+            if trial_division_prime(ell):
+                zeta = pow(_least_primitive_root(ell), (ell - 1) // 3, ell)
+                assert _jacobi_sum(ell, zeta) == jacobi_sum_bruteforce(ell), ell
+                checked += 1
+        assert checked == 207
+
+    @pytest.mark.parametrize("ell", [7, 19, 163, 2659, 11779, 19603])
+    def test_matches_gauss_sum_oracle(self, ell):
+        _, w = _l_value(ell, False)
+        assert abs(w - gauss_sum_root_number(ell)) < 1e-12
+
+    def test_unseparated_candidates_raise(self, monkeypatch):
+        # at one smoothing parameter all three cube roots agree
+        monkeypatch.setattr(cubic, "_SMOOTHING", (0.25, 0.25))
+        with pytest.raises(NumericError, match="root number mod 2659 not resolved"):
+            l_sum(2659)
+
+    def test_conjugate_jacobi_sum_raises(self, monkeypatch):
+        # none of the cube roots of conj(J)/sqrt(ell) is the root number
+        real_jacobi_sum = cubic._jacobi_sum
+
+        def conjugate(ell, zeta):
+            a, b = real_jacobi_sum(ell, zeta)
+            return a - b, -b
+
+        monkeypatch.setattr(cubic, "_jacobi_sum", conjugate)
+        with pytest.raises(NumericError, match="root number mod 2659 not resolved"):
+            l_sum(2659)
+
+
 class TestClassNumber:
     def test_known_values(self):
         for m, h in KNOWN_CLASS_NUMBERS.items():
@@ -266,6 +322,36 @@ class TestClassNumber:
                 assert abs(h_float - round(h_float)) < INTEGRALITY_TOL
                 values.append(round(h_float))
             assert len(set(values)) == 1
+
+    def test_matches_full_range_oracle_up_to_150(self):
+        checked = 0
+        for m in range(1, 151):
+            ell = shanks_value(m)
+            if trial_division_prime(ell):
+                s = full_range_l_sum(ell)
+                h = round(abs(s) ** 2 / (4.0 * log_embedding_det(m, (0, 1))))
+                assert class_number(m).class_number == h, m
+                checked += 1
+        assert checked > 20
+
+    @pytest.mark.parametrize(
+        "h, reason", [(20, "5 divides h to an odd power"), (21, "3 divides h")]
+    )
+    def test_impossible_class_number_is_integrality_error(self, monkeypatch, h, reason):
+        # |S|^2 = 4 * h * R makes the analytic value exactly h
+        reg = regulator(50)
+        monkeypatch.setattr(
+            cubic, "l_sum", lambda ell, compensated=False: complex(math.sqrt(4.0 * h * reg), 0.0)
+        )
+        with pytest.raises(IntegralityError, match=f"rounds to {h}, .*: {reason}") as info:
+            class_number(50)
+        assert info.value.value == pytest.approx(h, abs=1e-9)
+        assert info.value.gap < INTEGRALITY_TOL
+        assert info.value.unit_index_suspected is False
+
+    def test_possible_class_numbers_pass_the_check(self):
+        assert all(cubic._class_group_obstruction(h) is None for h in KNOWN_CLASS_NUMBERS.values())
+        assert cubic._class_group_obstruction(58381) is None  # 79 * 739, m = 10004
 
     def test_assumption_name(self):
         assert UNIT_INDEX_ASSUMPTION == "unit-index Q=1"

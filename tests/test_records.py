@@ -1,4 +1,5 @@
 import functools
+import hashlib
 import json
 import re
 
@@ -227,6 +228,14 @@ class TestParseErrors:
         with pytest.raises(DomainError):
             parse_record("[1,2]")
 
+    @pytest.mark.parametrize("payload", [[1], 5, None], ids=["list", "int", "null"])
+    def test_non_object_payload(self, payload):
+        body = {"schema_version": SCHEMA_VERSION, "kind": "cyclotomic_tower", "payload": payload}
+        digest = hashlib.sha256(canonical_json(body).encode("ascii")).hexdigest()
+        line = canonical_json(dict(body, content_hash=digest, timestamp=TS_A))
+        with pytest.raises(DomainError, match="payload must be a JSON object"):
+            parse_record(line)
+
     def test_missing_field(self):
         record = record_for(sample_objects()["furuta"], timestamp=TS_A)
         raw = json.loads(to_json_line(record))
@@ -273,10 +282,10 @@ GOLDEN_LINES = {
         '"provenance":{"m_mod_12":2,"ell_mod_12":7,'
         '"primality_method":"deterministic-miller-rabin","primality_witnesses":[2,'
         '325,9375,28178,450775,9780504,1795265022],'
-        '"class_number_float":19.000000000000057,'
-        '"integrality_gap":5.6843418860808015e-14,"ramified_infinite_places":57,'
+        '"class_number_float":18.999999999999936,'
+        '"integrality_gap":6.3948846218409017e-14,"ramified_infinite_places":57,'
         '"ramified_finite_primes":19}},'
-        '"content_hash":"b314a2cb3fccc844d42b6d4b53a00d3d06e84de5b81e867d79e0bbc7f023924a",'
+        '"content_hash":"0414e2ca1afc2eaf88251d979db397d584bfd5b38f8dc35356ded24dbd24d4a4",'
         '"timestamp":"2026-01-01T00:00:00Z"}'
     ),
     "eigenform": (
