@@ -8,6 +8,7 @@ locally.  Primality is deterministic, never probabilistic.
 
 from __future__ import annotations
 
+from itertools import compress
 from math import isqrt
 
 from .errors import DomainError, InputRangeError
@@ -96,19 +97,33 @@ def exact_sqrt(n: int) -> int | None:
     return r if r * r == n else None
 
 
-def primes_up_to(bound: int) -> list[int]:
-    """Ascending primes <= bound via a byte sieve (10 MB at bound 10^7)."""
-    if bound < 0:
-        raise DomainError(f"negative sieve bound {bound}")
-    if bound < 2:
-        return []
-    flags = bytearray(b"\x01") * (bound + 1)
+def prime_flags(bound: int) -> bytearray:
+    """Byte sieve: flags[n] == 1 exactly when n <= bound is prime.
+
+    One byte per integer (10 MB at bound 10^7), plus half as much again
+    while the multiples of 2 are crossed off.  Read the primes with
+    itertools.compress(range(bound + 1), flags); for bound < 2 the array
+    is two zero bytes long, which compress stops at.
+    """
+    flags = bytearray(b"\x01") * max(bound + 1, 2)
     flags[0:2] = b"\x00\x00"
     for p in range(2, isqrt(bound) + 1):
         if flags[p]:
             start = p * p
-            flags[start : bound + 1 : p] = b"\x00" * ((bound - start) // p + 1)
-    return [i for i, v in enumerate(flags) if v]
+            # zeros as a bytearray: assigning bytes would copy them to one first
+            flags[start : bound + 1 : p] = bytearray((bound - start) // p + 1)
+    return flags
+
+
+def primes_up_to(bound: int) -> list[int]:
+    """Ascending list of the primes <= bound, read off prime_flags(bound).
+
+    The list costs about 36 bytes per prime on top of the sieve; a caller
+    that only iterates should compress over prime_flags instead.
+    """
+    if bound < 0:
+        raise DomainError(f"negative sieve bound {bound}")
+    return list(compress(range(bound + 1), prime_flags(bound)))
 
 
 def factorize(n: int) -> list[tuple[int, int]]:

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import os
+import stat
 import sys
 from contextlib import nullcontext
 from functools import partial
@@ -57,20 +58,35 @@ class _UsageError(Exception):
 
 
 class _Emitter:
-    """Writes LF-terminated UTF-8 lines to stdout or --out FILE."""
+    """Writes LF-terminated UTF-8 lines to stdout or --out FILE.
+
+    FILE is opened up front, so an unopenable path fails before any work,
+    but it is only emptied by start() or the first line: a command stopped
+    by a usage error leaves an existing FILE as it was.
+    """
 
     def __init__(self, path: str | None):
         if path is None:
             self._stream = sys.stdout
-            self._owns = False
         else:
-            self._stream = open(path, "w", encoding="utf-8", newline="")
-            self._owns = True
+            # O_CREAT without the O_TRUNC of mode "w": start() truncates later
+            fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
+            self._stream = open(fd, "w", encoding="utf-8", newline="")
+        self._owns = self._pending = path is not None
+
+    def start(self) -> None:
+        """Empty FILE, as mode "w" would have on open; a no-op after the first call."""
+        if self._pending:
+            self._pending = False
+            # O_TRUNC, like ftruncate, applies to regular files only
+            if stat.S_ISREG(os.fstat(self._stream.fileno()).st_mode):
+                self._stream.truncate(0)
 
     def record(self, rec) -> None:
         self.line(to_json_line(rec))
 
     def line(self, text: str) -> None:
+        self.start()
         self._stream.write(text + "\n")
 
     def close(self) -> None:
@@ -251,18 +267,23 @@ def _cmd_certify_cyclotomic(args, emitter) -> int:
 
 
 def _load_registry(path: str, registry: KnownInfiniteRegistry) -> None:
+    """Register the certified tower records of a JSONL file, read line by line.
+
+    Errors name the physical line; blank lines are skipped.
+    """
     try:
         with open(path, encoding="utf-8") as handle:
-            lines = [line for line in handle.read().splitlines() if line.strip()]
+            for number, line in enumerate(handle, start=1):
+                if not line.strip():
+                    continue
+                try:
+                    record = parse_record(line.rstrip("\n"))
+                    if record.kind == "cyclotomic_tower" and record.payload.get("certified"):
+                        registry.record(tower_certificate_from_payload(record.payload))
+                except DomainError as exc:
+                    raise _UsageError(f"bad registry record at {path}:{number}: {exc}") from exc
     except (OSError, UnicodeDecodeError) as exc:
         raise _UsageError(f"cannot read registry file {path}: {exc}") from exc
-    for number, line in enumerate(lines, start=1):
-        try:
-            record = parse_record(line)
-            if record.kind == "cyclotomic_tower" and record.payload.get("certified"):
-                registry.record(tower_certificate_from_payload(record.payload))
-        except DomainError as exc:
-            raise _UsageError(f"bad registry record at {path}:{number}: {exc}") from exc
 
 
 def _cmd_certify_eigenform(args, emitter) -> int:
@@ -332,17 +353,8 @@ def _cmd_verify_residue(args, emitter) -> int:
     return EXIT_OK
 
 
-def main(argv=None) -> int:
-    parser = build_parser()
-    try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return EXIT_USAGE if exc.code is None else int(exc.code)
-    try:
-        emitter = _Emitter(getattr(args, "out", None))
-    except OSError as exc:
-        print(f"towercert: error: cannot open output file: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+def _run(args, emitter) -> int:
+    """Run the command's handler and map its outcome to an exit code."""
     try:
         return args.handler(args, emitter)
     except _UsageError as exc:
@@ -360,6 +372,24 @@ def main(argv=None) -> int:
     except DomainError as exc:
         print(f"towercert: rejected: {exc}", file=sys.stderr)
         return EXIT_REJECTED
+
+
+def main(argv=None) -> int:
+    parser = build_parser()
+    try:
+        args = parser.parse_args(argv)
+    except SystemExit as exc:
+        return EXIT_USAGE if exc.code is None else int(exc.code)
+    try:
+        emitter = _Emitter(getattr(args, "out", None))
+    except OSError as exc:
+        print(f"towercert: error: cannot open output file: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    try:
+        code = _run(args, emitter)
+        if code != EXIT_USAGE:
+            emitter.start()  # the command ran, so FILE holds its output even if empty
+        return code
     finally:
         emitter.close()
 

@@ -18,8 +18,9 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import time
 from dataclasses import dataclass, field, fields
-from datetime import datetime, timezone
+from json.encoder import encode_basestring_ascii as _quote
 
 from .cubic import SimplestCubicField
 from .elliptic import FurutaWitness, GroupReport
@@ -57,6 +58,8 @@ def format_float(x: float) -> str:
 
 def canonical_json(obj) -> str:
     """Canonical JSON text of obj: the exact bytes records and hashes use."""
+    if isinstance(obj, str):
+        return _quote(obj)
     if obj is None:
         return "null"
     if obj is True:
@@ -67,17 +70,15 @@ def canonical_json(obj) -> str:
         return repr(obj)
     if isinstance(obj, float):
         return format_float(obj)
-    if isinstance(obj, str):
-        return json.dumps(obj, ensure_ascii=True)
-    if isinstance(obj, (list, tuple)):
-        return "[" + ",".join(canonical_json(v) for v in obj) + "]"
     if isinstance(obj, dict):
         parts = []
         for key, value in obj.items():
             if not isinstance(key, str):
                 raise DomainError(f"record keys must be strings, got {key!r}")
-            parts.append(json.dumps(key, ensure_ascii=True) + ":" + canonical_json(value))
+            parts.append(_quote(key) + ":" + canonical_json(value))
         return "{" + ",".join(parts) + "}"
+    if isinstance(obj, (list, tuple)):
+        return "[" + ",".join([canonical_json(v) for v in obj]) + "]"
     raise DomainError(f"unsupported record value of type {type(obj).__name__}")
 
 
@@ -118,13 +119,21 @@ class CertificateRecord:
             raise DomainError("record payload must be a JSON object")
 
 
-def _hash_body(kind: str, payload: dict) -> str:
-    body = {"schema_version": SCHEMA_VERSION, "kind": kind, "payload": payload}
-    return hashlib.sha256(canonical_json(body).encode("ascii")).hexdigest()
+def _head(schema_version: str, kind: str, payload: dict) -> str:
+    """The hashed text without its closing brace; a record line continues it."""
+    return (
+        '{"schema_version":' + canonical_json(schema_version)
+        + ',"kind":' + canonical_json(kind)
+        + ',"payload":' + canonical_json(payload)
+    )
+
+
+def _hash(head: str) -> str:
+    return hashlib.sha256((head + "}").encode("ascii")).hexdigest()
 
 
 def _now() -> str:
-    return datetime.now(timezone.utc).strftime("%Y-%m-%dT%H:%M:%SZ")
+    return time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime())
 
 
 def make_record(kind: str, payload: dict, timestamp: str | None = None) -> CertificateRecord:
@@ -133,7 +142,7 @@ def make_record(kind: str, payload: dict, timestamp: str | None = None) -> Certi
         schema_version=SCHEMA_VERSION,
         kind=kind,
         payload=normalized,
-        content_hash=_hash_body(kind, normalized),
+        content_hash=_hash(_head(SCHEMA_VERSION, kind, normalized)),
         timestamp=timestamp if timestamp is not None else _now(),
     )
 
@@ -194,17 +203,20 @@ def rejection_record(
 
 
 def to_json_line(record: CertificateRecord) -> str:
-    body = {
-        "schema_version": record.schema_version,
-        "kind": record.kind,
-        "payload": record.payload,
-        "content_hash": record.content_hash,
-        "timestamp": record.timestamp,
-    }
-    return canonical_json(body)
+    return (
+        _head(record.schema_version, record.kind, record.payload)
+        + ',"content_hash":' + canonical_json(record.content_hash)
+        + ',"timestamp":' + canonical_json(record.timestamp) + "}"
+    )
 
 
 def parse_record(line: str) -> CertificateRecord:
+    """Parse one record line and check its content hash.
+
+    json.loads yields only JSON-shaped values, and the hash check encodes
+    the whole payload, so a value that cannot be serialized (NaN,
+    Infinity) fails there with the encoder's DomainError.
+    """
     try:
         raw = json.loads(line)
     except json.JSONDecodeError as exc:
@@ -217,11 +229,11 @@ def parse_record(line: str) -> CertificateRecord:
     record = CertificateRecord(
         schema_version=raw["schema_version"],
         kind=raw["kind"],
-        payload=_normalize(raw["payload"]),
+        payload=raw["payload"],
         content_hash=raw["content_hash"],
         timestamp=raw["timestamp"],
     )
-    expected = _hash_body(record.kind, record.payload)
+    expected = _hash(_head(record.schema_version, record.kind, record.payload))
     if record.content_hash != expected:
         raise DomainError(
             f"content hash mismatch: stored {record.content_hash}, recomputed {expected}"

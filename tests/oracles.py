@@ -4,10 +4,13 @@ Everything here is implemented from scratch against stdlib/mpmath only, so
 agreement with the package is evidence, not circularity: different
 primality algorithm, different sieve, different character construction,
 different analytic route to the L-value, different group-order counting.
+The two reference implementations at the end are the exception: each keeps
+a replaced loop of the package as the oracle for its faster successor.
 """
 
 from __future__ import annotations
 
+import json
 import math
 from math import gcd
 
@@ -350,3 +353,59 @@ def residue_scan(k: int) -> dict[int, list[int]]:
     for q in divisors:
         out[q] = [m for m in range(q) if (m * m + 3 * m + 9) % q == 1 % q]
     return out
+
+
+def canonical_json_reference(obj) -> str:
+    """The record encoder as first written: one json.dumps call per string.
+
+    Floats print with 17 significant digits, lowercase exponent and a
+    trailing ".0" when the text would otherwise look integral.  Raises
+    ValueError where the package raises DomainError.
+    """
+    if obj is None:
+        return "null"
+    if obj is True:
+        return "true"
+    if obj is False:
+        return "false"
+    if isinstance(obj, int):
+        return repr(obj)
+    if isinstance(obj, float):
+        if not math.isfinite(obj):
+            raise ValueError(f"non-finite float {obj!r}")
+        text = format(obj, ".17g").lower()
+        return text if "." in text or "e" in text else text + ".0"
+    if isinstance(obj, str):
+        return json.dumps(obj, ensure_ascii=True)
+    if isinstance(obj, (list, tuple)):
+        return "[" + ",".join(canonical_json_reference(v) for v in obj) + "]"
+    if isinstance(obj, dict):
+        parts = []
+        for key, value in obj.items():
+            if not isinstance(key, str):
+                raise ValueError(f"record keys must be strings, got {key!r}")
+            parts.append(json.dumps(key, ensure_ascii=True) + ":" + canonical_json_reference(value))
+        return "{" + ",".join(parts) + "}"
+    raise ValueError(f"unsupported record value of type {type(obj).__name__}")
+
+
+def hl_constant_reference(prime_bound: int) -> tuple[float, int]:
+    """(partial product, terms) of prod_{5<=p<=B} (1 - (-3888/p)/(p-1)).
+
+    The loop of the package before its symbol table: one jacobi_symbol call
+    per prime from odd_wheel_sieve, log1p terms summed with Kahan
+    compensation in increasing-prime order, then exponentiated.
+    """
+    from towercert.arith import jacobi_symbol
+
+    log_sum = comp = 0.0
+    terms = 0
+    for p in odd_wheel_sieve(prime_bound):
+        if p < 5:
+            continue
+        y = math.log1p(-jacobi_symbol(-3888, p) / (p - 1)) - comp
+        t = log_sum + y
+        comp = (t - log_sum) - y
+        log_sum = t
+        terms += 1
+    return math.exp(log_sum), terms

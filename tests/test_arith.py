@@ -136,6 +136,11 @@ class TestPrimesUpTo:
     def test_against_independent_sieve_sampled(self, bound):
         assert primes_up_to(bound) == odd_wheel_sieve(bound)
 
+    def test_every_small_bound_and_1e5(self):
+        for bound in range(201):
+            assert primes_up_to(bound) == odd_wheel_sieve(bound), bound
+        assert primes_up_to(10**5) == odd_wheel_sieve(10**5)
+
 
 class TestFactorize:
     def test_small_values(self):

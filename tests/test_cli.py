@@ -310,6 +310,40 @@ class TestCertifyEigenform:
         assert out == ""
 
 
+    @pytest.mark.parametrize(
+        "layout, line",
+        [("blank_first", 2), ("crlf", 3)],
+    )
+    def test_registry_error_names_physical_line(self, capsys, tmp_path, layout, line):
+        good = to_json_line(make_record("rejection", {"command": "t", "reasons": []}))
+        registry_file = tmp_path / "registry.jsonl"
+        if layout == "blank_first":
+            registry_file.write_bytes(b'\n{"bad":1}\n')
+        else:
+            registry_file.write_bytes(f'{good}\r\n\r\n{{"bad":1}}\r\n'.encode("ascii"))
+        code, out, err = run(
+            capsys, "certify", "eigenform", "--weight", "12", "--ell", "877",
+            "--registry", str(registry_file),
+        )
+        assert code == EXIT_USAGE
+        assert f"bad registry record at {registry_file}:{line}: record line missing" in err
+        assert out == ""
+
+    def test_bad_utf8_after_valid_lines_is_unreadable(self, capsys, tmp_path):
+        good = to_json_line(make_record("rejection", {"command": "t", "reasons": []}))
+        registry_file = tmp_path / "registry.jsonl"
+        # far enough in that the decoder meets it on a later read, not the first
+        registry_file.write_bytes((good + "\n").encode("ascii") * 200 + b"\xff\xfe\n")
+        code, out, err = run(
+            capsys, "certify", "eigenform", "--weight", "12", "--ell", "877",
+            "--registry", str(registry_file),
+        )
+        assert code == EXIT_USAGE
+        assert f"cannot read registry file {registry_file}" in err
+        assert "Traceback" not in err
+        assert out == ""
+
+
 class TestSearch:
     def test_default_residues_m_max_12(self, capsys):
         code, out, err = run(capsys, "search", "--m-max", "12")
@@ -757,6 +791,73 @@ class TestPlumbing:
         assert len({EXIT_OK, EXIT_REJECTED, EXIT_USAGE, EXIT_NUMERIC}) == 4
 
 
+class TestOutFile:
+    """--out FILE is replaced only once the command has passed its argument checks."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("hl", "constant", "--prime-bound", "1"),
+            ("hl", "constant", "--prime-bound", str(MAX_PRIME_BOUND + 1)),
+            ("search", "--m-max", "0"),
+            ("search", "--m-max", "12", "--residues", "13"),
+            ("certify", "eigenform", "--weight", "12", "--ell", "877", "--registry", "{absent}"),
+        ],
+        ids=["bound-1", "bound-above-max", "m-max-0", "bad-residues", "missing-registry"],
+    )
+    def test_usage_error_leaves_existing_file(self, capsys, tmp_path, argv):
+        target = tmp_path / "keep.jsonl"
+        target.write_bytes(b"one line that must survive\n")
+        argv = [a.format(absent=tmp_path / "absent.jsonl") for a in argv]
+        code, out, err = run(capsys, *argv, "--out", str(target))
+        assert code == EXIT_USAGE
+        assert target.read_bytes() == b"one line that must survive\n"
+        assert out == ""
+
+    def test_out_directory_is_usage_without_traceback(self, capsys, tmp_path):
+        code, out, err = run(capsys, "hl", "constant", "--prime-bound", "100", "--out", str(tmp_path))
+        assert code == EXIT_USAGE
+        assert "cannot open output file" in err
+        assert "Traceback" not in err
+        assert out == ""
+
+    @pytest.mark.parametrize("existing", [True, False], ids=["existing", "new"])
+    def test_success_without_records_leaves_empty_file(self, capsys, tmp_path, existing):
+        target = tmp_path / "empty.jsonl"
+        if existing:
+            target.write_bytes(b"stale\n")
+        code, out, err = run(capsys, "search", "--m-max", "1", "--out", str(target))
+        assert code == EXIT_OK
+        assert target.read_bytes() == b""
+
+    def test_output_replaces_longer_file(self, capsys, tmp_path):
+        target = tmp_path / "records.jsonl"
+        target.write_bytes(b"x" * 10_000 + b"\n")
+        code, out, err = run(capsys, "hl", "constant", "--prime-bound", "5", "--out", str(target))
+        assert code == EXIT_OK
+        (line,) = target.read_text(encoding="utf-8").splitlines()
+        assert parse_record(line).kind == "hl_constant"
+
+    def test_numeric_failure_keeps_records_written_before_it(self, capsys, tmp_path, monkeypatch):
+        real_class_number = tower.class_number
+
+        def failing_class_number(m):
+            if m == 50:
+                raise NumericError("Newton polish did not converge")
+            return real_class_number(m)
+
+        monkeypatch.setattr(tower, "class_number", failing_class_number)
+        target = tmp_path / "sweep.jsonl"
+        target.write_bytes(b"stale\n")
+        code, out, err = run(capsys, "search", "--m-max", "60", "--certify", "--out", str(target))
+        assert code == EXIT_NUMERIC
+        assert out == ""
+        records = records_of(target.read_text(encoding="utf-8"))
+        (failure,) = [r for r in records if r.kind == "rejection"]
+        assert failure.payload["m"] == 50
+        assert records[0].payload["m"] == 2 and records[-1].payload["m"] == 59
+
+
 # Fixed command set whose timestamp-stripped output and exit codes are pinned
 # by one sha256: a refactor that keeps this digest keeps the CLI's bytes.
 # "{registry}" is the --out file the first command writes.
@@ -806,3 +907,32 @@ class TestCommandSetDigest:
             assert '"timestamp"' not in out
             digest.update(f"{' '.join(template)} exit {code}\n{out}".encode("utf-8"))
         assert digest.hexdigest() == COMMAND_SET_SHA256
+
+
+# The survey path: a written registry file read back, and the singular series
+# at bounds on both sides of the modulus 3888 of its symbol table.
+SURVEY_SET = (
+    ("search", "--m-max", "3000", "--out", "{registry}"),
+    ("certify", "eigenform", "--weight", "12", "--ell", "877", "--registry", "{registry}"),
+    *(("hl", "constant", "--prime-bound", str(b)) for b in (5, 3889, 10**5)),
+    ("hl", "count", "--x", str(10**8)),
+    ("hl", "count", "--x", str(10**8), "--format", "csv"),
+)
+
+SURVEY_SET_SHA256 = "fe4dcea5face84487525fd2cb6e3eb833503826b771c7f3397c5b297664f1025"
+
+
+class TestSurveyDigest:
+    def test_survey_set_bytes_pinned(self, capsys, tmp_path):
+        registry = str(tmp_path / "registry.jsonl")
+        digest = hashlib.sha256()
+        for template in SURVEY_SET:
+            argv = [a.format(registry=registry) for a in template]
+            code, out, _ = run(capsys, *argv)
+            if "--out" in argv:
+                with open(registry, encoding="utf-8", newline="") as handle:
+                    out += handle.read()
+            out = _without_timestamp(out)
+            assert '"timestamp"' not in out
+            digest.update(f"{' '.join(template)} exit {code}\n{out}".encode("utf-8"))
+        assert digest.hexdigest() == SURVEY_SET_SHA256

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import brute_quadratic_prime_count, odd_wheel_sieve
+from oracles import brute_quadratic_prime_count, hl_constant_reference, odd_wheel_sieve
 from towercert.arith import jacobi_symbol
 from towercert.errors import DomainError, InputRangeError
 from towercert.hlsearch import (
@@ -207,6 +207,23 @@ class TestHLConstant:
             factor = 1.0 - jacobi_symbol(-3888, p) / (p - 1)
             assert 1.0 - 1.0 / (p - 1) <= factor <= 1.0 + 1.0 / (p - 1)
             assert factor > 0.0
+
+
+    # both sides of the symbol table's modulus 3888 = |D|
+    @pytest.mark.parametrize("bound", [5, 6, 7, 3887, 3888, 3889, 10**5 + 3])
+    def test_equals_per_prime_symbol_loop(self, bound):
+        partial, terms = hl_constant_reference(bound)
+        result = hl_constant(bound)
+        assert result.partial_product == partial
+        assert result.constant == partial / 4.0
+        assert result.terms_used == terms
+
+    def test_symbol_periodic_mod_discriminant(self):
+        # (D/p) depends on p mod |D| alone: what the table rests on
+        d = discriminant(CONDUCTOR_POLY)
+        for p in odd_wheel_sieve(10**5):
+            if p >= 5:
+                assert jacobi_symbol(d, p) == jacobi_symbol(d, p % -d), p
 
 
 class TestEmpiricalCount:

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import canonical_json_reference
 from towercert.cubic import class_number
 from towercert.elliptic import furuta_n, sl2_perfect
 from towercert.errors import DomainError
@@ -103,6 +104,38 @@ class TestCanonicalJson:
     def test_unsupported_type_rejected(self):
         with pytest.raises(DomainError):
             canonical_json({"bad": {1, 2}})
+
+
+# Strings weighted toward what the encoder must escape: quotes, backslashes,
+# control characters, DEL, non-ASCII, astral characters and lone surrogates.
+_SPECIAL = '"\\\x00\x08\x1f\x7f\xe9\u03c0\u2028\ud800\udfff\U0001f600'
+_CHARS = st.sampled_from(_SPECIAL) | st.integers(0, 0x10FFFF).map(chr)
+_STRINGS = st.lists(_CHARS, max_size=8).map("".join)
+_SCALARS = (
+    st.none()
+    | st.booleans()
+    | st.integers(min_value=-(2**200), max_value=2**200)
+    | st.floats(allow_nan=False, allow_infinity=False)
+    | _STRINGS
+)
+_VALUES = st.recursive(
+    _SCALARS,
+    lambda inner: st.lists(inner, max_size=4)
+    | st.lists(inner, max_size=4).map(tuple)
+    | st.dictionaries(_STRINGS, inner, max_size=4),
+    max_leaves=24,
+)
+
+
+class TestCanonicalJsonAgainstReference:
+    @given(_VALUES)
+    @settings(max_examples=400)
+    def test_matches_reference_encoder(self, value):
+        assert canonical_json(value) == canonical_json_reference(value)
+
+    @given(_STRINGS)
+    def test_string_is_json_dumps(self, text):
+        assert canonical_json(text) == json.dumps(text, ensure_ascii=True)
 
 
 class TestMakeRecord:
@@ -212,6 +245,12 @@ class TestRoundTrip:
         with pytest.raises(DomainError, match="positive int"):
             tower_certificate_from_payload(dict(payload, h=-1, rho=-4))
 
+    def test_rejection_line_roundtrips_byte_for_byte(self):
+        # test_every_kind_roundtrips covers the other kinds
+        record = rejection_record("furuta", ["composite"], {"ell": 9}, timestamp=TS_A)
+        line = to_json_line(record)
+        assert to_json_line(parse_record(line)) == line
+
     def test_line_is_plain_json(self):
         record = record_for(sample_objects()["group_report"], timestamp=TS_A)
         raw = json.loads(to_json_line(record))
@@ -248,6 +287,15 @@ class TestParseErrors:
         assert '"ell":5' in line
         with pytest.raises(DomainError, match="hash mismatch"):
             parse_record(line.replace('"ell":5', '"ell":7', 1))
+
+    @pytest.mark.parametrize("token", ["NaN", "Infinity", "-Infinity"])
+    @pytest.mark.parametrize("where", ["top", "nested"])
+    def test_non_finite_payload_value_rejected(self, token, where):
+        # json.loads accepts these tokens; the hash check's encoder must not
+        line = to_json_line(record_for(sample_objects()["furuta"], timestamp=TS_A))
+        value = token if where == "top" else '[1,{"x":%s}]' % token
+        with pytest.raises(DomainError, match="non-finite float"):
+            parse_record(line.replace('"ell":5', f'"ell":{value}', 1))
 
     def test_wrong_schema_version(self):
         line = to_json_line(record_for(sample_objects()["furuta"], timestamp=TS_A))
