@@ -2,9 +2,12 @@
 
 Exit codes are a stable contract: 0 success, 1 validation rejection
 (composite conductor, failed gate, uncertified verdict), 2 usage error,
-3 numeric or resource failure.  Nothing is randomized and no environment
-variables are read; identical arguments reproduce identical records modulo
-the timestamp field.
+3 numeric or resource failure.  A handler returns 0 or 1 itself; _run maps
+what it raises: DomainError (InputRangeError included), from the library's
+argument checks or the CLI's own, is a usage error (exit 2), and
+NumericError or ResourceLimitError is exit 3.  Nothing is randomized and no
+environment variables are read; identical arguments reproduce identical
+records modulo the timestamp field.
 """
 
 from __future__ import annotations
@@ -17,12 +20,11 @@ from contextlib import nullcontext
 from functools import partial
 from multiprocessing import Pool
 
-from .arith import is_prime
-from .elliptic import MIN_FURUTA_PRIMES, PERFECT_LIMIT, furuta_n, sl2_perfect
+from .arith import check_natural, is_prime
+from .elliptic import MIN_FURUTA_PRIMES, furuta_n, sl2_perfect
 from .errors import (
     CertificationRejected,
     DomainError,
-    InputRangeError,
     IntegralityError,
     NumericError,
     ResourceLimitError,
@@ -33,6 +35,7 @@ from .hlsearch import (
     hl_constant,
     m_from_prime,
     search_shanks_candidates,
+    shanks_value,
 )
 from .modforms import VALID_WEIGHTS, certify_eigenform, verify_residue_claim
 from .records import (
@@ -51,10 +54,6 @@ EXIT_OK = 0
 EXIT_REJECTED = 1
 EXIT_USAGE = 2
 EXIT_NUMERIC = 3
-
-
-class _UsageError(Exception):
-    pass
 
 
 class _Emitter:
@@ -180,37 +179,22 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _command_name(args: argparse.Namespace) -> str:
-    target = getattr(args, "target", None)
-    return f"{args.command} {target}" if target else args.command
-
-
 def _parse_residues(text: str) -> frozenset[int]:
     try:
-        values = frozenset(int(part) for part in text.split(","))
+        return frozenset(int(part) for part in text.split(","))
     except ValueError as exc:
-        raise _UsageError(f"--residues must be comma-separated integers: {exc}") from exc
-    if not values:
-        raise _UsageError("--residues must be nonempty")
-    if not all(0 <= r < 12 for r in values):
-        raise _UsageError(f"--residues must lie in [0, 12), got {sorted(values)}")
-    return values
+        raise DomainError(f"--residues must be comma-separated integers: {exc}") from exc
 
 
-def _search_records(certify: bool, cand):
-    """The records for one search candidate, and whether it failed numerically.
+def _certify_record(m: int):
+    """The record certify_cyclotomic(m) yields, and whether it failed numerically.
 
-    Serial and parallel sweeps both call this, so they emit the same records.
-    A numeric failure becomes a rejection record that keeps its diagnostics,
-    so the sweep emits it in place and carries on.
+    A rejection, or a numeric failure with its diagnostics, becomes a
+    rejection record, so a sweep emits it in place and carries on.
     """
-    records = [record_for(cand)]
-    if not (certify and cand.is_prime_ell):
-        return records, False
-    context = {"m": cand.m, "ell": cand.ell}
+    context = {"m": m, "ell": shanks_value(m)}
     try:
-        records.append(record_for(certify_cyclotomic(cand.m)))
-        return records, False
+        return record_for(certify_cyclotomic(m)), False
     except CertificationRejected as exc:
         reasons, context, failed = exc.reasons, exc.context, False
     except IntegralityError as exc:
@@ -219,15 +203,23 @@ def _search_records(certify: bool, cand):
     except NumericError as exc:
         reasons, failed = ["numeric"], True
         context["message"] = str(exc)
-    records.append(rejection_record("certify cyclotomic", reasons, context))
-    return records, failed
+    return rejection_record("certify cyclotomic", reasons, context), failed
+
+
+def _search_records(certify: bool, cand):
+    """The records for one search candidate, and whether it failed numerically.
+
+    Serial and parallel sweeps both call this, so they emit the same records.
+    """
+    if not (certify and cand.is_prime_ell):
+        return [record_for(cand)], False
+    record, failed = _certify_record(cand.m)
+    return [record_for(cand), record], failed
 
 
 def _cmd_search(args, emitter) -> int:
-    if args.m_max < 1:
-        raise _UsageError("--m-max must be a positive integer")
     if args.jobs < 1:
-        raise _UsageError("--jobs must be a positive integer")
+        raise DomainError("--jobs must be a positive integer")
     candidates = search_shanks_candidates(args.m_max, _parse_residues(args.residues))
     work = partial(_search_records, args.certify)
     # A pool forks all its workers at once; the output does not depend on how many.
@@ -246,24 +238,17 @@ def _cmd_search(args, emitter) -> int:
 
 
 def _cmd_certify_cyclotomic(args, emitter) -> int:
-    if args.m is not None:
-        if args.m < 1:
-            raise _UsageError("--m must be a positive integer")
-        m = args.m
-    else:
-        if args.ell < 13:
-            raise _UsageError("--ell must be at least 13 (the m=1 conductor)")
-        m = m_from_prime(args.ell)
-        if m is None:
-            emitter.record(
-                rejection_record(
-                    "certify cyclotomic", ["not_shanks_form"], {"ell": args.ell}
-                )
-            )
-            return EXIT_REJECTED
-    certificate = certify_cyclotomic(m)
-    emitter.record(record_for(certificate))
-    return EXIT_OK if certificate.certified else EXIT_REJECTED
+    m = args.m if args.m is not None else m_from_prime(args.ell)
+    if m is None:
+        emitter.record(
+            rejection_record("certify cyclotomic", ["not_shanks_form"], {"ell": args.ell})
+        )
+        return EXIT_REJECTED
+    record, failed = _certify_record(m)
+    emitter.record(record)
+    if failed:
+        raise NumericError(f"class number computation failed for m in {[m]}")
+    return EXIT_OK if record.payload.get("certified") else EXIT_REJECTED
 
 
 def _load_registry(path: str, registry: KnownInfiniteRegistry) -> None:
@@ -281,9 +266,9 @@ def _load_registry(path: str, registry: KnownInfiniteRegistry) -> None:
                     if record.kind == "cyclotomic_tower" and record.payload.get("certified"):
                         registry.record(tower_certificate_from_payload(record.payload))
                 except DomainError as exc:
-                    raise _UsageError(f"bad registry record at {path}:{number}: {exc}") from exc
+                    raise DomainError(f"bad registry record at {path}:{number}: {exc}") from exc
     except (OSError, UnicodeDecodeError) as exc:
-        raise _UsageError(f"cannot read registry file {path}: {exc}") from exc
+        raise DomainError(f"cannot read registry file {path}: {exc}") from exc
 
 
 def _cmd_certify_eigenform(args, emitter) -> int:
@@ -302,16 +287,16 @@ def _cmd_certify_eigenform(args, emitter) -> int:
 
 def _cmd_hl_constant(args, emitter) -> int:
     if args.prime_bound < 5:
-        raise _UsageError("--prime-bound must be at least 5 (the product starts at p=5)")
+        raise DomainError("--prime-bound must be at least 5 (the product starts at p=5)")
     emitter.record(record_for(hl_constant(args.prime_bound)))
     return EXIT_OK
 
 
 def _cmd_hl_count(args, emitter) -> int:
+    # empirical_prime_count checks x too, but only after the sieve has run
     if args.x < 19:
-        raise _UsageError("--x must be at least 19 (the least conductor value)")
-    if args.prime_bound < 5:
-        raise _UsageError("--prime-bound must be at least 5 (the product starts at p=5)")
+        raise DomainError("--x must be at least 19 (the least conductor value)")
+    check_natural(args.x, "--x")
     constant_result = hl_constant(args.prime_bound)
     report = empirical_prime_count(CONDUCTOR_POLY, args.x, constant_result.constant)
     if args.format == "csv":
@@ -328,12 +313,12 @@ def _cmd_hl_count(args, emitter) -> int:
 
 def _cmd_furuta(args, emitter) -> int:
     if args.count < MIN_FURUTA_PRIMES:
-        raise _UsageError(
+        raise DomainError(
             f"--count must be at least {MIN_FURUTA_PRIMES}: the construction "
             "requires nine or more primes"
         )
     if args.m_e < 30 or args.m_e % 30 != 0:
-        raise _UsageError("--m-e must be a positive multiple of 30")
+        raise DomainError("--m-e must be a positive multiple of 30")
     if not is_prime(args.ell):
         emitter.record(rejection_record("furuta", ["composite"], {"ell": args.ell}))
         return EXIT_REJECTED
@@ -342,8 +327,6 @@ def _cmd_furuta(args, emitter) -> int:
 
 
 def _cmd_group_perfect(args, emitter) -> int:
-    if not 2 <= args.n <= PERFECT_LIMIT:
-        raise _UsageError(f"--n must lie in [2, {PERFECT_LIMIT}]")
     emitter.record(record_for(sl2_perfect(args.n)))
     return EXIT_OK
 
@@ -357,21 +340,12 @@ def _run(args, emitter) -> int:
     """Run the command's handler and map its outcome to an exit code."""
     try:
         return args.handler(args, emitter)
-    except _UsageError as exc:
-        print(f"towercert: error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except CertificationRejected as exc:
-        emitter.record(rejection_record(_command_name(args), exc.reasons, exc.context))
-        return EXIT_REJECTED
-    except InputRangeError as exc:
+    except DomainError as exc:
         print(f"towercert: error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except (NumericError, ResourceLimitError) as exc:
         print(f"towercert: numeric/resource failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
-    except DomainError as exc:
-        print(f"towercert: rejected: {exc}", file=sys.stderr)
-        return EXIT_REJECTED
 
 
 def main(argv=None) -> int:

@@ -1,8 +1,9 @@
 """Exception types shared across the package.
 
-The CLI maps these onto its exit-code contract: domain/range problems are
-usage errors (exit 2), numeric and resource failures are exit 3, and
-structured certification rejections are exit 1.
+The CLI maps these onto its exit-code contract: a DomainError (an
+InputRangeError included) is a usage error (exit 2), numeric and resource
+failures are exit 3, and a CertificationRejected becomes a rejection record
+with exit 1.
 """
 
 from __future__ import annotations

@@ -82,26 +82,6 @@ def canonical_json(obj) -> str:
     raise DomainError(f"unsupported record value of type {type(obj).__name__}")
 
 
-def _normalize(obj):
-    """JSON-shape the payload: tuples become lists, scalars are validated."""
-    if obj is None or isinstance(obj, (bool, int, str)):
-        return obj
-    if isinstance(obj, float):
-        if not math.isfinite(obj):
-            raise DomainError(f"non-finite float {obj!r} cannot be serialized")
-        return obj
-    if isinstance(obj, (list, tuple)):
-        return [_normalize(v) for v in obj]
-    if isinstance(obj, dict):
-        out = {}
-        for key, value in obj.items():
-            if not isinstance(key, str):
-                raise DomainError(f"record keys must be strings, got {key!r}")
-            out[key] = _normalize(value)
-        return out
-    raise DomainError(f"unsupported record value of type {type(obj).__name__}")
-
-
 @dataclass(frozen=True)
 class CertificateRecord:
     schema_version: str
@@ -113,7 +93,7 @@ class CertificateRecord:
     def __post_init__(self):
         if self.schema_version != SCHEMA_VERSION:
             raise DomainError(f"unsupported schema version {self.schema_version!r}")
-        if self.kind not in RECORD_KINDS:
+        if not isinstance(self.kind, str) or self.kind not in RECORD_KINDS:
             raise DomainError(f"unknown record kind {self.kind!r}")
         if not isinstance(self.payload, dict):
             raise DomainError("record payload must be a JSON object")
@@ -136,13 +116,14 @@ def _now() -> str:
     return time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime())
 
 
-def make_record(kind: str, payload: dict, timestamp: str | None = None) -> CertificateRecord:
-    normalized = _normalize(payload)
+def make_record(kind: str, payload, timestamp: str | None = None) -> CertificateRecord:
+    """The record of a payload dict or result object; hashing validates its values."""
+    shaped = _payload(payload)
     return CertificateRecord(
         schema_version=SCHEMA_VERSION,
         kind=kind,
-        payload=normalized,
-        content_hash=_hash(_head(SCHEMA_VERSION, kind, normalized)),
+        payload=shaped,
+        content_hash=_hash(_head(SCHEMA_VERSION, kind, shaped)),
         timestamp=timestamp if timestamp is not None else _now(),
     )
 
@@ -174,11 +155,17 @@ _NAMES = {
 
 
 def _payload(obj):
-    """JSON shape of a result: known classes become dicts, tuples become lists."""
+    """JSON shape of a payload, as a copy.
+
+    Result objects and dicts become dicts, tuples and lists become lists;
+    other values pass through, for canonical_json to check.
+    """
     names = _NAMES.get(type(obj))
     if names is not None:
         return {name: _payload(getattr(obj, name)) for name in names}
-    if isinstance(obj, tuple):
+    if isinstance(obj, dict):
+        return {key: _payload(value) for key, value in obj.items()}
+    if isinstance(obj, (list, tuple)):
         return [_payload(v) for v in obj]
     return obj
 
@@ -187,7 +174,7 @@ def record_for(obj, timestamp: str | None = None) -> CertificateRecord:
     """Wrap a module result object in its CertificateRecord."""
     kind = _KINDS.get(type(obj))
     if kind is not None:
-        return make_record(kind, _payload(obj), timestamp)
+        return make_record(kind, obj, timestamp)
     if isinstance(obj, SimplestCubicField):
         raise DomainError("SimplestCubicField is internal; emit the tower certificate")
     raise DomainError(f"no record kind for {type(obj).__name__}")
@@ -221,6 +208,9 @@ def parse_record(line: str) -> CertificateRecord:
         raw = json.loads(line)
     except json.JSONDecodeError as exc:
         raise DomainError(f"record line is not valid JSON: {exc}") from exc
+    except (ValueError, RecursionError) as exc:
+        # an integer past the int-string digit limit, or arrays nested past the stack
+        raise DomainError(f"record line cannot be decoded: {exc}") from exc
     if not isinstance(raw, dict):
         raise DomainError("record line must be a JSON object")
     missing = {"schema_version", "kind", "payload", "content_hash", "timestamp"} - set(raw)
@@ -233,7 +223,10 @@ def parse_record(line: str) -> CertificateRecord:
         content_hash=raw["content_hash"],
         timestamp=raw["timestamp"],
     )
-    expected = _hash(_head(record.schema_version, record.kind, record.payload))
+    try:
+        expected = _hash(_head(record.schema_version, record.kind, record.payload))
+    except RecursionError as exc:
+        raise DomainError("record payload nests too deeply to encode") from exc
     if record.content_hash != expected:
         raise DomainError(
             f"content hash mismatch: stored {record.content_hash}, recomputed {expected}"

@@ -20,7 +20,7 @@ from towercert.cli import (
     EXIT_USAGE,
     main,
 )
-from towercert.errors import IntegralityError, NumericError
+from towercert.errors import DomainError, IntegralityError, NumericError
 from towercert.hlsearch import MAX_PRIME_BOUND
 from towercert.records import (
     SCHEMA_VERSION,
@@ -116,6 +116,21 @@ class TestCertifyCyclotomic:
     def test_m_0_is_usage(self, capsys):
         code, out, err = run(capsys, "certify", "cyclotomic", "--m", "0")
         assert code == EXIT_USAGE
+
+    def test_numeric_failure_writes_the_sweep_rejection(self, capsys, monkeypatch):
+        def failing_class_number(m):
+            raise IntegralityError("lost", value=18.66, gap=0.34, unit_index_suspected=True)
+
+        monkeypatch.setattr(tower, "class_number", failing_class_number)
+        code, out, err = run(capsys, "certify", "cyclotomic", "--m", "50")
+        assert code == EXIT_NUMERIC
+        assert "class number computation failed for m in [50]" in err
+        (single,) = strip_timestamps(out)
+        _, sweep, _ = run(capsys, "search", "--m-max", "60", "--certify", "--jobs", "1")
+        (swept,) = [r for r in strip_timestamps(sweep) if r["payload"].get("m") == 50
+                    and r["kind"] == "rejection"]
+        assert single == swept
+        assert single["payload"]["reasons"] == ["integrality"]
 
     def test_m_and_ell_exclusive(self, capsys):
         code, out, err = run(capsys, "certify", "cyclotomic", "--m", "2", "--ell", "19")
@@ -341,6 +356,36 @@ class TestCertifyEigenform:
         assert code == EXIT_USAGE
         assert f"cannot read registry file {registry_file}" in err
         assert "Traceback" not in err
+        assert out == ""
+
+    @pytest.mark.parametrize(
+        "kind, reasons",
+        [
+            ('"rejection"', "1" + "0" * 5000),
+            ('"rejection"', "[" * 5000 + "]" * 5000),
+            ('"rejection"', "[" * 900 + "]" * 900),
+            ('["rejection"]', "[]"),
+        ],
+        ids=["int-5000-digits", "nested-5000", "nested-900", "list-kind"],
+    )
+    def test_undecodable_registry_record_is_usage(self, capsys, tmp_path, kind, reasons):
+        # a valid hash, taken over the text: canonical_json cannot encode these values
+        head = (
+            f'{{"schema_version":"{SCHEMA_VERSION}","kind":{kind},'
+            f'"payload":{{"command":"t","reasons":{reasons}}}'
+        )
+        digest = hashlib.sha256((head + "}").encode("ascii")).hexdigest()
+        registry_file = tmp_path / "bad.jsonl"
+        registry_file.write_text(
+            f'{head},"content_hash":"{digest}","timestamp":"2026-01-01T00:00:00Z"}}\n',
+            encoding="ascii",
+        )
+        code, out, err = run(
+            capsys, "certify", "eigenform", "--weight", "12", "--ell", "877",
+            "--registry", str(registry_file),
+        )
+        assert code == EXIT_USAGE
+        assert f"bad registry record at {registry_file}:1" in err
         assert out == ""
 
 
@@ -655,6 +700,17 @@ class TestHL:
         assert "63-bit" in err
         assert out == ""
 
+    def test_count_x_above_63_bits_fails_before_the_sieve(self, capsys, monkeypatch):
+        def no_sieve(prime_bound):
+            raise AssertionError("hl_constant ran before --x was checked")
+
+        monkeypatch.setattr(cli, "hl_constant", no_sieve)
+        argv = ("hl", "count", "--x", str(2**63), "--prime-bound", str(MAX_PRIME_BOUND))
+        code, out, err = run(capsys, *argv)
+        assert code == EXIT_USAGE
+        assert "63-bit" in err
+        assert out == ""
+
 
 class TestFuruta:
     def test_ell_5_default(self, capsys):
@@ -706,6 +762,16 @@ class TestGroup:
         for n in ("1", "101"):
             code, out, err = run(capsys, "group", "perfect", "--n", n)
             assert code == EXIT_USAGE, n
+
+    def test_domain_error_in_handler_is_usage(self, capsys, monkeypatch):
+        def refusing_sl2_perfect(n):
+            raise DomainError(f"refused n={n}")
+
+        monkeypatch.setattr(cli, "sl2_perfect", refusing_sl2_perfect)
+        code, out, err = run(capsys, "group", "perfect", "--n", "7")
+        assert code == EXIT_USAGE
+        assert "towercert: error: refused n=7" in err
+        assert out == ""
 
 
 class TestVerifyResidue:
@@ -802,8 +868,16 @@ class TestOutFile:
             ("search", "--m-max", "0"),
             ("search", "--m-max", "12", "--residues", "13"),
             ("certify", "eigenform", "--weight", "12", "--ell", "877", "--registry", "{absent}"),
+            ("certify", "cyclotomic", "--m", "0"),
+            ("certify", "cyclotomic", "--ell", "12"),
+            ("group", "perfect", "--n", "101"),
+            ("hl", "count", "--x", "100", "--prime-bound", "4"),
+            ("search", "--m-max", "12", "--residues", "-1"),
         ],
-        ids=["bound-1", "bound-above-max", "m-max-0", "bad-residues", "missing-registry"],
+        ids=[
+            "bound-1", "bound-above-max", "m-max-0", "bad-residues", "missing-registry",
+            "m-0", "ell-12", "n-101", "count-bound-4", "negative-residue",
+        ],
     )
     def test_usage_error_leaves_existing_file(self, capsys, tmp_path, argv):
         target = tmp_path / "keep.jsonl"
@@ -936,3 +1010,60 @@ class TestSurveyDigest:
             assert '"timestamp"' not in out
             digest.update(f"{' '.join(template)} exit {code}\n{out}".encode("utf-8"))
         assert digest.hexdigest() == SURVEY_SET_SHA256
+
+
+# Edge arguments on either side of each bound the CLI or the library checks.
+# Their exit codes and timestamp-stripped stdout are pinned by one sha256;
+# every exit-2 case must also leave an existing --out FILE as it was.
+USAGE_SET = (
+    ("search", "--m-max", "0"),
+    ("search", "--m-max", "-5"),
+    ("search", "--m-max", "1"),
+    ("search", "--m-max", "12", "--residues", "13"),
+    ("search", "--m-max", "12", "--residues", "-1"),
+    ("search", "--m-max", "12", "--residues", ""),
+    ("search", "--m-max", "12", "--residues", "2,x"),
+    ("search", "--m-max", "12", "--residues", "0,11"),
+    ("search", "--m-max", "12", "--jobs", "0"),
+    ("search", "--m-max", "10000000000"),
+    ("certify", "cyclotomic", "--m", "0"),
+    ("certify", "cyclotomic", "--m", "-3"),
+    ("certify", "cyclotomic", "--m", "1"),
+    ("certify", "cyclotomic", "--m", "10000000000"),
+    ("certify", "cyclotomic", "--ell", "12"),
+    ("certify", "cyclotomic", "--ell", "13"),
+    ("certify", "eigenform", "--weight", "12", "--ell", "877", "--registry", "{absent}"),
+    ("certify", "eigenform", "--weight", "12", "--ell", "1"),
+    ("group", "perfect", "--n", "1"),
+    ("group", "perfect", "--n", "2"),
+    ("group", "perfect", "--n", "101"),
+    ("hl", "constant", "--prime-bound", "4"),
+    ("hl", "constant", "--prime-bound", str(MAX_PRIME_BOUND + 1)),
+    ("hl", "count", "--x", "100", "--prime-bound", "4"),
+    ("hl", "count", "--x", "18"),
+    ("hl", "count", "--x", "19", "--prime-bound", "5"),
+    ("hl", "count", "--x", str(2**63), "--prime-bound", "5"),
+    ("furuta", "--ell", "15", "--m-e", "31"),
+    ("furuta", "--ell", "5", "--m-e", "30", "--count", "8"),
+    ("furuta", "--ell", "5", "--m-e", "0"),
+    ("furuta", "--ell", "4", "--m-e", "30"),
+    ("verify", "residue-claim", "--weight", "14"),
+)
+
+USAGE_SET_SHA256 = "548ca33c14883da8d12d23d564e5dee2b329bb998f05eb3b8c02c952274762b7"
+
+
+class TestUsageDigest:
+    def test_usage_set_exit_codes_pinned(self, capsys, tmp_path):
+        absent = str(tmp_path / "absent.jsonl")
+        target = tmp_path / "keep.jsonl"
+        digest = hashlib.sha256()
+        for template in USAGE_SET:
+            argv = [a.format(absent=absent) for a in template]
+            code, out, _ = run(capsys, *argv)
+            digest.update(f"{' '.join(template)} exit {code}\n{_without_timestamp(out)}".encode())
+            if code == EXIT_USAGE:
+                target.write_bytes(b"one line that must survive\n")
+                assert run(capsys, *argv, "--out", str(target))[:2] == (EXIT_USAGE, ""), template
+                assert target.read_bytes() == b"one line that must survive\n", template
+        assert digest.hexdigest() == USAGE_SET_SHA256

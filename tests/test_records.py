@@ -155,6 +155,13 @@ class TestMakeRecord:
         with pytest.raises(DomainError):
             make_record("rejection", {3: "x"})
 
+    def test_payload_is_a_copy(self):
+        context = {"m": 50, "reasons": ["integrality"], "nested": {"gap": 0.34}}
+        record = make_record("rejection", context, timestamp=TS_A)
+        context["reasons"].append("later")
+        context["nested"]["gap"] = 0.5
+        assert record.payload == {"m": 50, "reasons": ["integrality"], "nested": {"gap": 0.34}}
+
     def test_hash_is_sha256_hex(self):
         record = make_record("rejection", {"command": "t", "reasons": []}, timestamp=TS_A)
         assert re.fullmatch(r"[0-9a-f]{64}", record.content_hash)
@@ -296,6 +303,24 @@ class TestParseErrors:
         value = token if where == "top" else '[1,{"x":%s}]' % token
         with pytest.raises(DomainError, match="non-finite float"):
             parse_record(line.replace('"ell":5', f'"ell":{value}', 1))
+
+    @pytest.mark.parametrize(
+        "value",
+        ["1" + "0" * 5000, "[" * 5000 + "]" * 5000, "[" * 900 + "]" * 900],
+        ids=["int-5000-digits", "nested-5000", "nested-900"],
+    )
+    def test_undecodable_value_rejected(self, value):
+        # past the int-string digit limit, or nested past the stack in json.loads
+        # or in the hash check's encoder: a DomainError, never ValueError/RecursionError
+        line = to_json_line(record_for(sample_objects()["furuta"], timestamp=TS_A))
+        with pytest.raises(DomainError):
+            parse_record(line.replace('"ell":5', f'"ell":{value}', 1))
+
+    @pytest.mark.parametrize("kind", ['["furuta"]', '{"furuta":1}', "7"])
+    def test_non_string_kind_rejected(self, kind):
+        line = to_json_line(record_for(sample_objects()["furuta"], timestamp=TS_A))
+        with pytest.raises(DomainError, match="kind"):
+            parse_record(line.replace('"kind":"furuta"', f'"kind":{kind}', 1))
 
     def test_wrong_schema_version(self):
         line = to_json_line(record_for(sample_objects()["furuta"], timestamp=TS_A))
