@@ -8,7 +8,7 @@ determinant-index gates, and Furuta-style composites via nine-prime
 witnesses with SL2(Z/n) perfectness checks.
 """
 
-from .arith import exact_sqrt, is_prime, jacobi_symbol, primes_up_to
+from .arith import exact_sqrt, is_prime, jacobi_symbol
 from .cubic import (
     SimplestCubicField,
     class_number,
@@ -67,7 +67,6 @@ __all__ = [
     "is_prime",
     "jacobi_symbol",
     "exact_sqrt",
-    "primes_up_to",
     # hlsearch
     "QuadraticIntPoly",
     "ShanksCandidate",

@@ -8,7 +8,6 @@ locally.  Primality is deterministic, never probabilistic.
 
 from __future__ import annotations
 
-from itertools import compress
 from math import isqrt
 
 from .errors import DomainError, InputRangeError
@@ -19,7 +18,6 @@ __all__ = [
     "is_prime",
     "jacobi_symbol",
     "exact_sqrt",
-    "primes_up_to",
     "factorize",
 ]
 
@@ -113,17 +111,6 @@ def prime_flags(bound: int) -> bytearray:
             # zeros as a bytearray: assigning bytes would copy them to one first
             flags[start : bound + 1 : p] = bytearray((bound - start) // p + 1)
     return flags
-
-
-def primes_up_to(bound: int) -> list[int]:
-    """Ascending list of the primes <= bound, read off prime_flags(bound).
-
-    The list costs about 36 bytes per prime on top of the sieve; a caller
-    that only iterates should compress over prime_flags instead.
-    """
-    if bound < 0:
-        raise DomainError(f"negative sieve bound {bound}")
-    return list(compress(range(bound + 1), prime_flags(bound)))
 
 
 def factorize(n: int) -> list[tuple[int, int]]:

@@ -31,6 +31,7 @@ from .errors import (
 )
 from .hlsearch import (
     CONDUCTOR_POLY,
+    DEFAULT_RESIDUES,
     empirical_prime_count,
     hl_constant,
     m_from_prime,
@@ -115,11 +116,12 @@ def build_parser() -> argparse.ArgumentParser:
         "search", parents=[common], help="sweep the family ell = m^2+3m+9"
     )
     search.add_argument("--m-max", type=int, required=True, metavar="N")
+    default_residues = ",".join(map(str, sorted(DEFAULT_RESIDUES)))
     search.add_argument(
         "--residues",
-        default="2,7,10,11",
+        default=default_residues,
         metavar="R,R,...",
-        help="allowed residues of m mod 12 (default 2,7,10,11)",
+        help=f"allowed residues of m mod 12 (default {default_residues})",
     )
     search.add_argument(
         "--certify", action="store_true", help="run tower certification on prime conductors"

@@ -14,10 +14,8 @@ The linear-disjointness step relies on SL2(Z/n) being perfect for
 (n, 30) = 1; sl2_perfect verifies that for n <= 100 by computing the
 normal closure of the commutator [U, L] exactly, and reports the
 abelianization order so failures (n = 2, 3) are informative.  The closure
-is incremental: normality is tested on the subgroup's generators only
-(conjugating them by U and L suffices in a finite group), a conjugate
-outside the subgroup joins the generators, and the one BFS over the
-subgroup continues from where it stood instead of starting again.
+is one orbit: a BFS from the identity under right multiplication by
+[U, L] and conjugation by U and L.
 """
 
 from __future__ import annotations
@@ -148,25 +146,20 @@ def _commutator(x, y, n):
 
 
 def sl2_perfect(n: int) -> GroupReport:
-    """Commutator subgroup of SL2(Z/n) by incremental normal closure.
+    """Commutator subgroup of SL2(Z/n) as the orbit of the identity.
 
-    The derived subgroup is the normal closure of the commutator [U, L] of
-    the elementary generators U = [[1,1],[0,1]], L = [[1,0],[1,1]]: any
-    normal subgroup containing [U, L] has abelian quotient (the images of U
-    and L commute and generate), and conversely.
+    The derived subgroup is the normal closure N of c = [U, L], for the
+    elementary generators U = [[1,1],[0,1]], L = [[1,0],[1,1]]: any normal
+    subgroup containing c has abelian quotient (the images of U and L
+    commute and generate), and conversely.
 
-    Normality is checked on generators only.  For H = <S> inside the finite
-    group G = <U, L>, H is normal iff t*s*t^-1 lies in H for every s in S
-    and t in {U, L}: then t*H*t^-1 = <t*S*t^-1> is contained in H and has
-    the same order, so the two are equal.
-
-    H grows in place as one BFS under right multiplication by the
-    generators; finiteness supplies inverses.  Elements before the `closed`
-    pointer have been multiplied by every generator.  A conjugate not yet
-    in H becomes a new generator: only the elements before the pointer are
-    multiplied by it, and the BFS then continues, so H is never rebuilt.
-    Each generator queues its conjugates by U and L, which are tested once H
-    is closed again; when the queue is empty, H is the normal closure.
+    N is the orbit of the identity under x -> x*c, x -> U*x*U^-1 and
+    x -> L*x*L^-1.  The orbit lies in N, as N contains c and is normal.
+    Conversely, the orbit is closed under conjugation by U and L, hence
+    by their inverses (powers of U and L in the finite group G) and so by
+    all of G.  Then it is closed under right multiplication by every
+    t*c*t^-1, since x*t*c*t^-1 = t*((t^-1*x*t)*c)*t^-1, and in a finite
+    group products of those conjugates give all of N.
     """
     if not 2 <= n <= PERFECT_LIMIT:
         raise DomainError(f"sl2_perfect supports 2 <= n <= {PERFECT_LIMIT}, got {n}")
@@ -174,34 +167,24 @@ def sl2_perfect(n: int) -> GroupReport:
     budget = ELEMENT_BUDGET
     upper = (1 % n, 1 % n, 0, 1 % n)
     lower = (1 % n, 0, 1 % n, 1 % n)
-    conjugators = [(t, _inv(t, n)) for t in (upper, lower)]
+    commutator = _commutator(upper, lower, n)
     identity = (1 % n, 0, 0, 1 % n)
     members = {identity}
     elements = [identity]
-    closed = 0
-    generators = []
-
-    def insert(h):
-        if h not in members:
-            if len(members) >= budget:
-                raise ResourceLimitError(f"subgroup closure exceeded {budget} elements at n={n}")
-            members.add(h)
-            elements.append(h)
-
-    pending = [_commutator(upper, lower, n)]
-    while pending:
-        s = pending.pop()
-        if s in members:
-            continue
-        generators.append(s)
-        for g in elements[:closed]:
-            insert(_mul(g, s, n))
-        while closed < len(elements):
-            g = elements[closed]
-            closed += 1
-            for t in generators:
-                insert(_mul(g, t, n))
-        pending.extend(_mul(_mul(t, s, n), t_inv, n) for t, t_inv in conjugators)
+    # the loop reaches the elements appended while it runs: one BFS
+    for x in elements:
+        a, b, c, d = x
+        # x*[U, L], U*x*U^-1 and L*x*L^-1, the conjugations written out
+        for h in (
+            _mul(x, commutator, n),
+            ((a + c) % n, (b + d - a - c) % n, c, (d - c) % n),
+            ((a - b) % n, b, (a + c - b - d) % n, (b + d) % n),
+        ):
+            if h not in members:
+                if len(members) >= budget:
+                    raise ResourceLimitError(f"subgroup closure exceeded {budget} elements at n={n}")
+                members.add(h)
+                elements.append(h)
     commutator_order = len(members)
     # a subgroup order always divides the group order; a mismatch means a bug
     if order % commutator_order != 0:

@@ -13,6 +13,7 @@ from oracles import (
 from towercert.elliptic import (
     ELEMENT_BUDGET,
     MIN_FURUTA_PRIMES,
+    PERFECT_LIMIT,
     FurutaWitness,
     GroupReport,
     furuta_n,
@@ -156,6 +157,14 @@ class TestSL2Perfect:
                 sl2_perfect_restart(n)
             ), n
 
+    def test_matches_restart_oracle_where_closure_is_proper(self):
+        # past the range of test_matches_restart_oracle_up_to_30, and N != G: ab. orders 4, 12, 12
+        for n in (32, 36, 48):
+            report = sl2_perfect(n)
+            assert (report.group_order, report.abelianization_order, report.perfect) == (
+                sl2_perfect_restart(n)
+            ), n
+
     def test_abelianization_multiplicative_on_coprime_pairs(self):
         # SL2(Z/ab) = SL2(Z/a) x SL2(Z/b) for coprime a, b, and the
         # abelianization of a direct product is the product of theirs
@@ -180,6 +189,8 @@ class TestSL2Perfect:
 
     def test_default_budget_covers_77(self):
         assert sl2_order(77) < ELEMENT_BUDGET
+        # the closure never holds more than the group, so no accepted n hits the budget
+        assert all(sl2_order(n) < ELEMENT_BUDGET for n in range(2, PERFECT_LIMIT + 1))
 
 
 class TestGroupReport:
