@@ -21,10 +21,12 @@ from functools import partial
 from multiprocessing import Pool
 
 from .arith import check_natural, is_prime
+from .cubic import MAX_CONDUCTOR
 from .elliptic import MIN_FURUTA_PRIMES, furuta_n, sl2_perfect
 from .errors import (
     CertificationRejected,
     DomainError,
+    InputRangeError,
     IntegralityError,
     NumericError,
     ResourceLimitError,
@@ -45,7 +47,6 @@ from .records import (
     record_for,
     rejection_record,
     to_json_line,
-    tower_certificate_from_payload,
 )
 from .tower import KnownInfiniteRegistry, certify_cyclotomic
 
@@ -223,6 +224,10 @@ def _cmd_search(args, emitter) -> int:
     if args.jobs < 1:
         raise DomainError("--jobs must be a positive integer")
     candidates = search_shanks_candidates(args.m_max, _parse_residues(args.residues))
+    if args.certify and shanks_value(args.m_max) > MAX_CONDUCTOR:
+        raise InputRangeError(
+            f"--m-max {args.m_max} reaches conductors above MAX_CONDUCTOR = {MAX_CONDUCTOR}"
+        )
     work = partial(_search_records, args.certify)
     # A pool forks all its workers at once; the output does not depend on how many.
     workers = min(args.jobs, os.cpu_count() or 1) if args.certify else 1
@@ -253,11 +258,29 @@ def _cmd_certify_cyclotomic(args, emitter) -> int:
     return EXIT_OK if record.payload.get("certified") else EXIT_REJECTED
 
 
-def _load_registry(path: str, registry: KnownInfiniteRegistry) -> None:
-    """Register the certified tower records of a JSONL file, read line by line.
+def _tower_hash(ell: int, registry: KnownInfiniteRegistry) -> str:
+    """Content hash of ell's recomputed tower certificate, registered if certified.
 
-    Errors name the physical line; blank lines are skipped.
+    A conductor that cannot be certified raises DomainError.
     """
+    m = m_from_prime(ell)
+    if m is None:
+        raise DomainError(f"conductor {ell} is not m^2+3m+9 for any m >= 1")
+    try:
+        return record_for(certify_cyclotomic(m, registry)).content_hash
+    except CertificationRejected as exc:
+        raise DomainError(f"conductor {ell} cannot be certified: {exc}") from exc
+
+
+def _load_registry(path: str, ell: int, registry: KnownInfiniteRegistry) -> None:
+    """Check a JSONL file, read line by line, for records citing ell's tower.
+
+    Every line must parse with its content hash.  A certified tower record
+    for ell must also carry the content hash of ell's certificate, computed
+    once at the first such record.  Errors name the physical line; blank
+    lines are skipped.
+    """
+    recomputed = None
     try:
         with open(path, encoding="utf-8") as handle:
             for number, line in enumerate(handle, start=1):
@@ -265,8 +288,18 @@ def _load_registry(path: str, registry: KnownInfiniteRegistry) -> None:
                     continue
                 try:
                     record = parse_record(line.rstrip("\n"))
-                    if record.kind == "cyclotomic_tower" and record.payload.get("certified"):
-                        registry.record(tower_certificate_from_payload(record.payload))
+                    payload = record.payload
+                    if (
+                        record.kind == "cyclotomic_tower"
+                        and payload.get("certified")
+                        and payload.get("ell") == ell
+                    ):
+                        recomputed = recomputed or _tower_hash(ell, registry)
+                        if record.content_hash != recomputed:
+                            raise DomainError(
+                                f"tower record for ell={ell} differs from its recomputed "
+                                f"certificate (content hash {recomputed})"
+                            )
                 except DomainError as exc:
                     raise DomainError(f"bad registry record at {path}:{number}: {exc}") from exc
     except (OSError, UnicodeDecodeError) as exc:
@@ -276,8 +309,8 @@ def _load_registry(path: str, registry: KnownInfiniteRegistry) -> None:
 def _cmd_certify_eigenform(args, emitter) -> int:
     registry = KnownInfiniteRegistry()
     if args.registry is not None:
-        _load_registry(args.registry, registry)
-    if args.ell < 3 or not is_prime(args.ell):
+        _load_registry(args.registry, args.ell, registry)
+    if not is_prime(args.ell):
         emitter.record(
             rejection_record("certify eigenform", ["composite"], {"ell": args.ell})
         )

@@ -46,12 +46,13 @@ import math
 from dataclasses import dataclass
 
 from .arith import factorize, is_prime
-from .errors import DomainError, IntegralityError, NumericError
+from .errors import DomainError, InputRangeError, IntegralityError, NumericError
 from .hlsearch import shanks_value
 
 __all__ = [
     "SimplestCubicField",
     "INTEGRALITY_TOL",
+    "MAX_CONDUCTOR",
     "UNIT_INDEX_ASSUMPTION",
     "cubic_poly",
     "real_roots",
@@ -62,6 +63,11 @@ __all__ = [
 ]
 
 INTEGRALITY_TOL = 1e-3
+
+# Largest conductor class_number accepts.  The L-sum there needs about
+# 6.9*sqrt(ell) = 7e5 terms, and the plain-sum integrality gap near it
+# (about 1e-5) is some 90x inside INTEGRALITY_TOL.
+MAX_CONDUCTOR = 10**10
 
 # Smoothing parameters T of the approximate functional equation.  The root
 # number is the cube root of J/sqrt(ell) at which both give one L(1, chi):
@@ -350,14 +356,17 @@ def _class_group_obstruction(h: int) -> str | None:
 def class_number(m: int) -> SimplestCubicField:
     """Analytic class number h = |S|^2 / (4R) with integrality diagnostics.
 
-    Requires prime conductor.  The computation fails loudly if, even after
-    compensated resummation, the analytic value misses every integer by at
-    least INTEGRALITY_TOL or rounds to an h that no cyclic cubic field of
-    prime conductor has (see _class_group_obstruction).  A value near an
+    Requires a prime conductor of at most MAX_CONDUCTOR (InputRangeError
+    above it).  The computation fails loudly if, even after compensated
+    resummation, the analytic value misses every integer by at least
+    INTEGRALITY_TOL or rounds to an h that no cyclic cubic field of prime
+    conductor has (see _class_group_obstruction).  A value near an
     integer divided by 3 is flagged as a possible unit-index failure rather
     than rounded.
     """
     ell = shanks_value(m)
+    if ell > MAX_CONDUCTOR:
+        raise InputRangeError(f"conductor {ell} (m={m}) is above MAX_CONDUCTOR = {MAX_CONDUCTOR}")
     if not is_prime(ell):
         raise DomainError(f"conductor {ell} (m={m}) is composite")
     roots = real_roots(m)

@@ -129,22 +129,6 @@ def sl2_order(n: int) -> int:
     return order
 
 
-def _mul(x, y, n):
-    a, b, c, d = x
-    e, f, g, h = y
-    return ((a * e + b * g) % n, (a * f + b * h) % n, (c * e + d * g) % n, (c * f + d * h) % n)
-
-
-def _inv(x, n):
-    # only valid for determinant-1 matrices, which is all we move around
-    a, b, c, d = x
-    return (d % n, -b % n, -c % n, a % n)
-
-
-def _commutator(x, y, n):
-    return _mul(_mul(x, y, n), _mul(_inv(x, n), _inv(y, n), n), n)
-
-
 def sl2_perfect(n: int) -> GroupReport:
     """Commutator subgroup of SL2(Z/n) as the orbit of the identity.
 
@@ -165,18 +149,15 @@ def sl2_perfect(n: int) -> GroupReport:
         raise DomainError(f"sl2_perfect supports 2 <= n <= {PERFECT_LIMIT}, got {n}")
     order = sl2_order(n)
     budget = ELEMENT_BUDGET
-    upper = (1 % n, 1 % n, 0, 1 % n)
-    lower = (1 % n, 0, 1 % n, 1 % n)
-    commutator = _commutator(upper, lower, n)
     identity = (1 % n, 0, 0, 1 % n)
     members = {identity}
     elements = [identity]
     # the loop reaches the elements appended while it runs: one BFS
     for x in elements:
         a, b, c, d = x
-        # x*[U, L], U*x*U^-1 and L*x*L^-1, the conjugations written out
+        # x*[U, L] with [U, L] = [[3, -1], [1, 0]], U*x*U^-1 and L*x*L^-1
         for h in (
-            _mul(x, commutator, n),
+            ((3 * a + b) % n, -a % n, (3 * c + d) % n, -c % n),
             ((a + c) % n, (b + d - a - c) % n, c, (d - c) % n),
             ((a - b) % n, b, (a + c - b - d) % n, (b + d) % n),
         ):

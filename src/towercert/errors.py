@@ -14,7 +14,10 @@ class DomainError(ValueError):
 
 
 class InputRangeError(DomainError):
-    """An integer input or result does not fit the declared 63-bit width."""
+    """An integer input or result lies outside a declared range.
+
+    The ranges are the 63-bit width and cubic.MAX_CONDUCTOR.
+    """
 
 
 class NumericError(ArithmeticError):

@@ -6,7 +6,10 @@ many exceptional primes ell where the mod-ell representation is small.  Away
 from those, the image is the full determinant-one preimage; it is all of
 GL2(F_ell) exactly when gcd(k-1, ell-1) = 1.  Certification of the fixed
 field additionally needs tower evidence for Q(zeta_ell) from a registry
-the caller passes.
+the caller passes: its literature seed, or a certificate certify_cyclotomic
+computed and recorded there.  The CLI never loads evidence: a registry file
+can only cite a tower record, which counts once certify_cyclotomic
+reproduces it to its content hash.
 
 The residue-claim verifier checks, per prime q | k-1, whether the family
 ell = m^2+3m+9 can avoid ell = 1 mod q at all.  For q = 3 it cannot: any m
@@ -137,8 +140,9 @@ def certify_eigenform(k: int, ell: int, registry: KnownInfiniteRegistry) -> Eige
     """Evaluate the three hypotheses for the weight-k, prime-ell fixed field.
 
     Rejections are structured (flags plus rejection_reasons), never raised;
-    only malformed inputs raise.  Tower evidence is read from the registry,
-    not recomputed, so this gate stays pure and fast.
+    only malformed inputs raise, among them ell = 2 (det_image_index needs
+    an odd prime).  Tower evidence is read from the registry, not
+    recomputed, so this gate stays pure and fast.
     """
     exceptional = exceptional_primes(k)
     det_index = det_image_index(k, ell)

@@ -40,7 +40,6 @@ __all__ = [
     "rejection_record",
     "to_json_line",
     "parse_record",
-    "tower_certificate_from_payload",
 ]
 
 SCHEMA_VERSION = "1"
@@ -233,24 +232,3 @@ def parse_record(line: str) -> CertificateRecord:
         )
     return record
 
-
-def _arguments(cls, payload) -> dict:
-    """Constructor arguments for cls from a payload keyed exactly by its fields."""
-    names = _NAMES[cls]
-    if not isinstance(payload, dict) or set(payload) != set(names):
-        raise DomainError(f"{cls.__name__} payload keys must be exactly {list(names)}")
-    return {key: tuple(v) if isinstance(v, list) else v for key, v in payload.items()}
-
-
-def tower_certificate_from_payload(payload: dict) -> CyclotomicTowerCertificate:
-    """Rebuild a tower certificate from a parsed record payload.
-
-    Raises DomainError unless the keys at both levels are exactly the
-    dataclass fields and the values construct a valid certificate.
-    """
-    args = _arguments(CyclotomicTowerCertificate, payload)
-    args["provenance"] = TowerProvenance(**_arguments(TowerProvenance, args["provenance"]))
-    try:
-        return CyclotomicTowerCertificate(**args)
-    except TypeError as exc:
-        raise DomainError(f"malformed tower payload: {exc}") from exc

@@ -20,8 +20,10 @@ from towercert.cli import (
     EXIT_USAGE,
     main,
 )
+from towercert.arith import is_prime
 from towercert.errors import DomainError, IntegralityError, NumericError
-from towercert.hlsearch import MAX_PRIME_BOUND
+from towercert.hlsearch import MAX_PRIME_BOUND, shanks_value
+from towercert.modforms import VALID_WEIGHTS
 from towercert.records import (
     SCHEMA_VERSION,
     canonical_json,
@@ -117,6 +119,14 @@ class TestCertifyCyclotomic:
         code, out, err = run(capsys, "certify", "cyclotomic", "--m", "0")
         assert code == EXIT_USAGE
 
+    @pytest.mark.parametrize("which, value", [("--m", "100054"), ("--ell", "10011103087")])
+    def test_conductor_above_cap_is_usage(self, capsys, which, value):
+        # ell = 10011103087 > MAX_CONDUCTOR is prime and m = 100054 = 10 mod 12
+        code, out, err = run(capsys, "certify", "cyclotomic", which, value)
+        assert code == EXIT_USAGE
+        assert "MAX_CONDUCTOR" in err
+        assert out == ""
+
     def test_numeric_failure_writes_the_sweep_rejection(self, capsys, monkeypatch):
         def failing_class_number(m):
             raise IntegralityError("lost", value=18.66, gap=0.34, unit_index_suspected=True)
@@ -139,6 +149,59 @@ class TestCertifyCyclotomic:
     def test_one_of_m_or_ell_required(self, capsys):
         code, out, err = run(capsys, "certify", "cyclotomic")
         assert code == EXIT_USAGE
+
+
+def _claiming(payload, h, m=None):
+    """A certified tower payload for m (default: payload's) consistent with h."""
+    m = payload["m"] if m is None else m
+    ell = shanks_value(m)
+    d2 = 3 * h
+    provenance = dict(
+        payload["provenance"],
+        m_mod_12=m % 12,
+        ell_mod_12=ell % 12,
+        class_number_float=float(h),
+        ramified_infinite_places=d2,
+        ramified_finite_primes=h,
+    )
+    return dict(
+        payload, ell=ell, m=m, h=h, rho=4 * h, rhs=tower.schoof_rhs(d2, d2), certified=True,
+        provenance=provenance,
+    )
+
+
+def _provenance(payload, **changes):
+    return dict(payload, provenance=dict(payload["provenance"], **changes))
+
+
+def _without(mapping, key):
+    return {k: v for k, v in mapping.items() if k != key}
+
+
+# Certified tower payloads that no recomputation reproduces: the m of the
+# real record each starts from (m = 50: ell = 2659, h = 19; m = 2: ell = 19,
+# h = 1) and the change made to it.
+FORGED_TOWERS = {
+    "extra_top_key": (50, lambda p: dict(p, note="x")),
+    "missing_top_key": (50, lambda p: _without(p, "m")),
+    "extra_provenance_key": (50, lambda p: _provenance(p, note="x")),
+    "missing_provenance_key": (
+        50, lambda p: dict(p, provenance=_without(p["provenance"], "integrality_gap"))
+    ),
+    "none_h": (50, lambda p: dict(p, h=None)),
+    "changed_rhs": (50, lambda p: dict(p, rhs=10.0)),
+    "bound_fails": (50, lambda p: dict(p, h=1, rho=4, rhs=10.0)),
+    "finite_primes": (50, lambda p: _provenance(p, ramified_finite_primes=18)),
+    "ell_mod_12": (50, lambda p: _provenance(p, ell_mod_12=1)),
+    "class_number_float": (50, lambda p: _provenance(p, class_number_float=19.25)),
+    "bool_h": (2, lambda p: _claiming(p, True)),
+    "zero_h": (2, lambda p: _claiming(p, 0)),
+    "residue": (2, lambda p: _claiming(p, 19, m=1)),  # ell = 13 is prime, m = 1 mod 12
+    "composite": (2, lambda p: _claiming(p, 19, m=26)),  # 26 = 2 mod 12, 763 = 7*109
+    "above_cap": (2, lambda p: _claiming(p, 19, m=100054)),  # prime, m = 10 mod 12
+    # every field consistent with h = 19 at ell = 19, whose class number is 1
+    "forged_h_19": (2, lambda p: _claiming(p, 19)),
+}
 
 
 class TestCertifyEigenform:
@@ -213,6 +276,22 @@ class TestCertifyEigenform:
         assert record.kind == "rejection"
         assert record.payload["reasons"] == ["composite"]
 
+    @pytest.mark.parametrize("ell", ["0", "1"])
+    def test_ell_below_2_is_composite(self, capsys, ell):
+        code, out, err = run(capsys, "certify", "eigenform", "--weight", "12", "--ell", ell)
+        assert code == EXIT_REJECTED
+        (record,) = records_of(out)
+        assert record.payload == {
+            "command": "certify eigenform", "reasons": ["composite"], "ell": int(ell)
+        }
+
+    def test_ell_2_is_usage(self, capsys):
+        # 2 is prime, so no composite rejection; the gate needs an odd prime
+        code, out, err = run(capsys, "certify", "eigenform", "--weight", "12", "--ell", "2")
+        assert code == EXIT_USAGE
+        assert "odd prime" in err
+        assert out == ""
+
     def test_invalid_weight(self, capsys):
         code, out, err = run(capsys, "certify", "eigenform", "--weight", "14", "--ell", "877")
         assert code == EXIT_USAGE
@@ -283,6 +362,7 @@ class TestCertifyEigenform:
             "ell_mismatch",
             "fractional_h",
             "negative_h",
+            *FORGED_TOWERS,
         ],
     )
     def test_malformed_tower_record_is_usage(self, capsys, tmp_path, case):
@@ -299,6 +379,10 @@ class TestCertifyEigenform:
             # the real m = 50 record (ell = 2659, h = 19) cited for ell = 19
             _, out, _ = run(capsys, "certify", "cyclotomic", "--m", "50")
             payload = dict(records_of(out)[0].payload, ell=19)
+        elif case in FORGED_TOWERS:
+            m, change = FORGED_TOWERS[case]
+            _, out, _ = run(capsys, "certify", "cyclotomic", "--m", str(m))
+            payload = change(records_of(out)[0].payload)
         else:
             # m = 2 record with rho, rhs and certified consistent with a bad h
             _, out, _ = run(capsys, "certify", "cyclotomic", "--m", "2")
@@ -630,6 +714,14 @@ class TestSearch:
     def test_bad_m_max(self, capsys):
         code, out, err = run(capsys, "search", "--m-max", "0")
         assert code == EXIT_USAGE
+
+    @pytest.mark.parametrize("m_max", ["99999", "100054"])
+    def test_certify_past_conductor_cap_is_usage(self, capsys, m_max):
+        # shanks_value(99999) = 10000100007 is just past MAX_CONDUCTOR
+        code, out, err = run(capsys, "search", "--m-max", m_max, "--certify")
+        assert code == EXIT_USAGE
+        assert "MAX_CONDUCTOR" in err
+        assert out == ""
 
     def test_m_max_overflowing_conductor_is_usage(self, capsys):
         # m = 1e10 gives ell ~ 1e20 > 2^63 - 1; rejected before any candidate is built
@@ -1010,6 +1102,36 @@ class TestSurveyDigest:
             assert '"timestamp"' not in out
             digest.update(f"{' '.join(template)} exit {code}\n{out}".encode("utf-8"))
         assert digest.hexdigest() == SURVEY_SET_SHA256
+
+
+# The eigenform gate for every prime conductor with m <= 600 at every weight,
+# citing one registry file from a sweep over the same range: literature,
+# computed and missing evidence, exceptional primes and det-index rejections.
+EIGENFORM_M_MAX = 600
+
+EIGENFORM_SET_SHA256 = "c57efadfa89d4bb69d6bf6342b1be1254b6767b59ab349d91f4eea62d719d8c5"
+
+
+class TestEigenformRangeDigest:
+    def test_eigenform_range_bytes_pinned(self, capsys, tmp_path):
+        registry = str(tmp_path / "registry.jsonl")
+        code, _, _ = run(
+            capsys, "search", "--m-max", str(EIGENFORM_M_MAX), "--certify", "--out", registry
+        )
+        assert code == EXIT_OK
+        digest = hashlib.sha256()
+        codes = []
+        for m in range(1, EIGENFORM_M_MAX + 1):
+            ell = str(shanks_value(m))
+            if not is_prime(int(ell)):
+                continue
+            for k in VALID_WEIGHTS:
+                argv = ("certify", "eigenform", "--weight", str(k), "--ell", ell)
+                code, out, _ = run(capsys, *argv, "--registry", registry)
+                codes.append(code)
+                digest.update(f"{' '.join(argv)} exit {code}\n{_without_timestamp(out)}".encode())
+        assert EXIT_OK in codes and EXIT_REJECTED in codes
+        assert digest.hexdigest() == EIGENFORM_SET_SHA256
 
 
 # Edge arguments on either side of each bound the CLI or the library checks.

@@ -20,6 +20,7 @@ from oracles import (
 from towercert import cubic
 from towercert.cubic import (
     INTEGRALITY_TOL,
+    MAX_CONDUCTOR,
     UNIT_INDEX_ASSUMPTION,
     _e1,
     _jacobi_sum,
@@ -32,8 +33,9 @@ from towercert.cubic import (
     real_roots,
     regulator,
 )
-from towercert.errors import DomainError, IntegralityError, NumericError
+from towercert.errors import DomainError, InputRangeError, IntegralityError, NumericError
 from towercert.hlsearch import shanks_value
+from towercert.tower import certify_cyclotomic
 
 # Analytic class numbers frozen after cross-checking small conductors
 # against the Minkowski oracle and the digamma L-value route; the four
@@ -309,6 +311,14 @@ class TestClassNumber:
     def test_composite_conductor_rejected(self):
         with pytest.raises(DomainError):
             class_number(3)  # ell = 27
+
+    def test_conductor_above_cap_rejected(self):
+        # the least m past the cap whose conductor is prime and in the residue filter
+        m = 100054
+        assert shanks_value(99998) <= MAX_CONDUCTOR < shanks_value(m)
+        for compute in (class_number, certify_cyclotomic):
+            with pytest.raises(InputRangeError, match="MAX_CONDUCTOR"):
+                compute(m)
 
     def test_embedding_invariance_of_h(self):
         # same integer from any embedding pair: recompute h with each pair

@@ -28,9 +28,8 @@ from towercert.records import (
     record_for,
     rejection_record,
     to_json_line,
-    tower_certificate_from_payload,
 )
-from towercert.tower import KnownInfiniteRegistry, certify_cyclotomic, schoof_rhs
+from towercert.tower import KnownInfiniteRegistry, certify_cyclotomic
 
 TS_A = "2026-01-01T00:00:00Z"
 TS_B = "2027-06-15T12:34:56Z"
@@ -211,46 +210,6 @@ class TestRoundTrip:
         assert to_json_line(record_for(obj, timestamp=TS_A)) == to_json_line(
             record_for(obj, timestamp=TS_A)
         )
-
-    def test_tower_payload_rebuilds_certificate(self):
-        cert = sample_objects()["cyclotomic_tower"]
-        parsed = parse_record(to_json_line(record_for(cert, timestamp=TS_A)))
-        assert tower_certificate_from_payload(parsed.payload) == cert
-
-    @pytest.mark.parametrize("level", ["top", "provenance"])
-    @pytest.mark.parametrize("change", ["missing", "extra"])
-    def test_tower_payload_keys_must_match_fields(self, level, change):
-        payload = record_for(sample_objects()["cyclotomic_tower"], timestamp=TS_A).payload
-        target = payload if level == "top" else payload["provenance"]
-        if change == "missing":
-            del target["m" if level == "top" else "integrality_gap"]
-        else:
-            target["note"] = "x"
-        with pytest.raises(DomainError, match="payload keys must be exactly"):
-            tower_certificate_from_payload(payload)
-
-    def test_tower_payload_bad_values_rejected(self):
-        payload = record_for(sample_objects()["cyclotomic_tower"], timestamp=TS_A).payload
-        with pytest.raises(DomainError, match="rho"):
-            tower_certificate_from_payload(dict(payload, rho=75))
-        with pytest.raises(DomainError, match="malformed"):
-            tower_certificate_from_payload(dict(payload, h=None))
-        with pytest.raises(DomainError, match="rhs"):
-            tower_certificate_from_payload(dict(payload, rhs=10.0))
-        # h = 1 gives rhs = 10 > rho = 4: the bound fails, so certified must be false
-        with pytest.raises(DomainError, match="certified flag"):
-            tower_certificate_from_payload(dict(payload, h=1, rho=4, rhs=10.0))
-        # ell_mismatch: the m = 50 record claiming ell = 19
-        with pytest.raises(DomainError, match="ell 19"):
-            tower_certificate_from_payload(dict(payload, ell=19))
-        # fractional_h: rho, rhs and certified all consistent with h = 19.5
-        with pytest.raises(DomainError, match="positive int"):
-            tower_certificate_from_payload(
-                dict(payload, h=19.5, rho=78.0, rhs=schoof_rhs(58.5, 58.5))
-            )
-        # negative_h: rho = 4h holds, and 3h + 1 < 0 would break the square root
-        with pytest.raises(DomainError, match="positive int"):
-            tower_certificate_from_payload(dict(payload, h=-1, rho=-4))
 
     def test_rejection_line_roundtrips_byte_for_byte(self):
         # test_every_kind_roundtrips covers the other kinds

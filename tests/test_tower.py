@@ -168,26 +168,3 @@ class TestRegistry:
         registry.record(_synthetic_certificate(50, 19, certified=True))
         assert registry.known_infinite(2659) == "literature"
 
-
-class TestCertificateInvariants:
-    def test_rho_must_be_4h(self):
-        with pytest.raises(DomainError):
-            _synthetic_certificate(2, 1, certified=False, rho=5)
-
-    @pytest.mark.parametrize(
-        "m, h, changes, match",
-        [
-            (2, True, {}, "positive int"),
-            (2, 0, {}, "positive int"),
-            (1, 1, {}, "residue filter"),  # ell = 13 is prime, but m = 1 mod 12
-            (50, 19, {"ell": 19}, "m\\^2\\+3m\\+9"),
-            (26, 1, {}, "not prime"),  # 26 = 2 mod 12, but 763 = 7*109
-            (50, 19, {"provenance": TowerProvenance(2, 7, "x", (), 19.0, 0.0, 57, 18)}, "provenance"),
-            (50, 19, {"provenance": TowerProvenance(2, 1, "x", (), 19.0, 0.0, 57, 19)}, "provenance"),
-        ],
-        ids=["bool_h", "zero_h", "residue", "ell_mismatch", "composite", "finite_primes",
-             "ell_mod_12"],
-    )
-    def test_constructor_rejects_unsupported_claims(self, m, h, changes, match):
-        with pytest.raises(DomainError, match=match):
-            _synthetic_certificate(m, h, certified=h >= 18, **changes)
