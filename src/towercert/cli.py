@@ -321,8 +321,6 @@ def _cmd_certify_eigenform(args, emitter) -> int:
 
 
 def _cmd_hl_constant(args, emitter) -> int:
-    if args.prime_bound < 5:
-        raise DomainError("--prime-bound must be at least 5 (the product starts at p=5)")
     emitter.record(record_for(hl_constant(args.prime_bound)))
     return EXIT_OK
 

@@ -10,7 +10,9 @@ with 17 significant digits (lowercase exponent, trailing ".0" when the
 mantissa would otherwise look integral), strings escape to ASCII.  The
 content hash is sha256 over the canonical bytes of (schema_version, kind,
 payload); the timestamp is excluded so reruns are byte-identical modulo
-that one field.
+that one field.  canonical_json, the only payload walker, builds that text
+once per record; the record keeps it, its line appends the hash and the
+timestamp, and its payload is what the line decodes to.
 """
 
 from __future__ import annotations
@@ -20,6 +22,7 @@ import json
 import math
 import time
 from dataclasses import dataclass, field, fields
+from functools import cached_property
 from json.encoder import encode_basestring_ascii as _quote
 
 from .cubic import SimplestCubicField
@@ -66,7 +69,10 @@ def canonical_json(obj) -> str:
     if obj is False:
         return "false"
     if isinstance(obj, int):
-        return repr(obj)
+        try:
+            return repr(obj)
+        except ValueError as exc:  # past the int-string digit limit
+            raise DomainError(f"integer cannot be serialized: {exc}") from None
     if isinstance(obj, float):
         return format_float(obj)
     if isinstance(obj, dict):
@@ -78,6 +84,9 @@ def canonical_json(obj) -> str:
         return "{" + ",".join(parts) + "}"
     if isinstance(obj, (list, tuple)):
         return "[" + ",".join([canonical_json(v) for v in obj]) + "]"
+    names = _NAMES.get(type(obj))
+    if names is not None:
+        return canonical_json({name: getattr(obj, name) for name in names})
     raise DomainError(f"unsupported record value of type {type(obj).__name__}")
 
 
@@ -96,35 +105,40 @@ class CertificateRecord:
             raise DomainError(f"unknown record kind {self.kind!r}")
         if not isinstance(self.payload, dict):
             raise DomainError("record payload must be a JSON object")
+        if not isinstance(self.timestamp, str):
+            raise DomainError("record timestamp must be a string")
+
+    @cached_property
+    def _head(self) -> str:
+        """The hashed text minus its closing brace; make_record and parse_record set it."""
+        return _hashed_head(self.kind, canonical_json(self.payload))[0]
 
 
-def _head(schema_version: str, kind: str, payload: dict) -> str:
-    """The hashed text without its closing brace; a record line continues it."""
-    return (
-        '{"schema_version":' + canonical_json(schema_version)
-        + ',"kind":' + canonical_json(kind)
-        + ',"payload":' + canonical_json(payload)
-    )
+# A record's schema version is always SCHEMA_VERSION: __post_init__ checks it.
+_PREFIX = '{"schema_version":' + canonical_json(SCHEMA_VERSION) + ',"kind":'
 
 
-def _hash(head: str) -> str:
-    return hashlib.sha256((head + "}").encode("ascii")).hexdigest()
-
-
-def _now() -> str:
-    return time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime())
+def _hashed_head(kind: str, payload_text: str) -> tuple[str, str]:
+    """A record's text minus its closing brace, and the sha256 of the whole text."""
+    head = _PREFIX + canonical_json(kind) + ',"payload":' + payload_text
+    return head, hashlib.sha256((head + "}").encode("ascii")).hexdigest()
 
 
 def make_record(kind: str, payload, timestamp: str | None = None) -> CertificateRecord:
-    """The record of a payload dict or result object; hashing validates its values."""
-    shaped = _payload(payload)
-    return CertificateRecord(
+    """The record of a payload dict or result object; encoding validates its values."""
+    if timestamp is None:
+        timestamp = time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime())
+    text = canonical_json(payload)
+    head, content_hash = _hashed_head(kind, text)
+    record = CertificateRecord(
         schema_version=SCHEMA_VERSION,
         kind=kind,
-        payload=shaped,
-        content_hash=_hash(_head(SCHEMA_VERSION, kind, shaped)),
-        timestamp=timestamp if timestamp is not None else _now(),
+        payload=json.loads(text),
+        content_hash=content_hash,
+        timestamp=timestamp,
     )
+    record.__dict__["_head"] = head
+    return record
 
 
 _KINDS = {
@@ -153,22 +167,6 @@ _NAMES = {
 }
 
 
-def _payload(obj):
-    """JSON shape of a payload, as a copy.
-
-    Result objects and dicts become dicts, tuples and lists become lists;
-    other values pass through, for canonical_json to check.
-    """
-    names = _NAMES.get(type(obj))
-    if names is not None:
-        return {name: _payload(getattr(obj, name)) for name in names}
-    if isinstance(obj, dict):
-        return {key: _payload(value) for key, value in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_payload(v) for v in obj]
-    return obj
-
-
 def record_for(obj, timestamp: str | None = None) -> CertificateRecord:
     """Wrap a module result object in its CertificateRecord."""
     kind = _KINDS.get(type(obj))
@@ -190,9 +188,9 @@ def rejection_record(
 
 def to_json_line(record: CertificateRecord) -> str:
     return (
-        _head(record.schema_version, record.kind, record.payload)
-        + ',"content_hash":' + canonical_json(record.content_hash)
-        + ',"timestamp":' + canonical_json(record.timestamp) + "}"
+        record._head
+        + ',"content_hash":' + _quote(record.content_hash)
+        + ',"timestamp":' + _quote(record.timestamp) + "}"
     )
 
 
@@ -223,12 +221,13 @@ def parse_record(line: str) -> CertificateRecord:
         timestamp=raw["timestamp"],
     )
     try:
-        expected = _hash(_head(record.schema_version, record.kind, record.payload))
+        head, expected = _hashed_head(record.kind, canonical_json(record.payload))
     except RecursionError as exc:
         raise DomainError("record payload nests too deeply to encode") from exc
     if record.content_hash != expected:
         raise DomainError(
             f"content hash mismatch: stored {record.content_hash}, recomputed {expected}"
         )
+    record.__dict__["_head"] = head
     return record
 

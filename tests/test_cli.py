@@ -743,7 +743,7 @@ class TestHL:
     def test_constant_bound_too_small(self, capsys):
         code, out, err = run(capsys, "hl", "constant", "--prime-bound", "4")
         assert code == EXIT_USAGE
-        assert "prime-bound" in err
+        assert "prime bound must be at least 5" in err
 
     def test_count_jsonl(self, capsys):
         code, out, err = run(capsys, "hl", "count", "--x", "20", "--prime-bound", "100")
@@ -965,10 +965,12 @@ class TestOutFile:
             ("group", "perfect", "--n", "101"),
             ("hl", "count", "--x", "100", "--prime-bound", "4"),
             ("search", "--m-max", "12", "--residues", "-1"),
+            # n has ~6,700 digits, past the int-string limit of the record encoder
+            ("furuta", "--ell", "877", "--m-e", "30", "--count", "1000"),
         ],
         ids=[
             "bound-1", "bound-above-max", "m-max-0", "bad-residues", "missing-registry",
-            "m-0", "ell-12", "n-101", "count-bound-4", "negative-residue",
+            "m-0", "ell-12", "n-101", "count-bound-4", "negative-residue", "furuta-n-digits",
         ],
     )
     def test_usage_error_leaves_existing_file(self, capsys, tmp_path, argv):

@@ -2,12 +2,14 @@ import functools
 import hashlib
 import json
 import re
+import sys
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import canonical_json_reference
+from towercert import records
 from towercert.cubic import class_number
 from towercert.elliptic import furuta_n, sl2_perfect
 from towercert.errors import DomainError
@@ -21,6 +23,7 @@ from towercert.modforms import certify_eigenform, verify_residue_claim
 from towercert.records import (
     RECORD_KINDS,
     SCHEMA_VERSION,
+    CertificateRecord,
     canonical_json,
     format_float,
     make_record,
@@ -103,6 +106,20 @@ class TestCanonicalJson:
     def test_unsupported_type_rejected(self):
         with pytest.raises(DomainError):
             canonical_json({"bad": {1, 2}})
+
+    @pytest.mark.skipif(
+        not hasattr(sys, "get_int_max_str_digits"), reason="no int-string digit limit"
+    )
+    def test_int_past_digit_limit_rejected(self):
+        # repr raises ValueError past the limit; the encoder reports a DomainError
+        limit = sys.get_int_max_str_digits()
+        with pytest.raises(DomainError, match=rf"\({limit} digits\)"):
+            canonical_json({"n": 10**limit})
+
+    @pytest.mark.parametrize("kind", sorted(RECORD_KINDS - {"rejection"}))
+    def test_result_object_encodes_like_its_payload(self, kind):
+        obj = sample_objects()[kind]
+        assert canonical_json(obj) == canonical_json(record_for(obj).payload)
 
 
 # Strings weighted toward what the encoder must escape: quotes, backslashes,
@@ -281,6 +298,11 @@ class TestParseErrors:
         with pytest.raises(DomainError, match="kind"):
             parse_record(line.replace('"kind":"furuta"', f'"kind":{kind}', 1))
 
+    def test_non_string_timestamp_rejected(self):
+        line = to_json_line(record_for(sample_objects()["furuta"], timestamp=TS_A))
+        with pytest.raises(DomainError, match="timestamp"):
+            parse_record(line.replace(f'"timestamp":"{TS_A}"', '"timestamp":5', 1))
+
     def test_wrong_schema_version(self):
         line = to_json_line(record_for(sample_objects()["furuta"], timestamp=TS_A))
         with pytest.raises(DomainError, match="schema version"):
@@ -408,3 +430,24 @@ class TestGoldenRecords:
     @pytest.mark.parametrize("case", sorted(GOLDEN_LINES))
     def test_line_pinned(self, case):
         assert to_json_line(golden_record(case)) == GOLDEN_LINES[case]
+
+
+class TestSingleEncoding:
+    @pytest.mark.parametrize("case", sorted(GOLDEN_LINES))
+    def test_line_reuses_hashed_text(self, case, monkeypatch):
+        made = golden_record(case)
+        parsed = parse_record(GOLDEN_LINES[case])
+
+        def refuse(obj):
+            raise AssertionError("to_json_line encoded the payload again")
+
+        monkeypatch.setattr(records, "canonical_json", refuse)
+        assert to_json_line(made) == GOLDEN_LINES[case]
+        assert to_json_line(parsed) == GOLDEN_LINES[case]
+
+    def test_constructed_record_encodes_on_demand(self):
+        made = golden_record("furuta")
+        built = CertificateRecord(
+            made.schema_version, made.kind, dict(made.payload), made.content_hash, made.timestamp
+        )
+        assert to_json_line(built) == GOLDEN_LINES["furuta"]
