@@ -4,14 +4,27 @@ Covers Hardy-Littlewood admissibility of integer quadratics, the candidate
 search with the mod-12 congruence filter, the singular-series constant for
 the restriction 144k^2 + 84k + 19 (m = 12k + 2), and empirical counts of
 prime values below a cutoff.
+
+Both the search and the counts decide "f(k) is prime" for a block of k at
+once, by sieving over the roots of f mod p (Jacobson and Williams, Math.
+Comp. 72 (2003) 499-519): for every prime p <= P, each k = r (mod p) with
+f(r) = 0 (mod p) is crossed off, except where f(k) = p itself.  A survivor
+below (P + 1)^2 is prime, because a composite value below (P + 1)^2 has a
+prime factor <= P; only a survivor above that goes to is_prime, so the
+decision is exact.  P grows with the values of the block up to 2^20, and
+the flags of one block and the root table of the primes <= 2^20 bound the
+memory, whatever the range of k.
 """
 
 from __future__ import annotations
 
 import math
+from array import array
+from bisect import bisect_left
 from collections.abc import Iterator
 from dataclasses import dataclass
 from itertools import compress, islice
+from math import isqrt
 
 from .arith import MAX_NATURAL, exact_sqrt, is_prime, jacobi_symbol, prime_flags
 from .errors import DomainError, InputRangeError
@@ -34,9 +47,14 @@ __all__ = [
     "empirical_prime_count",
 ]
 
-# Residues of m mod 12 that force ell = m^2+3m+9 = 7 mod 12, making the
-# sextic subfield of Q(zeta_ell) totally imaginary.
+# Residues of m mod 12 with ell = m^2+3m+9 = 7 mod 12, prime or not; for a
+# prime ell that makes the sextic subfield of Q(zeta_ell) totally imaginary.
 DEFAULT_RESIDUES = frozenset({2, 7, 10, 11})
+
+# Largest sieving prime of the prime-value sieve, and the most k in one of
+# its blocks; the shortest block it starts with.
+_SIEVE_CAP = 1 << 20
+_MIN_BLOCK = 1 << 10
 
 # Largest hl_constant bound: its sieve holds a byte per integer, 100 MB at
 # 10**8 (150 MB at its peak); the primes are streamed from it, never listed.
@@ -62,6 +80,8 @@ class QuadraticIntPoly:
 # m^2 + 3m + 9 restricted to m = 12k + 2, as a quadratic in k.
 CONDUCTOR_POLY = QuadraticIntPoly(144, 84, 19)
 
+_FAMILY_POLY = QuadraticIntPoly(1, 3, 9)
+
 
 @dataclass(frozen=True)
 class AdmissibilityVerdict:
@@ -83,8 +103,6 @@ class ShanksCandidate:
             raise DomainError(f"ell {self.ell} != m^2+3m+9 for m={self.m}")
         if self.residue != self.m % 12:
             raise DomainError("residue must be m mod 12")
-        if self.residue in DEFAULT_RESIDUES and self.is_prime_ell:
-            assert self.ell % 12 == 7
 
 
 @dataclass(frozen=True)
@@ -150,9 +168,153 @@ def m_from_prime(ell: int) -> int | None:
     return m if m >= 1 else None
 
 
-def _candidate(m: int) -> ShanksCandidate:
-    ell = shanks_value(m)
-    return ShanksCandidate(m, ell, m % 12, is_prime(ell))
+def _sqrt_mod(n: int, p: int) -> int | None:
+    """A square root of n mod the odd prime p, n != 0 mod p, or None for a non-residue.
+
+    One power for p = 3 mod 4, and Atkin's one power for p = 5 mod 8;
+    Tonelli-Shanks (Cohen, GTM 138, Alg. 1.5.1) for p = 1 mod 8.  The
+    result is checked by squaring, which also detects a non-residue.
+    """
+    if p % 4 == 3:
+        x = pow(n, (p + 1) // 4, p)
+    elif p % 8 == 5:
+        v = pow(2 * n, (p - 5) // 8, p)
+        x = n * v * (2 * n * v * v - 1) % p
+    else:
+        if pow(n, (p - 1) // 2, p) != 1:
+            return None
+        q, e = p - 1, 0
+        while q % 2 == 0:
+            q //= 2
+            e += 1
+        z = 3  # 2 is a square mod p = 1 mod 8
+        while pow(z, (p - 1) // 2, p) == 1:
+            z += 1
+        w = pow(n, q // 2, p)
+        y, x = pow(z, q, p), w * n % p
+        b = x * w % p
+        while b != 1:
+            m, t = 1, b * b % p
+            while t != 1:
+                t = t * t % p
+                m += 1
+            t = pow(y, 1 << (e - m - 1), p)
+            y = t * t % p
+            e = m
+            x = x * t % p
+            b = b * y % p
+    return x if x * x % p == n else None
+
+
+def _roots_mod(poly: QuadraticIntPoly, d: int, p: int) -> tuple[int, ...] | None:
+    """The roots of poly mod the prime p (d its discriminant), or None.
+
+    None means the odd p divides all three coefficients, so every value; for
+    p = 2 that case is the two roots 0 and 1.
+    """
+    a, b, c = poly.a, poly.b, poly.c
+    if p == 2:
+        return tuple(k for k in (0, 1) if poly.evaluate(k) % 2 == 0)
+    if a % p == 0:
+        if b % p:
+            return (-c * pow(b, -1, p) % p,)
+        return None if c % p == 0 else ()
+    if d % p == 0:
+        return (-b * pow(2 * a, -1, p) % p,)
+    t = _sqrt_mod(d % p, p)
+    if t is None:
+        return ()
+    inverse = pow(2 * a, -1, p)
+    return ((t - b) * inverse % p, (-t - b) * inverse % p)
+
+
+def _below(poly: QuadraticIntPoly, bound: int) -> range:
+    """The k >= 0 with poly(k) < bound, for a > 0: an interval, as poly is convex.
+
+    The ends come from the integer square root of the discriminant of
+    poly - bound, then move by at most two steps to the exact ones.
+    """
+    a, b, f = poly.a, poly.b, poly.evaluate
+    disc = b * b - 4 * a * (poly.c - bound)
+    if disc <= 0:
+        return range(0)
+    s = isqrt(disc)
+    lo = max((-b - s) // (2 * a), 0)
+    hi = (s - b) // (2 * a) + 1
+    while hi >= lo and f(hi) >= bound:
+        hi -= 1
+    while lo <= hi and f(lo) >= bound:
+        lo += 1
+    return range(lo, max(lo, hi + 1))
+
+
+def _prime_value_blocks(
+    poly: QuadraticIntPoly, start: int, stop: int
+) -> Iterator[tuple[int, bytearray]]:
+    """Blocks (k0, flags) covering start <= k < stop: flags[k - k0] is 1 iff poly(k) is prime.
+
+    poly needs a > 0 and start >= 0.  A block is sieved by the primes up to
+    P = min(isqrt(its largest value), _SIEVE_CAP), P never falling from
+    one block to the next.  A k with poly(k) <= P is then decided by
+    looking its value up among the table's primes (a prime value p has the
+    root k mod p, so it is there); that keeps poly(k) = p and drops values
+    below 2.  A block holds about isqrt(poly(k0)) k, from _MIN_BLOCK to
+    _SIEVE_CAP, so the first one comes at once however far stop is.  The
+    table holds one (p, r) pair per root r in two flat arrays, 8 bytes a
+    root.  A prime dividing all three coefficients divides every value, so
+    once one is in the table every flag starts at 0 and only the lookup
+    sets one.
+    """
+    f = poly.evaluate
+    d = poly.b * poly.b - 4 * poly.a * poly.c
+    moduli, roots = array("I"), array("I")
+    prime_bound = 1
+    divides_all = False
+    k0 = start
+    while k0 < stop:
+        size = min(max(isqrt(max(f(k0), 0)), _MIN_BLOCK), _SIEVE_CAP)
+        k1 = min(k0 + size, stop)
+        n = k1 - k0
+        bound = min(isqrt(max(f(k0), f(k1 - 1), 0)), _SIEVE_CAP)
+        if bound > prime_bound:
+            sieve = prime_flags(bound)
+            for p in compress(range(prime_bound + 1, bound + 1), sieve[prime_bound + 1 :]):
+                rs = _roots_mod(poly, d, p)
+                if rs is None:
+                    divides_all, rs = True, (0,)
+                for r in rs:
+                    moduli.append(p)
+                    roots.append(r)
+            prime_bound = bound
+        if divides_all:
+            flags = bytearray(n)
+        else:
+            flags = bytearray(b"\x01") * n
+            for p, r in zip(moduli, roots):
+                i = (r - k0) % p
+                if i < n:
+                    # zeros as a bytearray: assigning bytes would copy them to one first
+                    flags[i::p] = bytearray((n - 1 - i) // p + 1)
+        exact = _below(poly, (prime_bound + 1) ** 2)
+        for part in (range(k0, min(k1, exact.start)), range(max(k0, exact.stop), k1)):
+            for k in compress(part, flags[part.start - k0 : part.stop - k0]):
+                if not is_prime(f(k)):
+                    flags[k - k0] = 0
+        small = _below(poly, max(prime_bound, 1) + 1)
+        for k in range(max(k0, small.start), min(k1, small.stop)):
+            v = f(k)
+            i = bisect_left(moduli, v)
+            flags[k - k0] = v >= 2 and i < len(moduli) and moduli[i] == v
+        yield k0, flags
+        k0 = k1
+
+
+def _candidates(m_max: int, residues: frozenset[int]) -> Iterator[ShanksCandidate]:
+    for m0, flags in _prime_value_blocks(_FAMILY_POLY, 1, m_max + 1):
+        for m, prime in zip(range(m0, m0 + len(flags)), flags):
+            residue = m % 12
+            if residue in residues:
+                yield ShanksCandidate(m, (m + 3) * m + 9, residue, prime == 1)
 
 
 def search_shanks_candidates(
@@ -162,7 +324,15 @@ def search_shanks_candidates(
 
     The arguments are checked when this is called, not on the first next().
     Candidates whose conductor is composite are kept (flagged) so sweep
-    reports can show why an m was skipped.
+    reports can show why an m was skipped.  The flags come from the root
+    sieve (see the module docstring) over every m, before the residue
+    filter: each prime p <= P crosses off the m on the roots of m^2+3m+9
+    mod p, and a survivor below (P + 1)^2 is prime, since a composite value
+    below (P + 1)^2 has a prime factor <= P.  P is the square root of the
+    block's largest value, capped at 2^20, so only survivors past 2^40 go
+    to is_prime.  Blocks grow with m from 1024 to 2^20 m, so memory stays
+    at one block's flags plus the root table however large m_max is, and
+    the first candidate comes at once.
     """
     if m_max < 1:
         raise DomainError(f"m_max must be positive, got {m_max}")
@@ -171,7 +341,7 @@ def search_shanks_candidates(
     if not all(0 <= r < 12 for r in residues):
         raise DomainError(f"residues must lie in [0, 12), got {sorted(residues)}")
     shanks_value(m_max)  # overflow raises InputRangeError here, before any work
-    return (_candidate(m) for m in range(1, m_max + 1) if m % 12 in residues)
+    return _candidates(m_max, residues)
 
 
 def hl_constant(prime_bound: int) -> HLConstantResult:
@@ -215,7 +385,15 @@ def empirical_prime_count(
     """Count prime values poly(k) < x over k >= 0 against the asymptotic.
 
     The comparison value is constant * sqrt(x) / log(x) with the natural
-    logarithm.  The inequality is strict: only values below x count.
+    logarithm.  The inequality is strict: only values below x count.  The
+    k with poly(k) < x form one interval, found with the integer square
+    root, and the count is the sum of the root sieve's flags over it (see
+    the module docstring): the primes p <= P cross off the k on the roots
+    of poly mod p, and a survivor below (P + 1)^2 is prime, since a
+    composite value below (P + 1)^2 has a prime factor <= P.  P is the
+    square root of the block's largest value, capped at 2^20, so only
+    survivors past 2^40 go to is_prime.  Memory is at most 2^20 flag bytes
+    plus the root table of the primes <= 2^20, for any x up to 2^63.
     """
     if x < 19:
         raise DomainError(f"cutoff x must be at least 19, got {x}")
@@ -225,13 +403,7 @@ def empirical_prime_count(
         raise DomainError("polynomial must have positive leading coefficient")
     if constant <= 0:
         raise DomainError(f"constant must be positive, got {constant}")
-    # poly(k) < x only below the larger root of a*k^2 + b*k + (c - x).
-    disc = poly.b * poly.b - 4 * poly.a * (poly.c - x)
-    k_max = 0 if disc < 0 else int((-poly.b + math.sqrt(disc)) / (2 * poly.a)) + 2
-    count = 0
-    for k in range(k_max + 1):
-        v = poly.evaluate(k)
-        if v < x and v >= 2 and is_prime(v):
-            count += 1
+    ks = _below(poly, x)
+    count = sum(flags.count(1) for _, flags in _prime_value_blocks(poly, ks.start, ks.stop))
     estimate = constant * math.sqrt(x) / math.log(x)
     return PrimeCountReport(x, count, estimate, count / estimate)

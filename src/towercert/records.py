@@ -47,6 +47,11 @@ __all__ = [
 
 SCHEMA_VERSION = "1"
 
+# CPython's default int-string digit limit.  A record with a longer integer
+# cannot be read back by a default interpreter, so none is written, whatever
+# limit this interpreter runs with.
+_MAX_INT_DIGITS = 4300
+
 
 def format_float(x: float) -> str:
     """17 significant digits, lowercase exponent, always visibly a real."""
@@ -70,9 +75,16 @@ def canonical_json(obj) -> str:
         return "false"
     if isinstance(obj, int):
         try:
-            return repr(obj)
-        except ValueError as exc:  # past the int-string digit limit
+            text = repr(obj)
+        except ValueError as exc:  # past this interpreter's int-string digit limit
             raise DomainError(f"integer cannot be serialized: {exc}") from None
+        # the sign is not a digit; the second test runs only for long texts
+        if len(text) > _MAX_INT_DIGITS and len(text.lstrip("-")) > _MAX_INT_DIGITS:
+            raise DomainError(
+                f"integer cannot be serialized: it exceeds the limit ({_MAX_INT_DIGITS} "
+                "digits) of a default interpreter"
+            )
+        return text
     if isinstance(obj, float):
         return format_float(obj)
     if isinstance(obj, dict):

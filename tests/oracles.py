@@ -4,8 +4,8 @@ Everything here is implemented from scratch against stdlib/mpmath only, so
 agreement with the package is evidence, not circularity: different
 primality algorithm, different sieve, different character construction,
 different analytic route to the L-value, different group-order counting.
-The two reference implementations at the end are the exception: each keeps
-a replaced loop of the package as the oracle for its faster successor.
+The three reference implementations at the end are the exception: each
+keeps a replaced loop of the package as the oracle for its faster successor.
 """
 
 from __future__ import annotations
@@ -409,3 +409,21 @@ def hl_constant_reference(prime_bound: int) -> tuple[float, int]:
         log_sum = t
         terms += 1
     return math.exp(log_sum), terms
+
+
+def prime_count_mr(poly, x: int) -> int:
+    """#{k >= 0 : poly(k) < x and prime}, one Miller-Rabin test per value.
+
+    The loop of empirical_prime_count before the block sieve: the last k
+    from the float square root of the discriminant, plus two.
+    """
+    from towercert.arith import is_prime
+
+    disc = poly.b * poly.b - 4 * poly.a * (poly.c - x)
+    k_max = 0 if disc < 0 else int((-poly.b + math.sqrt(disc)) / (2 * poly.a)) + 2
+    count = 0
+    for k in range(k_max + 1):
+        v = poly.evaluate(k)
+        if v < x and v >= 2 and is_prime(v):
+            count += 1
+    return count

@@ -982,6 +982,22 @@ class TestOutFile:
         assert target.read_bytes() == b"one line that must survive\n"
         assert out == ""
 
+    def test_digit_limit_does_not_come_from_the_environment(self, tmp_path):
+        # PYTHONINTMAXSTRDIGITS=0 lifts the interpreter's limit, not the encoder's
+        target = tmp_path / "keep.jsonl"
+        target.write_bytes(b"one line that must survive\n")
+        src = str(Path(towercert.__file__).resolve().parent.parent)
+        env = {**os.environ, "PYTHONPATH": src, "PYTHONINTMAXSTRDIGITS": "0"}
+        argv = ["furuta", "--ell", "877", "--m-e", "30", "--count", "1000", "--out", str(target)]
+        proc = subprocess.run(
+            [sys.executable, "-m", "towercert.cli", *argv],
+            capture_output=True, cwd=tmp_path, env=env, timeout=60,
+        )
+        assert proc.returncode == EXIT_USAGE, proc.stderr
+        assert proc.stdout == b""
+        assert b"4300 digits" in proc.stderr
+        assert target.read_bytes() == b"one line that must survive\n"
+
     def test_out_directory_is_usage_without_traceback(self, capsys, tmp_path):
         code, out, err = run(capsys, "hl", "constant", "--prime-bound", "100", "--out", str(tmp_path))
         assert code == EXIT_USAGE

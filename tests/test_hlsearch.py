@@ -1,12 +1,19 @@
 import math
 from itertools import islice
+from math import isqrt
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import brute_quadratic_prime_count, hl_constant_reference, odd_wheel_sieve
-from towercert.arith import jacobi_symbol
+from oracles import (
+    brute_quadratic_prime_count,
+    hl_constant_reference,
+    odd_wheel_sieve,
+    prime_count_mr,
+)
+from towercert import hlsearch
+from towercert.arith import is_prime, jacobi_symbol
 from towercert.errors import DomainError, InputRangeError
 from towercert.hlsearch import (
     CONDUCTOR_POLY,
@@ -260,3 +267,104 @@ class TestEmpiricalCount:
             empirical_prime_count(QuadraticIntPoly(-1, 0, 19), 100, 0.28)
         with pytest.raises(DomainError):
             empirical_prime_count(CONDUCTOR_POLY, 100, 0.0)
+
+
+# Odd |D| (-27, -163), a value 1 at k = 0, p | 2a, and a = 6.
+SIEVE_POLYS = [(1, 3, 9), (1, 1, 41), (1, 0, 1), (2, 0, 1), (6, 5, 7)]
+
+
+def _counting_is_prime(monkeypatch):
+    calls = []
+
+    def counted(n):
+        calls.append(n)
+        return is_prime(n)
+
+    monkeypatch.setattr(hlsearch, "is_prime", counted)
+    return calls
+
+
+class TestPrimeValueSieve:
+    @pytest.mark.parametrize("x", [10**6, 10**8, 10**10, 10**12, 1004000000000])
+    def test_conductor_poly_equals_miller_rabin_loop(self, x):
+        report = empirical_prime_count(CONDUCTOR_POLY, x, 0.28)
+        assert report.count == prime_count_mr(CONDUCTOR_POLY, x)
+
+    def test_survey_band_count_pinned(self):
+        assert empirical_prime_count(CONDUCTOR_POLY, 1004000000000, 0.28).count == 10956
+
+    @pytest.mark.parametrize("coefficients", SIEVE_POLYS, ids=str)
+    @settings(max_examples=30, deadline=None)
+    @given(x=st.integers(min_value=19, max_value=3 * 10**5))
+    def test_against_trial_division(self, coefficients, x):
+        report = empirical_prime_count(QuadraticIntPoly(*coefficients), x, 0.3)
+        assert report.count == brute_quadratic_prime_count(*coefficients, x)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.integers(min_value=1, max_value=12),
+        st.integers(min_value=-60, max_value=60),
+        st.integers(min_value=-60, max_value=60),
+        st.integers(min_value=19, max_value=10**5),
+    )
+    def test_any_positive_quadratic_against_trial_division(self, a, b, c, x):
+        # negative and small values, a vertex right of 0, a common factor of all coefficients
+        report = empirical_prime_count(QuadraticIntPoly(a, b, c), x, 0.3)
+        assert report.count == brute_quadratic_prime_count(a, b, c, x)
+
+    @pytest.mark.parametrize("coefficients", SIEVE_POLYS + [(144, 84, 19)], ids=str)
+    def test_cutoff_at_and_just_above_a_value(self, coefficients):
+        poly = QuadraticIntPoly(*coefficients)
+        for k in (0, 1, 2, 3, 10, 37, 1023, 1024, 1025, 4000):
+            for x in (poly.evaluate(k), poly.evaluate(k) + 1):
+                if x >= 19:
+                    count = empirical_prime_count(poly, x, 0.3).count
+                    assert count == prime_count_mr(poly, x), (k, x)
+
+    @pytest.mark.parametrize(
+        "coefficients, k, p",
+        [((1, 1, 41), 0, 41), ((1, 0, 1), 1, 2), ((1, 3, 9), 1, 13), ((6, 5, 7), 0, 7)],
+    )
+    def test_value_equal_to_a_sieving_prime_is_kept(self, coefficients, k, p):
+        # p divides its own value f(k) = p, and the first block sieves by p
+        poly = QuadraticIntPoly(*coefficients)
+        assert poly.evaluate(k) == p
+        k0, flags = next(hlsearch._prime_value_blocks(poly, 0, 5000))
+        assert k0 == 0 and isqrt(poly.evaluate(len(flags) - 1)) >= p
+        assert flags[k] == 1
+        assert list(flags) == [int(is_prime(poly.evaluate(j))) for j in range(len(flags))]
+
+    def test_search_flags_across_block_boundaries(self):
+        every = frozenset(range(12))
+        candidates = list(search_shanks_candidates(12_000, every))
+        assert [c.m for c in candidates] == list(range(1, 12_001))
+        for cand in candidates:
+            assert cand.is_prime_ell == is_prime(cand.ell), cand
+
+    def test_survivors_past_the_cap_go_to_is_prime(self, monkeypatch):
+        # with a cap of 30, values past 31^2 = 961 are left to is_prime
+        monkeypatch.setattr(hlsearch, "_SIEVE_CAP", 30)
+        calls = _counting_is_prime(monkeypatch)
+        for cand in search_shanks_candidates(3000, frozenset(range(12))):
+            assert cand.is_prime_ell == is_prime(cand.ell), cand
+        assert calls and min(calls) > 31**2
+        # k^2 has the survivor 31^2, the least value that needs the test
+        for coefficients in SIEVE_POLYS + [(144, 84, 19), (1, 0, 0)]:
+            poly = QuadraticIntPoly(*coefficients)
+            assert empirical_prime_count(poly, 10**7, 0.3).count == prime_count_mr(poly, 10**7)
+
+    def test_survey_commands_need_no_miller_rabin(self, monkeypatch):
+        calls = _counting_is_prime(monkeypatch)
+        empirical_prime_count(CONDUCTOR_POLY, 1004000000000, 0.28)
+        for _ in search_shanks_candidates(100_300):
+            pass
+        assert calls == []
+
+    def test_value_near_63_bits(self):
+        # the last k below 2^63 - 1 comes from the integer square root
+        x = 2**63 - 1
+        k = isqrt((x - 19) // 144)
+        while CONDUCTOR_POLY.evaluate(k) >= x:
+            k -= 1
+        ks = hlsearch._below(CONDUCTOR_POLY, x)
+        assert ks.stop == k + 1 and ks.start == 0

@@ -116,6 +116,22 @@ class TestCanonicalJson:
         with pytest.raises(DomainError, match=rf"\({limit} digits\)"):
             canonical_json({"n": 10**limit})
 
+    @pytest.mark.skipif(
+        not hasattr(sys, "get_int_max_str_digits"), reason="no int-string digit limit"
+    )
+    def test_digit_limit_is_the_default_one_whatever_the_interpreter_sets(self):
+        # with no interpreter limit, repr prints any int; the encoder still stops at 4300
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(0)
+        try:
+            assert canonical_json(10**4299) == "1" + "0" * 4299
+            assert canonical_json(-(10**4299)) == "-1" + "0" * 4299
+            for n in (10**4300, -(10**4300)):
+                with pytest.raises(DomainError, match=r"\(4300 digits\)"):
+                    canonical_json({"n": n})
+        finally:
+            sys.set_int_max_str_digits(limit)
+
     @pytest.mark.parametrize("kind", sorted(RECORD_KINDS - {"rejection"}))
     def test_result_object_encodes_like_its_payload(self, kind):
         obj = sample_objects()[kind]
