@@ -42,6 +42,7 @@ from .hlsearch import (
 )
 from .modforms import VALID_WEIGHTS, certify_eigenform, verify_residue_claim
 from .records import (
+    _MAX_INT_DIGITS,
     format_float,
     parse_record,
     record_for,
@@ -402,6 +403,9 @@ def main(argv=None) -> int:
 
 
 def script_entry() -> None:
+    # PYTHONINTMAXSTRDIGITS would move what a command can write and read back
+    if hasattr(sys, "set_int_max_str_digits"):
+        sys.set_int_max_str_digits(_MAX_INT_DIGITS)
     sys.exit(main())
 
 

@@ -40,13 +40,6 @@ class IntegralityError(NumericError):
         self.gap = gap
         self.unit_index_suspected = unit_index_suspected
 
-    def __reduce__(self):
-        # keep the diagnostic fields across process boundaries
-        return (
-            IntegralityError,
-            (self.args[0], self.value, self.gap, self.unit_index_suspected),
-        )
-
 
 class ResourceLimitError(RuntimeError):
     """A search or closure exceeded its configured element budget."""
@@ -63,9 +56,3 @@ class CertificationRejected(Exception):
         self.reasons = tuple(reasons)
         self.context = dict(context)
         super().__init__(f"rejected: {', '.join(self.reasons)} ({self.context})")
-
-    def __reduce__(self):
-        return (CertificationRejected, (self.reasons,), {"context": self.context})
-
-    def __setstate__(self, state):
-        self.context = state["context"]

@@ -7,26 +7,30 @@ prime values below a cutoff.
 
 Both the search and the counts decide "f(k) is prime" for a block of k at
 once, by sieving over the roots of f mod p (Jacobson and Williams, Math.
-Comp. 72 (2003) 499-519): for every prime p <= P, each k = r (mod p) with
-f(r) = 0 (mod p) is crossed off, except where f(k) = p itself.  A survivor
-below (P + 1)^2 is prime, because a composite value below (P + 1)^2 has a
-prime factor <= P; only a survivor above that goes to is_prime, so the
-decision is exact.  P grows with the values of the block up to 2^20, and
-the flags of one block and the root table of the primes <= 2^20 bound the
-memory, whatever the range of k.
+Comp. 72 (2003) 499-519).  A block is sieved by the primes p <= P, where
+P = min(isqrt(its largest value), 2^20) never falls from one block to the
+next: each k = r (mod p) with f(r) = 0 (mod p) is crossed off.  The
+decision is exact.  A survivor below (P + 1)^2 is prime, because a
+composite value below (P + 1)^2 has a prime factor <= P; only a survivor
+above that, which needs P at the cap, goes to is_prime.  A value f(k) <= P
+is read from the prime sieve the root table is built from, which keeps
+f(k) = p and drops values below 2.  A prime dividing all three
+coefficients divides every value, so then only that read sets a flag.
+Memory is one block's flags (at most 2^20 bytes), that prime sieve (2^20
+bytes) and the root table (8 bytes a root of a prime <= 2^20), whatever
+the range of k.
 """
 
 from __future__ import annotations
 
 import math
 from array import array
-from bisect import bisect_left
 from collections.abc import Iterator
 from dataclasses import dataclass
 from itertools import compress, islice
 from math import isqrt
 
-from .arith import MAX_NATURAL, exact_sqrt, is_prime, jacobi_symbol, prime_flags
+from .arith import MAX_NATURAL, exact_sqrt, is_prime, prime_flags
 from .errors import DomainError, InputRangeError
 
 __all__ = [
@@ -253,22 +257,14 @@ def _prime_value_blocks(
 ) -> Iterator[tuple[int, bytearray]]:
     """Blocks (k0, flags) covering start <= k < stop: flags[k - k0] is 1 iff poly(k) is prime.
 
-    poly needs a > 0 and start >= 0.  A block is sieved by the primes up to
-    P = min(isqrt(its largest value), _SIEVE_CAP), P never falling from
-    one block to the next.  A k with poly(k) <= P is then decided by
-    looking its value up among the table's primes (a prime value p has the
-    root k mod p, so it is there); that keeps poly(k) = p and drops values
-    below 2.  A block holds about isqrt(poly(k0)) k, from _MIN_BLOCK to
-    _SIEVE_CAP, so the first one comes at once however far stop is.  The
-    table holds one (p, r) pair per root r in two flat arrays, 8 bytes a
-    root.  A prime dividing all three coefficients divides every value, so
-    once one is in the table every flag starts at 0 and only the lookup
-    sets one.
+    poly needs a > 0 and start >= 0; the module docstring gives the method.
+    A block holds about isqrt(poly(k0)) k, from _MIN_BLOCK to _SIEVE_CAP,
+    so the first one comes at once however far stop is.
     """
     f = poly.evaluate
     d = poly.b * poly.b - 4 * poly.a * poly.c
     moduli, roots = array("I"), array("I")
-    prime_bound = 1
+    prime_bound, sieve = 1, prime_flags(1)
     divides_all = False
     k0 = start
     while k0 < stop:
@@ -281,7 +277,8 @@ def _prime_value_blocks(
             for p in compress(range(prime_bound + 1, bound + 1), sieve[prime_bound + 1 :]):
                 rs = _roots_mod(poly, d, p)
                 if rs is None:
-                    divides_all, rs = True, (0,)
+                    divides_all = True
+                    continue
                 for r in rs:
                     moduli.append(p)
                     roots.append(r)
@@ -300,11 +297,11 @@ def _prime_value_blocks(
             for k in compress(part, flags[part.start - k0 : part.stop - k0]):
                 if not is_prime(f(k)):
                     flags[k - k0] = 0
-        small = _below(poly, max(prime_bound, 1) + 1)
+        small = _below(poly, prime_bound + 1)
         for k in range(max(k0, small.start), min(k1, small.stop)):
             v = f(k)
-            i = bisect_left(moduli, v)
-            flags[k - k0] = v >= 2 and i < len(moduli) and moduli[i] == v
+            # v >= 2 first: a negative v would index the sieve from its end
+            flags[k - k0] = v >= 2 and sieve[v]
         yield k0, flags
         k0 = k1
 
@@ -324,15 +321,10 @@ def search_shanks_candidates(
 
     The arguments are checked when this is called, not on the first next().
     Candidates whose conductor is composite are kept (flagged) so sweep
-    reports can show why an m was skipped.  The flags come from the root
-    sieve (see the module docstring) over every m, before the residue
-    filter: each prime p <= P crosses off the m on the roots of m^2+3m+9
-    mod p, and a survivor below (P + 1)^2 is prime, since a composite value
-    below (P + 1)^2 has a prime factor <= P.  P is the square root of the
-    block's largest value, capped at 2^20, so only survivors past 2^40 go
-    to is_prime.  Blocks grow with m from 1024 to 2^20 m, so memory stays
-    at one block's flags plus the root table however large m_max is, and
-    the first candidate comes at once.
+    reports can show why an m was skipped.  The flags are exact; they come
+    from the prime-value sieve (see the module docstring) over every m,
+    before the residue filter.  Memory is bounded however large m_max is,
+    and the first candidate comes at once.
     """
     if m_max < 1:
         raise DomainError(f"m_max must be positive, got {m_max}")
@@ -347,11 +339,9 @@ def search_shanks_candidates(
 def hl_constant(prime_bound: int) -> HLConstantResult:
     """Singular-series constant (1/4) * prod_{5<=p<=B} (1 - (D/p)/(p-1)).
 
-    D = -3888 is the discriminant of CONDUCTOR_POLY = 144k^2+84k+19.  For a
-    discriminant D (D = 0 or 1 mod 4) the Kronecker symbol (D/n) is a
-    Dirichlet character mod |D| (Cohen, GTM 138, sections 1.4 and 5.1), so
-    (D/p) is read from a table over the odd residues mod |D|, built once
-    with jacobi_symbol.  Factors are accumulated as logarithms in
+    D = -3888 is the discriminant of CONDUCTOR_POLY = 144k^2+84k+19.  As
+    D = -3 * 36^2, (D/p) = (-3/p) for every prime p >= 5, and that is +1
+    exactly when p = 1 (mod 3).  Factors are accumulated as logarithms in
     increasing-prime order with Kahan compensation, then exponentiated, so
     recomputation at the same bound is bit-identical and the 10^7-term
     product keeps full double precision.
@@ -360,16 +350,12 @@ def hl_constant(prime_bound: int) -> HLConstantResult:
         raise DomainError(f"prime bound must be at least 5, got {prime_bound}")
     if prime_bound > MAX_PRIME_BOUND:
         raise InputRangeError(f"prime bound {prime_bound} exceeds {MAX_PRIME_BOUND}")
-    d = discriminant(CONDUCTOR_POLY)
-    modulus = abs(d)
-    # An odd p has an odd residue mod the even |D|; even slots are never read.
-    symbol = [jacobi_symbol(d, r) if r % 2 else 0 for r in range(modulus)]
     log_sum = 0.0
     comp = 0.0
     terms = 0
     # the primes from 5 on: compress yields 2 and 3 first
     for p in islice(compress(range(prime_bound + 1), prime_flags(prime_bound)), 2, None):
-        term = math.log1p(-symbol[p % modulus] / (p - 1))
+        term = math.log1p((-1 if p % 3 == 1 else 1) / (p - 1))
         y = term - comp
         t = log_sum + y
         comp = (t - log_sum) - y
@@ -387,13 +373,9 @@ def empirical_prime_count(
     The comparison value is constant * sqrt(x) / log(x) with the natural
     logarithm.  The inequality is strict: only values below x count.  The
     k with poly(k) < x form one interval, found with the integer square
-    root, and the count is the sum of the root sieve's flags over it (see
-    the module docstring): the primes p <= P cross off the k on the roots
-    of poly mod p, and a survivor below (P + 1)^2 is prime, since a
-    composite value below (P + 1)^2 has a prime factor <= P.  P is the
-    square root of the block's largest value, capped at 2^20, so only
-    survivors past 2^40 go to is_prime.  Memory is at most 2^20 flag bytes
-    plus the root table of the primes <= 2^20, for any x up to 2^63.
+    root, and the count is exact: the sum of the prime-value sieve's flags
+    over that interval (see the module docstring).  Memory is bounded for
+    any x up to 2^63.
     """
     if x < 19:
         raise DomainError(f"cutoff x must be at least 19, got {x}")

@@ -998,6 +998,31 @@ class TestOutFile:
         assert b"4300 digits" in proc.stderr
         assert target.read_bytes() == b"one line that must survive\n"
 
+    def test_lower_digit_limit_from_the_environment_changes_nothing(self, tmp_path):
+        # 640 digits is below the 1185 of this record's n, which a default run writes
+        src = str(Path(towercert.__file__).resolve().parent.parent)
+
+        def towercert_cli(limit, *argv):
+            env = {**os.environ, "PYTHONPATH": src}
+            env.pop("PYTHONINTMAXSTRDIGITS", None)
+            if limit is not None:
+                env["PYTHONINTMAXSTRDIGITS"] = limit
+            return subprocess.run(
+                [sys.executable, "-m", "towercert.cli", *argv],
+                capture_output=True, cwd=tmp_path, env=env, timeout=60,
+            )
+
+        furuta = ["furuta", "--ell", "877", "--m-e", "30", "--count", "200"]
+        default, lowered = towercert_cli(None, *furuta), towercert_cli("640", *furuta)
+        assert default.returncode == lowered.returncode == EXIT_OK, lowered.stderr
+        assert strip_timestamps(lowered.stdout.decode()) == strip_timestamps(default.stdout.decode())
+        registry = tmp_path / "registry.jsonl"
+        registry.write_bytes(default.stdout)
+        eigenform = ["certify", "eigenform", "--weight", "12", "--ell", "877", "--registry", str(registry)]
+        default, lowered = towercert_cli(None, *eigenform), towercert_cli("640", *eigenform)
+        assert default.returncode == lowered.returncode == EXIT_OK, lowered.stderr
+        assert strip_timestamps(lowered.stdout.decode()) == strip_timestamps(default.stdout.decode())
+
     def test_out_directory_is_usage_without_traceback(self, capsys, tmp_path):
         code, out, err = run(capsys, "hl", "constant", "--prime-bound", "100", "--out", str(tmp_path))
         assert code == EXIT_USAGE

@@ -216,7 +216,7 @@ class TestHLConstant:
             assert factor > 0.0
 
 
-    # both sides of the symbol table's modulus 3888 = |D|
+    # both sides of |D| = 3888, the period of (D/p) in p
     @pytest.mark.parametrize("bound", [5, 6, 7, 3887, 3888, 3889, 10**5 + 3])
     def test_equals_per_prime_symbol_loop(self, bound):
         partial, terms = hl_constant_reference(bound)
@@ -225,12 +225,12 @@ class TestHLConstant:
         assert result.constant == partial / 4.0
         assert result.terms_used == terms
 
-    def test_symbol_periodic_mod_discriminant(self):
-        # (D/p) depends on p mod |D| alone: what the table rests on
+    def test_symbol_is_the_mod_3_rule(self):
+        # D = -3 * 36^2, so (D/p) = (-3/p): the rule hl_constant uses
         d = discriminant(CONDUCTOR_POLY)
         for p in odd_wheel_sieve(10**5):
             if p >= 5:
-                assert jacobi_symbol(d, p) == jacobi_symbol(d, p % -d), p
+                assert jacobi_symbol(d, p) == (1 if p % 3 == 1 else -1), p
 
 
 class TestEmpiricalCount:
@@ -320,6 +320,24 @@ class TestPrimeValueSieve:
                 if x >= 19:
                     count = empirical_prime_count(poly, x, 0.3).count
                     assert count == prime_count_mr(poly, x), (k, x)
+
+    @pytest.mark.parametrize(
+        "coefficients",
+        [(2, 2, 2), (3, 3, 3), (5, 0, 5), (7, 7, 7), (13, 0, 13), (19, 0, 19), (23, 23, 23)],
+        ids=str,
+    )
+    def test_content_prime_has_its_one_prime_value(self, coefficients):
+        # the content c = f(0) divides every value, so f(0) is the one prime value
+        poly = QuadraticIntPoly(*coefficients)
+        c = poly.evaluate(0)
+        k0, flags = next(hlsearch._prime_value_blocks(poly, 0, 5000))
+        assert k0 == 0 and flags[0] == 1 and flags.count(1) == 1
+        # cutoffs below 19 are refused, so c - 1 and, for c < 19, c and c + 1 are skipped
+        for x in (c - 1, c, c + 1, 19, 10**6):
+            if x >= 19:
+                count = empirical_prime_count(poly, x, 0.3).count
+                assert count == brute_quadratic_prime_count(*coefficients, x), x
+                assert count == (x > c), x
 
     @pytest.mark.parametrize(
         "coefficients, k, p",
