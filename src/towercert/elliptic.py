@@ -11,11 +11,17 @@ an infinite ell-class field tower.  The witness records the primes and
 their exact product, the one place arbitrary-width integers are needed.
 
 The linear-disjointness step relies on SL2(Z/n) being perfect for
-(n, 30) = 1; sl2_perfect verifies that for n <= 100 by computing the
-normal closure of the commutator [U, L] exactly, and reports the
-abelianization order so failures (n = 2, 3) are informative.  The closure
-is one orbit: a BFS from the identity under right multiplication by
-[U, L] and conjugation by U and L.
+(n, 30) = 1.  sl2_perfect decides this for n <= 100 and reports the
+abelianization order, so failures (n = 2, 3) are informative.  By CRT,
+SL2(Z/n) = SL2(Z/n6) x SL2(Z/n') with n6 the {2,3}-part of n, and the
+abelianization of a direct product is the product of theirs.  SL2(Z/n')
+is perfect by an explicit witness: with D = diag(2, 1/2), t = 1/3 mod n'
+and [x, y] = x*y*x^-1*y^-1, conjugation by D scales U(t) to U(4t), so
+[D, U(t)] = U(3t) = U(1), and [D^-1, L(t)] = L(1) likewise; U(1) and L(1)
+generate, since SL2(Z) maps onto SL2(Z/n').  The two commutators are
+computed, not assumed.  Only SL2(Z/n6) is closed exactly: the normal
+closure of [U, L] as one orbit, a BFS from the identity under right
+multiplication by [U, L] and conjugation by U and L.
 """
 
 from __future__ import annotations
@@ -130,7 +136,46 @@ def sl2_order(n: int) -> int:
 
 
 def sl2_perfect(n: int) -> GroupReport:
-    """Commutator subgroup of SL2(Z/n) as the orbit of the identity.
+    """Abelianization of SL2(Z/n) = SL2(Z/n6) x SL2(Z/n'), n6 the {2,3}-part.
+
+    SL2(Z/n') is perfect by the module docstring's witness [D, U(1/3)] =
+    U(1), [D^-1, L(1/3)] = L(1), checked here (a mismatch is a bug and
+    raises ResourceLimitError).  SL2(Z/n6), n6 <= 96, goes through the BFS.
+    """
+    if not 2 <= n <= PERFECT_LIMIT:
+        raise DomainError(f"sl2_perfect supports 2 <= n <= {PERFECT_LIMIT}, got {n}")
+    n6 = math.prod(p**e for p, e in factorize(n) if p <= 3)
+    if n6 < n and not _witness_holds(n // n6):
+        raise ResourceLimitError(f"commutator witness failed at n'={n // n6}")
+    abelianization = _abelianization_order(n6) if n6 > 1 else 1
+    return GroupReport(
+        n=n,
+        group_order=sl2_order(n),
+        abelianization_order=abelianization,
+        perfect=abelianization == 1,
+    )
+
+
+def _witness_holds(n: int) -> bool:
+    """[D, U(1/3)] == U(1) and [D^-1, L(1/3)] == L(1) in SL2(Z/n), n > 1 prime to 6."""
+
+    def mul(x, y):
+        (a, b, c, d), (e, f, g, h) = x, y
+        return ((a * e + b * g) % n, (a * f + b * h) % n, (c * e + d * g) % n, (c * f + d * h) % n)
+
+    def commutator(x, y):
+        (a, b, c, d), (e, f, g, h) = x, y
+        return mul(mul(x, y), mul((d, -b % n, -c % n, a), (h, -f % n, -g % n, e)))
+
+    half, third = pow(2, -1, n), pow(3, -1, n)
+    return (
+        commutator((2, 0, 0, half), (1, third, 0, 1)) == (1, 1, 0, 1)
+        and commutator((half, 0, 0, 2), (1, 0, third, 1)) == (1, 0, 1, 1)
+    )
+
+
+def _abelianization_order(n: int) -> int:
+    """|SL2(Z/n)| over the order of its commutator subgroup, as one orbit.
 
     The derived subgroup is the normal closure N of c = [U, L], for the
     elementary generators U = [[1,1],[0,1]], L = [[1,0],[1,1]]: any normal
@@ -145,8 +190,6 @@ def sl2_perfect(n: int) -> GroupReport:
     t*c*t^-1, since x*t*c*t^-1 = t*((t^-1*x*t)*c)*t^-1, and in a finite
     group products of those conjugates give all of N.
     """
-    if not 2 <= n <= PERFECT_LIMIT:
-        raise DomainError(f"sl2_perfect supports 2 <= n <= {PERFECT_LIMIT}, got {n}")
     order = sl2_order(n)
     budget = ELEMENT_BUDGET
     identity = (1 % n, 0, 0, 1 % n)
@@ -172,10 +215,4 @@ def sl2_perfect(n: int) -> GroupReport:
         raise ResourceLimitError(
             f"closure produced a non-divisor order {commutator_order} at n={n}"
         )
-    abelianization = order // commutator_order
-    return GroupReport(
-        n=n,
-        group_order=order,
-        abelianization_order=abelianization,
-        perfect=abelianization == 1,
-    )
+    return order // commutator_order

@@ -1177,6 +1177,19 @@ class TestEigenformRangeDigest:
         assert digest.hexdigest() == EIGENFORM_SET_SHA256
 
 
+# `group perfect` for every accepted n plus the usage error on each side.
+GROUP_PERFECT_SHA256 = "ea21ca940779e90ce4c2228a91f542431472743d8964dd4a6df5e25adc7196e5"
+
+
+class TestGroupPerfectDigest:
+    def test_group_perfect_bytes_pinned(self, capsys):
+        digest = hashlib.sha256()
+        for n in range(1, 102):
+            code, out, _ = run(capsys, "group", "perfect", "--n", str(n))
+            digest.update(f"group perfect --n {n} exit {code}\n{_without_timestamp(out)}".encode())
+        assert digest.hexdigest() == GROUP_PERFECT_SHA256
+
+
 # Edge arguments on either side of each bound the CLI or the library checks.
 # Their exit codes and timestamp-stripped stdout are pinned by one sha256;
 # every exit-2 case must also leave an existing --out FILE as it was.

@@ -17,6 +17,8 @@ from towercert.elliptic import (
     FurutaWitness,
     GroupReport,
     furuta_n,
+    _abelianization_order,
+    _witness_holds,
     sl2_order,
     sl2_perfect,
 )
@@ -167,12 +169,36 @@ class TestSL2Perfect:
 
     def test_abelianization_multiplicative_on_coprime_pairs(self):
         # SL2(Z/ab) = SL2(Z/a) x SL2(Z/b) for coprime a, b, and the
-        # abelianization of a direct product is the product of theirs
+        # abelianization of a direct product is the product of theirs.
+        # sl2_perfect splits n this way, so each a*b side is the full-n BFS.
         pairs = [(a, b) for a in range(2, 51) for b in range(a + 1, 51) if math.gcd(a, b) == 1 and a * b <= 100]
-        moduli = {m for a, b in pairs for m in (a, b, a * b)}
+        moduli = {m for a, b in pairs for m in (a, b)}
         ab_order = {n: sl2_perfect(n).abelianization_order for n in moduli}
+        for n in {a * b for a, b in pairs}:
+            ab_order[n] = _abelianization_order(n)
         for a, b in pairs:
             assert ab_order[a * b] == ab_order[a] * ab_order[b], (a, b)
+
+    def test_abelianization_is_gcd_with_12(self):
+        for n in range(2, PERFECT_LIMIT + 1):
+            assert sl2_perfect(n).abelianization_order == math.gcd(n, 12), n
+
+    def test_witness_below_10_000(self):
+        assert all(_witness_holds(n) for n in range(5, 10**4) if math.gcd(n, 6) == 1)
+
+    @pytest.mark.parametrize("ell, m_e", [(5, 30), (2659, 30), (11779, 210)])
+    def test_witness_for_furuta_n(self, ell, m_e):
+        # the groups the linear-disjointness step uses, far past PERFECT_LIMIT
+        assert _witness_holds(furuta_n(ell, m_e).n)
+
+    def test_witness_mismatch_raises(self, monkeypatch):
+        import towercert.elliptic as mod
+
+        monkeypatch.setattr(mod, "_witness_holds", lambda n: False)
+        with pytest.raises(ResourceLimitError):
+            sl2_perfect(7)
+        # a {2,3}-smooth n has no n' factor to witness
+        assert sl2_perfect(8).abelianization_order == 4
 
     def test_out_of_range(self):
         with pytest.raises(DomainError):
@@ -183,9 +209,16 @@ class TestSL2Perfect:
     def test_budget_enforced(self, monkeypatch):
         import towercert.elliptic as mod
 
+        # n = 28: the BFS runs on the {2,3}-part 4, whose closure has 12 elements
         monkeypatch.setattr(mod, "ELEMENT_BUDGET", 10)
         with pytest.raises(ResourceLimitError):
-            sl2_perfect(7)
+            sl2_perfect(28)
+
+    def test_budget_unused_prime_to_6(self, monkeypatch):
+        import towercert.elliptic as mod
+
+        monkeypatch.setattr(mod, "ELEMENT_BUDGET", 1)
+        assert sl2_perfect(97).perfect
 
     def test_default_budget_covers_77(self):
         assert sl2_order(77) < ELEMENT_BUDGET
