@@ -16,7 +16,6 @@ __all__ = [
     "MAX_NATURAL",
     "MR_WITNESSES",
     "is_prime",
-    "jacobi_symbol",
     "exact_sqrt",
     "factorize",
 ]
@@ -67,24 +66,6 @@ def is_prime(n: int) -> bool:
         else:
             return False
     return True
-
-
-def jacobi_symbol(a: int, n: int) -> int:
-    """Jacobi symbol (a/n) for odd positive n; Legendre symbol for prime n."""
-    if n <= 0 or n % 2 == 0:
-        raise DomainError(f"jacobi_symbol needs odd positive n, got {n}")
-    a %= n
-    result = 1
-    while a:
-        while a % 2 == 0:
-            a //= 2
-            if n % 8 in (3, 5):
-                result = -result
-        a, n = n, a
-        if a % 4 == 3 and n % 4 == 3:
-            result = -result
-        a %= n
-    return result if n == 1 else 0
 
 
 def exact_sqrt(n: int) -> int | None:

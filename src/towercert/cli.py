@@ -5,7 +5,8 @@ Exit codes are a stable contract: 0 success, 1 validation rejection
 3 numeric or resource failure.  A handler returns 0 or 1 itself; _run maps
 what it raises: DomainError (InputRangeError included), from the library's
 argument checks or the CLI's own, is a usage error (exit 2), and
-NumericError or ResourceLimitError is exit 3.  Nothing is randomized and no
+NumericError or ResourceLimitError is exit 3, as is output that cannot be
+written (a closed pipe, a full disk).  Nothing is randomized and no
 environment variables are read; identical arguments reproduce identical
 records modulo the timestamp field.
 """
@@ -59,12 +60,17 @@ EXIT_USAGE = 2
 EXIT_NUMERIC = 3
 
 
+class _OutputError(Exception):
+    """Writing or closing the output failed with the OSError it wraps."""
+
+
 class _Emitter:
     """Writes LF-terminated UTF-8 lines to stdout or --out FILE.
 
     FILE is opened up front, so an unopenable path fails before any work,
     but it is only emptied by start() or the first line: a command stopped
-    by a usage error leaves an existing FILE as it was.
+    by a usage error leaves an existing FILE as it was.  An OSError from
+    writing, emptying or closing the output is raised as _OutputError.
     """
 
     def __init__(self, path: str | None):
@@ -81,21 +87,39 @@ class _Emitter:
         if self._pending:
             self._pending = False
             # O_TRUNC, like ftruncate, applies to regular files only
-            if stat.S_ISREG(os.fstat(self._stream.fileno()).st_mode):
-                self._stream.truncate(0)
+            try:
+                if stat.S_ISREG(os.fstat(self._stream.fileno()).st_mode):
+                    self._stream.truncate(0)
+            except OSError as exc:
+                raise self._failed(exc) from exc
 
     def record(self, rec) -> None:
         self.line(to_json_line(rec))
 
     def line(self, text: str) -> None:
         self.start()
-        self._stream.write(text + "\n")
+        try:
+            self._stream.write(text + "\n")
+        except OSError as exc:
+            raise self._failed(exc) from exc
 
     def close(self) -> None:
-        if self._owns:
-            self._stream.close()
-        else:
-            self._stream.flush()
+        try:
+            if self._owns:
+                self._stream.close()
+            else:
+                self._stream.flush()
+        except OSError as exc:
+            raise self._failed(exc) from exc
+
+    def _failed(self, exc: OSError) -> _OutputError:
+        if not self._owns:
+            # stdout keeps the bytes it could not write, and the interpreter
+            # flushes it again at exit: send them to os.devnull instead
+            null = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(null, self._stream.fileno())
+            os.close(null)
+        return _OutputError(exc)
 
 
 def _common_parent() -> argparse.ArgumentParser:
@@ -394,12 +418,16 @@ def main(argv=None) -> int:
         print(f"towercert: error: cannot open output file: {exc}", file=sys.stderr)
         return EXIT_USAGE
     try:
-        code = _run(args, emitter)
-        if code != EXIT_USAGE:
-            emitter.start()  # the command ran, so FILE holds its output even if empty
-        return code
-    finally:
-        emitter.close()
+        try:
+            code = _run(args, emitter)
+            if code != EXIT_USAGE:
+                emitter.start()  # the command ran, so FILE holds its output even if empty
+        finally:
+            emitter.close()
+    except _OutputError as exc:
+        print(f"towercert: cannot write output: {exc}", file=sys.stderr)
+        return EXIT_NUMERIC
+    return code
 
 
 def script_entry() -> None:

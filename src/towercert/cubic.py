@@ -54,7 +54,6 @@ __all__ = [
     "INTEGRALITY_TOL",
     "MAX_CONDUCTOR",
     "UNIT_INDEX_ASSUMPTION",
-    "cubic_poly",
     "real_roots",
     "galois_conjugate",
     "regulator",
@@ -86,23 +85,14 @@ UNIT_INDEX_ASSUMPTION = "unit-index Q=1"
 
 @dataclass(frozen=True)
 class SimplestCubicField:
-    """Fully populated invariants for one member of the family."""
+    """What class_number(m) returns: h, the analytic value rounded to it, the regulator."""
 
     m: int
     ell: int
-    disc: int
-    roots: tuple[float, float, float]
     regulator: float
     class_number_float: float
     class_number: int
     integrality_gap: float
-
-
-def cubic_poly(m: int) -> tuple[int, int, int, int]:
-    """Monic coefficients (1, -m, -(m+3), -1) of f_m."""
-    if m < 1:
-        raise DomainError(f"m must be positive, got {m}")
-    return (1, -m, -(m + 3), -1)
 
 
 def _eval_f(m: int, x: float) -> float:
@@ -369,7 +359,6 @@ def class_number(m: int) -> SimplestCubicField:
         raise InputRangeError(f"conductor {ell} (m={m}) is above MAX_CONDUCTOR = {MAX_CONDUCTOR}")
     if not is_prime(ell):
         raise DomainError(f"conductor {ell} (m={m}) is composite")
-    roots = real_roots(m)
     reg = regulator(m)
     for compensated in (False, True):
         s = l_sum(ell, compensated=compensated)
@@ -385,8 +374,6 @@ def class_number(m: int) -> SimplestCubicField:
             return SimplestCubicField(
                 m=m,
                 ell=ell,
-                disc=ell * ell,
-                roots=roots,
                 regulator=reg,
                 class_number_float=h_float,
                 class_number=h,

@@ -1,9 +1,8 @@
 """Prime search in the quadratic family ell = m^2 + 3m + 9.
 
-Covers Hardy-Littlewood admissibility of integer quadratics, the candidate
-search with the mod-12 congruence filter, the singular-series constant for
-the restriction 144k^2 + 84k + 19 (m = 12k + 2), and empirical counts of
-prime values below a cutoff.
+Covers the candidate search with the mod-12 congruence filter, the
+singular-series constant for the restriction 144k^2 + 84k + 19
+(m = 12k + 2), and empirical counts of prime values below a cutoff.
 
 Both the search and the counts decide "f(k) is prime" for a block of k at
 once, by sieving over the roots of f mod p (Jacobson and Williams, Math.
@@ -35,15 +34,12 @@ from .errors import DomainError, InputRangeError
 
 __all__ = [
     "QuadraticIntPoly",
-    "AdmissibilityVerdict",
     "ShanksCandidate",
     "HLConstantResult",
     "PrimeCountReport",
     "CONDUCTOR_POLY",
     "DEFAULT_RESIDUES",
     "MAX_PRIME_BOUND",
-    "discriminant",
-    "hl_admissible",
     "shanks_value",
     "m_from_prime",
     "search_shanks_candidates",
@@ -88,12 +84,6 @@ _FAMILY_POLY = QuadraticIntPoly(1, 3, 9)
 
 
 @dataclass(frozen=True)
-class AdmissibilityVerdict:
-    admissible: bool
-    failures: tuple[str, ...]
-
-
-@dataclass(frozen=True)
 class ShanksCandidate:
     """One m with its conductor value and primality flag."""
 
@@ -123,28 +113,6 @@ class PrimeCountReport:
     count: int
     estimate: float
     ratio: float
-
-
-def discriminant(poly: QuadraticIntPoly) -> int:
-    """b^2 - 4ac, exact."""
-    d = poly.b * poly.b - 4 * poly.a * poly.c
-    if abs(d) > MAX_NATURAL:
-        raise InputRangeError(f"discriminant {d} outside the 63-bit range")
-    return d
-
-
-def hl_admissible(poly: QuadraticIntPoly) -> AdmissibilityVerdict:
-    """Hardy-Littlewood admissibility: a+b, c not both even and D not a square.
-
-    An admissible quadratic is one the Hardy-Littlewood conjecture predicts
-    takes infinitely many prime values.
-    """
-    failures = []
-    if (poly.a + poly.b) % 2 == 0 and poly.c % 2 == 0:
-        failures.append("parity")
-    if exact_sqrt(discriminant(poly)) is not None:
-        failures.append("square-discriminant")
-    return AdmissibilityVerdict(not failures, tuple(failures))
 
 
 def shanks_value(m: int) -> int:

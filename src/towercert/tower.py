@@ -32,7 +32,6 @@ from .errors import CertificationRejected, DomainError
 from .hlsearch import DEFAULT_RESIDUES, shanks_value
 
 __all__ = [
-    "SchoofInput",
     "TowerProvenance",
     "CyclotomicTowerCertificate",
     "KnownInfiniteRegistry",
@@ -46,17 +45,6 @@ __all__ = [
 # Both fields in the quadratic step are assumed to contain no roots of
 # unity beyond +-1; recorded, not proved.
 TORSION_ASSUMPTION = "torsion-units=+/-1"
-
-
-@dataclass(frozen=True)
-class SchoofInput:
-    rho: int
-    d2_base: int
-    d2_top: int
-
-    def __post_init__(self):
-        if min(self.rho, self.d2_base, self.d2_top) < 0:
-            raise DomainError(f"negative field in {self}")
 
 
 @dataclass(frozen=True)
@@ -139,14 +127,17 @@ def schoof_rhs(d2_base: int, d2_top: int) -> float:
     return 3.0 + d2_base + 2.0 * math.sqrt(d2_top + 1.0)
 
 
-def schoof_holds(inp: SchoofInput) -> bool:
-    """Exact test of rho >= 3 + d2_base + 2*sqrt(d2_top + 1).
+def schoof_holds(rho: int, d2_base: int, d2_top: int) -> bool:
+    """Exact test of rho >= 3 + d2_base + 2*sqrt(d2_top + 1), for naturals.
 
     Evaluated as (rho - 3 - d2_base)^2 >= 4*(d2_top + 1) in integer
     arithmetic so the verdict cannot flip across platforms at the boundary.
+    A negative argument raises DomainError.
     """
-    t = inp.rho - 3 - inp.d2_base
-    return t >= 0 and t * t >= 4 * (inp.d2_top + 1)
+    if min(rho, d2_base, d2_top) < 0:
+        raise DomainError(f"negative count in schoof_holds({rho}, {d2_base}, {d2_top})")
+    t = rho - 3 - d2_base
+    return t >= 0 and t * t >= 4 * (d2_top + 1)
 
 
 def certify_cyclotomic(
@@ -178,7 +169,7 @@ def certify_cyclotomic(
         h=h,
         rho=rho,
         rhs=schoof_rhs(d2, d2),
-        certified=schoof_holds(SchoofInput(rho, d2, d2)),
+        certified=schoof_holds(rho, d2, d2),
         assumptions=(UNIT_INDEX_ASSUMPTION, TORSION_ASSUMPTION),
         provenance=TowerProvenance(
             m_mod_12=m % 12,

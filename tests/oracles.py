@@ -4,8 +4,9 @@ Everything here is implemented from scratch against stdlib/mpmath only, so
 agreement with the package is evidence, not circularity: different
 primality algorithm, different sieve, different character construction,
 different analytic route to the L-value, different group-order counting.
-The three reference implementations at the end are the exception: each
-keeps a replaced loop of the package as the oracle for its faster successor.
+The code at the end is the exception: jacobi_symbol is a helper the package
+no longer needs, and each of the three reference implementations keeps a
+replaced loop of the package as the oracle for its faster successor.
 """
 
 from __future__ import annotations
@@ -15,6 +16,8 @@ import math
 from math import gcd
 
 import mpmath
+
+from towercert.errors import DomainError
 
 # Random 61-bit primes, generated once and frozen; used to cross-check the
 # Furuta product by modular reconstruction.
@@ -389,6 +392,24 @@ def canonical_json_reference(obj) -> str:
     raise ValueError(f"unsupported record value of type {type(obj).__name__}")
 
 
+def jacobi_symbol(a: int, n: int) -> int:
+    """Jacobi symbol (a/n) for odd positive n; Legendre symbol for prime n."""
+    if n <= 0 or n % 2 == 0:
+        raise DomainError(f"jacobi_symbol needs odd positive n, got {n}")
+    a %= n
+    result = 1
+    while a:
+        while a % 2 == 0:
+            a //= 2
+            if n % 8 in (3, 5):
+                result = -result
+        a, n = n, a
+        if a % 4 == 3 and n % 4 == 3:
+            result = -result
+        a %= n
+    return result if n == 1 else 0
+
+
 def hl_constant_reference(prime_bound: int) -> tuple[float, int]:
     """(partial product, terms) of prod_{5<=p<=B} (1 - (-3888/p)/(p-1)).
 
@@ -396,8 +417,6 @@ def hl_constant_reference(prime_bound: int) -> tuple[float, int]:
     per prime from odd_wheel_sieve, log1p terms summed with Kahan
     compensation in increasing-prime order, then exponentiated.
     """
-    from towercert.arith import jacobi_symbol
-
     log_sum = comp = 0.0
     terms = 0
     for p in odd_wheel_sieve(prime_bound):

@@ -25,7 +25,7 @@ from towercert.cubic import class_number
 from towercert.elliptic import ELEMENT_BUDGET, sl2_perfect
 from towercert.hlsearch import hl_constant
 from towercert.modforms import EXCEPTIONAL_PRIMES, VALID_WEIGHTS, certify_eigenform
-from towercert.tower import KnownInfiniteRegistry, SchoofInput, certify_cyclotomic, schoof_holds
+from towercert.tower import KnownInfiniteRegistry, certify_cyclotomic, schoof_holds
 
 SMALL_REJECTED_CONDUCTORS = (19, 79, 139, 163, 607, 1063, 1567, 1987)
 
@@ -100,7 +100,7 @@ def test_acceptance_4_threshold_property(announce):
     with announce(4, "exact tower inequality with rho=4h holds precisely for h >= 18"):
         started = time.perf_counter()
         for h in range(1, 10**4 + 1):
-            holds = schoof_holds(SchoofInput(rho=4 * h, d2_base=3 * h, d2_top=3 * h))
+            holds = schoof_holds(rho=4 * h, d2_base=3 * h, d2_top=3 * h)
             assert holds == (h >= 18), h
         elapsed = time.perf_counter() - started
         assert elapsed < 1.0, f"threshold scan took {elapsed:.2f}s"

@@ -5,13 +5,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import odd_wheel_sieve, trial_division_prime
+from oracles import jacobi_symbol, odd_wheel_sieve, trial_division_prime
 from towercert.arith import (
     MAX_NATURAL,
     exact_sqrt,
     factorize,
     is_prime,
-    jacobi_symbol,
     prime_flags,
 )
 from towercert.errors import DomainError, InputRangeError

@@ -948,6 +948,38 @@ class TestPlumbing:
     def test_exit_codes_are_distinct(self):
         assert len({EXIT_OK, EXIT_REJECTED, EXIT_USAGE, EXIT_NUMERIC}) == 4
 
+    @staticmethod
+    def _cli_process(tmp_path, stdout, *argv):
+        src = str(Path(towercert.__file__).resolve().parent.parent)
+        return subprocess.Popen(
+            [sys.executable, "-m", "towercert.cli", *argv],
+            stdout=stdout, stderr=subprocess.PIPE, cwd=tmp_path,
+            env={**os.environ, "PYTHONPATH": src},
+        )
+
+    @staticmethod
+    def _assert_write_failure(proc, err):
+        assert proc.wait(timeout=60) == EXIT_NUMERIC, err
+        (line,) = err.decode().splitlines()  # one line, so no traceback
+        assert line.startswith("towercert: cannot write output: ")
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+    def test_full_stdout_is_exit_3(self, tmp_path):
+        with open("/dev/full", "wb") as full:
+            proc = self._cli_process(tmp_path, full, "group", "perfect", "--n", "7")
+            err = proc.stderr.read()
+        self._assert_write_failure(proc, err)
+        assert b"No space left" in err
+
+    def test_pipe_closed_after_first_line_is_exit_3(self, tmp_path):
+        proc = self._cli_process(tmp_path, subprocess.PIPE, "search", "--m-max", "200000")
+        first = proc.stdout.readline()
+        proc.stdout.close()
+        err = proc.stderr.read()
+        self._assert_write_failure(proc, err)
+        assert parse_record(first.decode("utf-8").rstrip("\n")).payload["m"] == 2
+        assert b"Broken pipe" in err
+
 
 class TestOutFile:
     """--out FILE is replaced only once the command has passed its argument checks."""

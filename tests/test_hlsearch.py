@@ -9,20 +9,19 @@ from hypothesis import strategies as st
 from oracles import (
     brute_quadratic_prime_count,
     hl_constant_reference,
+    jacobi_symbol,
     odd_wheel_sieve,
     prime_count_mr,
 )
 from towercert import hlsearch
-from towercert.arith import is_prime, jacobi_symbol
+from towercert.arith import is_prime
 from towercert.errors import DomainError, InputRangeError
 from towercert.hlsearch import (
     CONDUCTOR_POLY,
     DEFAULT_RESIDUES,
     MAX_PRIME_BOUND,
     QuadraticIntPoly,
-    discriminant,
     empirical_prime_count,
-    hl_admissible,
     hl_constant,
     m_from_prime,
     search_shanks_candidates,
@@ -33,58 +32,9 @@ FROZEN_CONSTANT_1E6 = 0.28015118850435017
 
 
 class TestDiscriminant:
-    def test_conductor_poly(self):
-        assert discriminant(CONDUCTOR_POLY) == -3888
-
-    def test_family_poly(self):
-        assert discriminant(QuadraticIntPoly(1, 3, 9)) == -27
-
-    def test_pure_square(self):
-        assert discriminant(QuadraticIntPoly(1, 0, 0)) == 0
-
-    def test_overflow(self):
-        with pytest.raises(InputRangeError):
-            discriminant(QuadraticIntPoly(2**40, 0, 2**40))
-
     def test_zero_leading_coefficient_rejected(self):
         with pytest.raises(DomainError):
             QuadraticIntPoly(0, 1, 1)
-
-
-class TestAdmissibility:
-    def test_conductor_poly_admissible(self):
-        verdict = hl_admissible(CONDUCTOR_POLY)
-        assert verdict.admissible and verdict.failures == ()
-
-    def test_x_squared_fails_square_discriminant(self):
-        verdict = hl_admissible(QuadraticIntPoly(1, 0, 0))
-        assert not verdict.admissible
-        assert verdict.failures == ("square-discriminant",)
-
-    def test_always_even_fails_parity(self):
-        verdict = hl_admissible(QuadraticIntPoly(2, 2, 2))
-        assert not verdict.admissible
-        assert verdict.failures == ("parity",)
-
-    def test_fails_both(self):
-        # 2k^2 - 2 = 2(k-1)(k+1): every value even, discriminant 16 square
-        verdict = hl_admissible(QuadraticIntPoly(2, 0, -2))
-        assert set(verdict.failures) == {"parity", "square-discriminant"}
-
-    def test_even_sum_odd_constant(self):
-        assert hl_admissible(QuadraticIntPoly(1, 3, 9)).admissible
-
-    @given(
-        st.integers(min_value=-50, max_value=50).filter(lambda a: a != 0),
-        st.integers(min_value=-50, max_value=50),
-        st.integers(min_value=-50, max_value=50),
-    )
-    def test_against_inline_definition(self, a, b, c):
-        verdict = hl_admissible(QuadraticIntPoly(a, b, c))
-        parity_ok = (a + b) % 2 != 0 or c % 2 != 0
-        d = b * b - 4 * a * c
-        square = d >= 0 and math.isqrt(d) ** 2 == d
-        assert verdict.admissible == (parity_ok and not square)
 
 
 class TestShanksValue:
@@ -227,7 +177,9 @@ class TestHLConstant:
 
     def test_symbol_is_the_mod_3_rule(self):
         # D = -3 * 36^2, so (D/p) = (-3/p): the rule hl_constant uses
-        d = discriminant(CONDUCTOR_POLY)
+        a, b, c = CONDUCTOR_POLY.a, CONDUCTOR_POLY.b, CONDUCTOR_POLY.c
+        d = b * b - 4 * a * c
+        assert d == -3888
         for p in odd_wheel_sieve(10**5):
             if p >= 5:
                 assert jacobi_symbol(d, p) == (1 if p % 3 == 1 else -1), p

@@ -1,10 +1,14 @@
-"""The public surface: every exported name resolves and the README examples run."""
+"""The public surface: every exported name resolves, the package root imports
+nothing else, and the README examples run."""
 
 import importlib
+import os
 import pathlib
 import pkgutil
 import re
 import shlex
+import subprocess
+import sys
 
 import pytest
 
@@ -22,6 +26,18 @@ MODULES = ["towercert"] + [
 def test_all_names_resolve(name):
     module = importlib.import_module(name)
     assert [n for n in getattr(module, "__all__", ()) if not hasattr(module, n)] == []
+
+
+def test_package_import_loads_no_submodule():
+    # towercert/__init__.py re-exports nothing: importing it loads no module of the package
+    code = "import sys, towercert; print(sorted(m for m in sys.modules if m.startswith('towercert.')))"
+    src = str(pathlib.Path(towercert.__file__).resolve().parent.parent)
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True,
+        env={**os.environ, "PYTHONPATH": src}, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
 
 
 def test_readme_library_snippet_runs():

@@ -9,7 +9,6 @@ from towercert.tower import (
     TORSION_ASSUMPTION,
     CyclotomicTowerCertificate,
     KnownInfiniteRegistry,
-    SchoofInput,
     TowerProvenance,
     certify_cyclotomic,
     ramified_count,
@@ -62,28 +61,29 @@ class TestSchoofBound:
         assert schoof_rhs(0, 0) == 5.0
 
     def test_holds_h18(self):
-        assert schoof_holds(SchoofInput(72, 54, 54))
+        assert schoof_holds(72, 54, 54)
 
     def test_fails_h17(self):
-        assert not schoof_holds(SchoofInput(68, 51, 51))
+        assert not schoof_holds(68, 51, 51)
 
     def test_equality_boundary(self):
-        assert schoof_holds(SchoofInput(5, 0, 0))  # 2^2 = 4*(0+1) exactly
+        assert schoof_holds(5, 0, 0)  # 2^2 = 4*(0+1) exactly
 
     def test_negative_field_rejected(self):
-        with pytest.raises(DomainError):
-            SchoofInput(-1, 0, 0)
+        for args in ((-1, 0, 0), (5, -1, 0), (5, 0, -1)):
+            with pytest.raises(DomainError):
+                schoof_holds(*args)
 
     def test_threshold_is_h_18(self):
         for h in range(1, 10**4 + 1):
-            holds = schoof_holds(SchoofInput(4 * h, 3 * h, 3 * h))
+            holds = schoof_holds(4 * h, 3 * h, 3 * h)
             assert holds == (h >= 18), h
 
     @given(st.integers(min_value=0, max_value=10**6), st.integers(min_value=0, max_value=10**6), st.integers(min_value=0, max_value=10**6))
     def test_exact_comparison_matches_float_off_boundary(self, rho, d2b, d2t):
         rhs = schoof_rhs(d2b, d2t)
         if abs(rho - rhs) > 1e-6:  # stay away from the boundary float noise
-            assert schoof_holds(SchoofInput(rho, d2b, d2t)) == (rho >= rhs)
+            assert schoof_holds(rho, d2b, d2t) == (rho >= rhs)
 
 
 class TestCertify:
