@@ -394,15 +394,23 @@ def _cmd_verify_residue(args, emitter) -> int:
     return EXIT_OK
 
 
+def _say(message: str) -> None:
+    """Print one line to stderr; a stderr that cannot be written does not change the exit code."""
+    try:
+        print(f"towercert: {message}", file=sys.stderr)
+    except OSError:
+        pass
+
+
 def _run(args, emitter) -> int:
     """Run the command's handler and map its outcome to an exit code."""
     try:
         return args.handler(args, emitter)
     except DomainError as exc:
-        print(f"towercert: error: {exc}", file=sys.stderr)
+        _say(f"error: {exc}")
         return EXIT_USAGE
     except (NumericError, ResourceLimitError) as exc:
-        print(f"towercert: numeric/resource failure: {exc}", file=sys.stderr)
+        _say(f"numeric/resource failure: {exc}")
         return EXIT_NUMERIC
 
 
@@ -415,7 +423,7 @@ def main(argv=None) -> int:
     try:
         emitter = _Emitter(getattr(args, "out", None))
     except OSError as exc:
-        print(f"towercert: error: cannot open output file: {exc}", file=sys.stderr)
+        _say(f"error: cannot open output file: {exc}")
         return EXIT_USAGE
     try:
         try:
@@ -425,7 +433,7 @@ def main(argv=None) -> int:
         finally:
             emitter.close()
     except _OutputError as exc:
-        print(f"towercert: cannot write output: {exc}", file=sys.stderr)
+        _say(f"cannot write output: {exc}")
         return EXIT_NUMERIC
     return code
 

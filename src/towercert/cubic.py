@@ -27,9 +27,13 @@ L(1,chi) comes from the smoothed approximate functional equation
     L(1,chi) = sum_n chi(n) * erfc(n*sqrt(pi*T/ell)) / n
              + (W/sqrt(ell)) * sum_n conj(chi(n)) * E1(pi*n^2/(ell*T)).
 
-Both kernels fall below exp(-37) after O(sqrt(ell)) terms, and each chi(n)
-is one modular power n^((ell-1)/3), so S costs O(sqrt(ell) * log(ell))
-time and O(1) memory; no character table is built.
+Both kernels fall below exp(-37) after N = O(sqrt(ell)) terms.  chi is
+completely multiplicative, so a table of chi(n) for n <= N costs one
+modular power p^((ell-1)/3) per prime p <= N and one pass over the
+multiples of each prime power.  S costs O(sqrt(ell) * log(ell)) time and
+O(sqrt(ell)) memory: the table and the prime flags take about 2 bytes per
+term, 3 while the table is built, and N is about 6.9*sqrt(ell), so the
+peak is 2.1 MB at MAX_CONDUCTOR.
 
 The root number comes from tau(chi)^3 = ell * J(chi,chi) (Ireland-Rosen,
 GTM 84, ch. 9).  The Jacobi sum J = a + b*w is the primary element
@@ -44,8 +48,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import compress, islice
 
-from .arith import factorize, is_prime
+from .arith import factorize, is_prime, prime_flags
 from .errors import DomainError, InputRangeError, IntegralityError, NumericError
 from .hlsearch import shanks_value
 
@@ -77,6 +82,18 @@ _ROOT_APART = 1e-6
 # Each series stops once its kernel is below exp(-_KERNEL_CUTOFF).
 _KERNEL_CUTOFF = 37.0
 _EULER_GAMMA = 0.57721566490153286
+# The continued fraction of _e1 at depth d takes the last d pairs
+# (2i - 1, i^2), i = d, ..., 1; d = 10 + int(100/x) is at most 110 for x > 1.
+_E1_MAX_DEPTH = 110
+_E1_STEPS = tuple((2.0 * i - 1.0, float(i * i)) for i in range(_E1_MAX_DEPTH, 0, -1))
+# _chi_indices marks the multiples of ell with this index.  The AFE loops
+# add their terms to a fourth running sum, which is never read.
+_ELL_MULTIPLE = 3
+# _SHIFT[c] adds c mod 3 to a chi index and keeps _ELL_MULTIPLE;
+# _SHIFT[_ELL_MULTIPLE] marks every index.
+_SHIFT = tuple(
+    bytes((i + c) % 3 for i in range(3)) + bytes([_ELL_MULTIPLE]) * 253 for c in range(3)
+) + (bytes([_ELL_MULTIPLE]) * 256,)
 
 # Named assumption carried into every certificate that consumes these class
 # numbers: the exceptional units generate the full unit group modulo +-1.
@@ -198,8 +215,10 @@ def _e1(x: float) -> float:
                 return -_EULER_GAMMA - math.log(x) - total
     depth = 10 + int(100.0 / x)
     tail = x + 2 * depth + 1
-    for i in range(depth, 0, -1):
-        tail = x + (2 * i - 1) - i * i / tail
+    # islice, not a slice: CPython keeps up to 2000 freed tuples of each
+    # length below 20 for reuse, which would hold some 400 KB after a sweep
+    for odd, square in islice(_E1_STEPS, _E1_MAX_DEPTH - depth, None):
+        tail = x + odd - square / tail
     return math.exp(-x) / tail
 
 
@@ -227,6 +246,40 @@ def _jacobi_sum(ell: int, zeta: int) -> tuple[int, int]:
     raise NumericError(f"no primary Jacobi sum found mod {ell}")  # unreachable for prime ell
 
 
+def _chi_indices(ell: int, zeta: int, n_max: int) -> bytearray:
+    """idx with chi(n) = w^idx[n] for 0 <= n <= n_max, and idx[n] = _ELL_MULTIPLE where ell | n.
+
+    chi(n) = w^k where n^((ell-1)/3) = zeta^k mod ell.  chi is completely
+    multiplicative, so idx[n] is the sum of v_p(n) * idx[p] mod 3: one
+    modular power per prime p <= n_max, then one translate of the
+    multiples of each power of p.
+    """
+    idx = bytearray(n_max + 1)
+    idx[0] = _ELL_MULTIPLE
+    e = (ell - 1) // 3
+    index = {1: 0, zeta: 1, zeta * zeta % ell: 2, 0: _ELL_MULTIPLE}
+    for p in compress(range(n_max + 1), prime_flags(n_max)):
+        c = index[pow(p, e, ell)]
+        if c:
+            q = p
+            while q <= n_max:
+                idx[q::q] = idx[q::q].translate(_SHIFT[c])
+                q *= p
+    return idx
+
+
+def _neumaier(idx: bytearray, terms) -> list[float]:
+    """The four Neumaier-compensated sums of terms; the n-th term (n = 1, 2, ...) goes to sum idx[n]."""
+    total = [0.0] * 4
+    carry = [0.0] * 4
+    for n, x in enumerate(terms, 1):
+        i = idx[n]
+        s = total[i]
+        total[i] = u = s + x
+        carry[i] += (s - u) + x if abs(s) >= abs(x) else (x - u) + s
+    return [t + c for t, c in zip(total, carry)]
+
+
 def _afe_sums(ell: int, zeta: int, compensated: bool) -> list[complex]:
     """The AFE series of chi mod ell at each smoothing parameter T.
 
@@ -235,45 +288,39 @@ def _afe_sums(ell: int, zeta: int, compensated: bool) -> list[complex]:
         A(T) = sum chi(n) * erfc(n * sqrt(pi*T/ell)) / n,
         B(T) = sum conj(chi(n)) * E1(pi * n^2 / (ell*T)),
 
-    each series cut once its kernel is below exp(-_KERNEL_CUTOFF).  One
-    pass over n computes chi(n) once and keeps twelve running sums (series
-    by value of chi), plain or Neumaier-compensated.
+    each series cut once its kernel is below exp(-_KERNEL_CUTOFF).  chi(n)
+    comes from _chi_indices, and each series is one loop over n that keeps
+    three running sums (by value of chi), plain or Neumaier-compensated.
     """
-    e = (ell - 1) // 3
-    bucket = {1: 0, zeta: 1, zeta * zeta % ell: 2}
     erfc, e1 = math.erfc, _e1
     # erfc(x) <= exp(-x^2) and E1(x) < exp(-x) bound the kernels.
-    series = []
-    for t in _SMOOTHING:
-        alpha = math.sqrt(math.pi * t / ell)
-        series.append((lambda n, alpha=alpha: erfc(n * alpha) / n,
-                       int(math.sqrt(_KERNEL_CUTOFF) / alpha)))
-    for t in _SMOOTHING:
-        beta = math.pi / (ell * t)
-        series.append((lambda n, beta=beta: e1(beta * n * n),
-                       int(math.sqrt(_KERNEL_CUTOFF / beta))))
-    total = [0.0] * 12
-    carry = [0.0] * 12
-    for n in range(1, max(cutoff for _, cutoff in series) + 1):
-        r = pow(n, e, ell)
-        if r == 0:
-            continue  # a multiple of ell, reached only for small ell
-        i = bucket[r]
-        for kernel, cutoff in series:
-            if n <= cutoff:
-                x = kernel(n)
-                s = total[i]
-                total[i] = u = s + x
-                if compensated:
-                    carry[i] += (s - u) + x if abs(s) >= abs(x) else (x - u) + s
-            i += 3
+    alphas = [math.sqrt(math.pi * t / ell) for t in _SMOOTHING]
+    betas = [math.pi / (ell * t) for t in _SMOOTHING]
+    a_cuts = [int(math.sqrt(_KERNEL_CUTOFF) / alpha) for alpha in alphas]
+    b_cuts = [int(math.sqrt(_KERNEL_CUTOFF / beta)) for beta in betas]
+    idx = _chi_indices(ell, zeta, max(a_cuts + b_cuts))
+    totals = []
+    if compensated:
+        for alpha, cut in zip(alphas, a_cuts):
+            totals.append(_neumaier(idx, (erfc(n * alpha) / n for n in range(1, cut + 1))))
+        for beta, cut in zip(betas, b_cuts):
+            totals.append(_neumaier(idx, (e1(beta * n * n) for n in range(1, cut + 1))))
+    else:
+        for alpha, cut in zip(alphas, a_cuts):
+            total = [0.0] * 4
+            for n in range(1, cut + 1):
+                total[idx[n]] += erfc(n * alpha) / n
+            totals.append(total)
+        for beta, cut in zip(betas, b_cuts):
+            total = [0.0] * 4
+            for n in range(1, cut + 1):
+                total[idx[n]] += e1(beta * n * n)
+            totals.append(total)
     half_sqrt3 = math.sqrt(3.0) / 2.0
-    sums = []
-    for j in range(0, 12, 3):
-        s0, s1, s2 = (total[i] + carry[i] for i in range(j, j + 3))
-        # chi takes the values 1, w, w^2 on the three buckets
-        sums.append(complex(s0 - 0.5 * (s1 + s2), half_sqrt3 * (s1 - s2)))
-    a1, a2, b1, b2 = sums
+    # chi takes the values 1, w, w^2 on the three sums
+    a1, a2, b1, b2 = (
+        complex(s0 - 0.5 * (s1 + s2), half_sqrt3 * (s1 - s2)) for s0, s1, s2, _ in totals
+    )
     return [a1, a2, b1.conjugate(), b2.conjugate()]  # the B series carry conj(chi)
 
 
@@ -314,8 +361,10 @@ def l_sum(ell: int, compensated: bool = False) -> complex:
     S equals the log-sine sum sum conj(chi(a)) * log(2*sin(pi*a/ell)), and
     |S|^2 = ell * |L(1,chi)|^2 feeds the class number formula.  L(1, chi)
     and W come from the approximate functional equation (see _l_value)
-    in O(sqrt(ell) * log(ell)) time and O(1) memory.  Its running sums are
-    plain floats, or Neumaier-compensated when ``compensated``.
+    in O(sqrt(ell) * log(ell)) time and O(sqrt(ell)) memory: a table of
+    chi(n) for the 6.9*sqrt(ell) terms, at most 2.1 MB while it is built
+    under MAX_CONDUCTOR.  Its running sums are plain floats, or
+    Neumaier-compensated when ``compensated``.
     """
     if ell < 7:
         raise DomainError(f"conductor must be at least 7, got {ell}")

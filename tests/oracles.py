@@ -5,7 +5,7 @@ agreement with the package is evidence, not circularity: different
 primality algorithm, different sieve, different character construction,
 different analytic route to the L-value, different group-order counting.
 The code at the end is the exception: jacobi_symbol is a helper the package
-no longer needs, and each of the three reference implementations keeps a
+no longer needs, and each of the five reference implementations keeps a
 replaced loop of the package as the oracle for its faster successor.
 """
 
@@ -446,3 +446,74 @@ def prime_count_mr(poly, x: int) -> int:
         if v < x and v >= 2 and is_prime(v):
             count += 1
     return count
+
+
+def e1_reference(x: float) -> float:
+    """E1(x) as the package computed it before its coefficient table.
+
+    Power series for x <= 1; above that the continued fraction evaluated
+    from the bottom up at depth 10 + 100/x, with int coefficients; 0 past
+    x = 40.
+    """
+    if x > 40.0:
+        return 0.0
+    if x <= 1.0:
+        # E1(x) = -gamma - log(x) - sum_{k >= 1} (-x)^k / (k * k!)
+        total, power, k = 0.0, 1.0, 0
+        while True:
+            k += 1
+            power *= -x / k
+            total += power / k
+            if abs(power) < 1e-17:
+                return -0.57721566490153286 - math.log(x) - total
+    depth = 10 + int(100.0 / x)
+    tail = x + 2 * depth + 1
+    for i in range(depth, 0, -1):
+        tail = x + (2 * i - 1) - i * i / tail
+    return math.exp(-x) / tail
+
+
+def afe_sums_reference(ell: int, zeta: int, compensated: bool) -> list[complex]:
+    """[A(T1), A(T2), B(T1), B(T2)] as the package summed them before its chi table.
+
+    The loop of cubic._afe_sums before the prime-power sieve: one modular
+    power per n, and one kernel lambda per series, called in a single pass
+    over n that keeps twelve running sums (series by value of chi).
+    """
+    from towercert.cubic import _KERNEL_CUTOFF, _SMOOTHING
+
+    e = (ell - 1) // 3
+    bucket = {1: 0, zeta: 1, zeta * zeta % ell: 2}
+    erfc, e1 = math.erfc, e1_reference
+    series = []
+    for t in _SMOOTHING:
+        alpha = math.sqrt(math.pi * t / ell)
+        series.append((lambda n, alpha=alpha: erfc(n * alpha) / n,
+                       int(math.sqrt(_KERNEL_CUTOFF) / alpha)))
+    for t in _SMOOTHING:
+        beta = math.pi / (ell * t)
+        series.append((lambda n, beta=beta: e1(beta * n * n),
+                       int(math.sqrt(_KERNEL_CUTOFF / beta))))
+    total = [0.0] * 12
+    carry = [0.0] * 12
+    for n in range(1, max(cutoff for _, cutoff in series) + 1):
+        r = pow(n, e, ell)
+        if r == 0:
+            continue  # a multiple of ell, reached only for small ell
+        i = bucket[r]
+        for kernel, cutoff in series:
+            if n <= cutoff:
+                x = kernel(n)
+                s = total[i]
+                total[i] = u = s + x
+                if compensated:
+                    carry[i] += (s - u) + x if abs(s) >= abs(x) else (x - u) + s
+            i += 3
+    half_sqrt3 = math.sqrt(3.0) / 2.0
+    sums = []
+    for j in range(0, 12, 3):
+        s0, s1, s2 = (total[i] + carry[i] for i in range(j, j + 3))
+        # chi takes the values 1, w, w^2 on the three buckets
+        sums.append(complex(s0 - 0.5 * (s1 + s2), half_sqrt3 * (s1 - s2)))
+    a1, a2, b1, b2 = sums
+    return [a1, a2, b1.conjugate(), b2.conjugate()]  # the B series carry conj(chi)

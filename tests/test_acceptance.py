@@ -20,7 +20,7 @@ from oracles import (
     minkowski_class_number_one,
     residue_scan,
 )
-from towercert.cli import EXIT_OK, EXIT_REJECTED, EXIT_USAGE, main
+from towercert.cli import EXIT_OK, EXIT_USAGE, main
 from towercert.cubic import class_number
 from towercert.elliptic import ELEMENT_BUDGET, sl2_perfect
 from towercert.hlsearch import hl_constant

@@ -949,11 +949,11 @@ class TestPlumbing:
         assert len({EXIT_OK, EXIT_REJECTED, EXIT_USAGE, EXIT_NUMERIC}) == 4
 
     @staticmethod
-    def _cli_process(tmp_path, stdout, *argv):
+    def _cli_process(tmp_path, stdout, *argv, stderr=subprocess.PIPE):
         src = str(Path(towercert.__file__).resolve().parent.parent)
         return subprocess.Popen(
             [sys.executable, "-m", "towercert.cli", *argv],
-            stdout=stdout, stderr=subprocess.PIPE, cwd=tmp_path,
+            stdout=stdout, stderr=stderr, cwd=tmp_path,
             env={**os.environ, "PYTHONPATH": src},
         )
 
@@ -970,6 +970,20 @@ class TestPlumbing:
             err = proc.stderr.read()
         self._assert_write_failure(proc, err)
         assert b"No space left" in err
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+    def test_full_stderr_keeps_usage_exit_2(self, tmp_path):
+        with open("/dev/full", "wb") as full:
+            proc = self._cli_process(
+                tmp_path, subprocess.DEVNULL, "hl", "constant", "--prime-bound", "1", stderr=full
+            )
+        assert proc.wait(timeout=60) == EXIT_USAGE
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+    def test_full_stdout_and_stderr_is_exit_3(self, tmp_path):
+        with open("/dev/full", "wb") as full:
+            proc = self._cli_process(tmp_path, full, "group", "perfect", "--n", "7", stderr=full)
+        assert proc.wait(timeout=60) == EXIT_NUMERIC
 
     def test_pipe_closed_after_first_line_is_exit_3(self, tmp_path):
         proc = self._cli_process(tmp_path, subprocess.PIPE, "search", "--m-max", "200000")

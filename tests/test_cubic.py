@@ -8,8 +8,10 @@ from hypothesis import strategies as st
 
 from oracles import (
     CubicCharacterTable,
+    afe_sums_reference,
     cubic_discriminant,
     digamma_l_value_squared,
+    e1_reference,
     full_range_l_sum,
     gauss_sum_root_number,
     jacobi_sum_bruteforce,
@@ -22,6 +24,8 @@ from towercert.cubic import (
     INTEGRALITY_TOL,
     MAX_CONDUCTOR,
     UNIT_INDEX_ASSUMPTION,
+    _afe_sums,
+    _chi_indices,
     _e1,
     _jacobi_sum,
     _l_value,
@@ -198,14 +202,36 @@ class TestLSum:
     @pytest.mark.parametrize("compensated", [False, True])
     @pytest.mark.parametrize("ell", [2659, 248509])
     def test_memory_bounded(self, ell, compensated):
-        # the old discrete-log table alone took 8 bytes per residue
+        # a few bytes per term of the longest series, not the old
+        # discrete-log table's 8 bytes per residue
+        n_terms = int(math.sqrt(37 * ell / (math.pi * 0.25)))
         tracemalloc.start()
         try:
             l_sum(ell, compensated=compensated)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < 4096
+        assert peak <= 4 * n_terms + 4096
+
+    def test_sums_match_pow_per_n_oracle_bit_for_bit(self):
+        conductors = [ell for ell in range(7, 2000, 6) if trial_division_prime(ell)]
+        conductors.append(shanks_value(2303))
+        for ell in conductors:
+            zeta = pow(_least_primitive_root(ell), (ell - 1) // 3, ell)
+            for compensated in (False, True):
+                expected = afe_sums_reference(ell, zeta, compensated)
+                assert _afe_sums(ell, zeta, compensated) == expected, (ell, compensated)
+
+    @pytest.mark.parametrize("ell", [7, 13, 19, 2659])
+    def test_chi_indices_match_modular_powers(self, ell):
+        zeta = pow(_least_primitive_root(ell), (ell - 1) // 3, ell)
+        bucket = {1: 0, zeta: 1, zeta * zeta % ell: 2, 0: cubic._ELL_MULTIPLE}
+        n_max = int(math.sqrt(37 * ell / (math.pi * 0.25)))
+        idx = _chi_indices(ell, zeta, n_max)
+        assert len(idx) == n_max + 1
+        assert list(idx[1:]) == [bucket[pow(n, (ell - 1) // 3, ell)] for n in range(1, n_max + 1)]
+        # the sentinel is exercised where multiples of ell fall inside the series
+        assert (cubic._ELL_MULTIPLE in idx[1:]) == (ell <= n_max)
 
     def test_against_digamma_oracle(self):
         for ell in (13, 19, 163):
@@ -231,6 +257,7 @@ class TestExponentialIntegral:
             x = min(math.exp(lo + (hi - lo) * i / 2000), 40.0)
             expected = float(mpmath.e1(x))
             assert abs(_e1(x) - expected) <= 1e-14 * expected, x
+            assert _e1(x) == e1_reference(x), x  # same bits as the int-coefficient loop
 
     def test_zero_past_40(self):
         assert _e1(40.0) > 0.0

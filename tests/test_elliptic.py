@@ -12,7 +12,6 @@ from oracles import (
 )
 from towercert.elliptic import (
     ELEMENT_BUDGET,
-    MIN_FURUTA_PRIMES,
     PERFECT_LIMIT,
     FurutaWitness,
     GroupReport,

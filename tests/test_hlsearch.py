@@ -18,7 +18,6 @@ from towercert.arith import is_prime
 from towercert.errors import DomainError, InputRangeError
 from towercert.hlsearch import (
     CONDUCTOR_POLY,
-    DEFAULT_RESIDUES,
     MAX_PRIME_BOUND,
     QuadraticIntPoly,
     empirical_prime_count,

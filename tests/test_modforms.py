@@ -1,7 +1,7 @@
 import hashlib
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 
 from oracles import EXCEPTIONAL_TABLE_SHA256, residue_scan, trial_division_prime

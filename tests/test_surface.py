@@ -1,6 +1,8 @@
 """The public surface: every exported name resolves, the package root imports
-nothing else, and the README examples run."""
+nothing else, no module imports a name it never uses, and the README
+examples run."""
 
+import ast
 import importlib
 import os
 import pathlib
@@ -15,7 +17,9 @@ import pytest
 import towercert
 from towercert.cli import main
 
-README = pathlib.Path(__file__).resolve().parent.parent / "README.md"
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+README = ROOT / "README.md"
+SOURCES = sorted((ROOT / "src").rglob("*.py")) + sorted((ROOT / "tests").glob("*.py"))
 
 MODULES = ["towercert"] + [
     f"towercert.{info.name}" for info in pkgutil.iter_modules(towercert.__path__)
@@ -26,6 +30,29 @@ MODULES = ["towercert"] + [
 def test_all_names_resolve(name):
     module = importlib.import_module(name)
     assert [n for n in getattr(module, "__all__", ()) if not hasattr(module, n)] == []
+
+
+def _unused_imports(path):
+    """Module-level import names that the module never references and does not export."""
+    tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
+    imported = set()
+    for node in tree.body:
+        if isinstance(node, ast.Import):
+            imported.update(a.asname or a.name.partition(".")[0] for a in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported.update(a.asname or a.name for a in node.names if a.name != "*")
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+        ):
+            used.update(ast.literal_eval(node.value))
+    return sorted(imported - used)
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: str(p.relative_to(ROOT)))
+def test_no_unused_imports(path):
+    assert _unused_imports(path) == []
 
 
 def test_package_import_loads_no_submodule():
