@@ -9,6 +9,15 @@ NumericError or ResourceLimitError is exit 3, as is output that cannot be
 written (a closed pipe, a full disk).  Nothing is randomized and no
 environment variables are read; identical arguments reproduce identical
 records modulo the timestamp field.
+
+A command loads only the modules it runs.  Importing this module and
+building the parser load arith, errors and records; every other library
+name a handler calls (sl2_perfect, certify_cyclotomic, Pool, ...) is a
+module attribute here that imports its module on the first call, so
+`group perfect` loads elliptic alone and `search` without --certify
+hlsearch alone.  The names stay attributes of this module, looked up by
+the handlers at each call, so a test or a tracer that rebinds one of them
+still sees every call.
 """
 
 from __future__ import annotations
@@ -19,11 +28,9 @@ import stat
 import sys
 from contextlib import nullcontext
 from functools import partial
-from multiprocessing import Pool
+from importlib import import_module
 
 from .arith import check_natural, is_prime
-from .cubic import MAX_CONDUCTOR
-from .elliptic import MIN_FURUTA_PRIMES, furuta_n, sl2_perfect
 from .errors import (
     CertificationRejected,
     DomainError,
@@ -32,16 +39,6 @@ from .errors import (
     NumericError,
     ResourceLimitError,
 )
-from .hlsearch import (
-    CONDUCTOR_POLY,
-    DEFAULT_RESIDUES,
-    empirical_prime_count,
-    hl_constant,
-    m_from_prime,
-    search_shanks_candidates,
-    shanks_value,
-)
-from .modforms import VALID_WEIGHTS, certify_eigenform, verify_residue_claim
 from .records import (
     _MAX_INT_DIGITS,
     format_float,
@@ -50,7 +47,6 @@ from .records import (
     rejection_record,
     to_json_line,
 )
-from .tower import KnownInfiniteRegistry, certify_cyclotomic
 
 __all__ = ["main", "script_entry", "build_parser"]
 
@@ -58,6 +54,35 @@ EXIT_OK = 0
 EXIT_REJECTED = 1
 EXIT_USAGE = 2
 EXIT_NUMERIC = 3
+
+# build_parser's constants, spelled here so that parsing loads no library
+# module; tests pin each to its owner.
+VALID_WEIGHTS = (12, 16, 18, 20, 22, 26)  # modforms.VALID_WEIGHTS
+DEFAULT_RESIDUES = frozenset({2, 7, 10, 11})  # hlsearch.DEFAULT_RESIDUES
+MIN_FURUTA_PRIMES = 9  # elliptic.MIN_FURUTA_PRIMES
+
+
+def _lazy(module: str, name: str):
+    """module.name, imported on the first call."""
+
+    def call(*args, **kwargs):
+        return getattr(import_module(module, __package__), name)(*args, **kwargs)
+
+    return call
+
+
+search_shanks_candidates = _lazy(".hlsearch", "search_shanks_candidates")
+shanks_value = _lazy(".hlsearch", "shanks_value")
+m_from_prime = _lazy(".hlsearch", "m_from_prime")
+hl_constant = _lazy(".hlsearch", "hl_constant")
+empirical_prime_count = _lazy(".hlsearch", "empirical_prime_count")
+certify_cyclotomic = _lazy(".tower", "certify_cyclotomic")
+KnownInfiniteRegistry = _lazy(".tower", "KnownInfiniteRegistry")
+certify_eigenform = _lazy(".modforms", "certify_eigenform")
+verify_residue_claim = _lazy(".modforms", "verify_residue_claim")
+sl2_perfect = _lazy(".elliptic", "sl2_perfect")
+furuta_n = _lazy(".elliptic", "furuta_n")
+Pool = _lazy("multiprocessing", "Pool")
 
 
 class _OutputError(Exception):
@@ -249,13 +274,18 @@ def _cmd_search(args, emitter) -> int:
     if args.jobs < 1:
         raise DomainError("--jobs must be a positive integer")
     candidates = search_shanks_candidates(args.m_max, _parse_residues(args.residues))
-    if args.certify and shanks_value(args.m_max) > MAX_CONDUCTOR:
-        raise InputRangeError(
-            f"--m-max {args.m_max} reaches conductors above MAX_CONDUCTOR = {MAX_CONDUCTOR}"
-        )
+    if args.certify:
+        from .cubic import MAX_CONDUCTOR
+
+        if shanks_value(args.m_max) > MAX_CONDUCTOR:
+            raise InputRangeError(
+                f"--m-max {args.m_max} reaches conductors above MAX_CONDUCTOR = {MAX_CONDUCTOR}"
+            )
     work = partial(_search_records, args.certify)
     # A pool forks all its workers at once; the output does not depend on how many.
     workers = min(args.jobs, os.cpu_count() or 1) if args.certify else 1
+    if workers > 1:
+        import_module(".tower", __package__)  # once here, not again in every forked worker
     failures = []
     with Pool(workers) if workers > 1 else nullcontext() as pool:
         outcomes = pool.imap(work, candidates) if pool else map(work, candidates)
@@ -355,6 +385,8 @@ def _cmd_hl_count(args, emitter) -> int:
     if args.x < 19:
         raise DomainError("--x must be at least 19 (the least conductor value)")
     check_natural(args.x, "--x")
+    from .hlsearch import CONDUCTOR_POLY
+
     constant_result = hl_constant(args.prime_bound)
     report = empirical_prime_count(CONDUCTOR_POLY, args.x, constant_result.constant)
     if args.format == "csv":

@@ -104,6 +104,8 @@ UNIT_INDEX_ASSUMPTION = "unit-index Q=1"
 class SimplestCubicField:
     """What class_number(m) returns: h, the analytic value rounded to it, the regulator."""
 
+    record_kind = None  # internal: the tower certificate is its record
+
     m: int
     ell: int
     regulator: float

@@ -58,6 +58,8 @@ PERFECT_LIMIT = 100
 
 @dataclass(frozen=True)
 class FurutaWitness:
+    record_kind = "furuta"
+
     ell: int
     m_e: int
     primes: tuple[int, ...]
@@ -84,6 +86,8 @@ class FurutaWitness:
 
 @dataclass(frozen=True)
 class GroupReport:
+    record_kind = "group_report"
+
     n: int
     group_order: int
     abelianization_order: int

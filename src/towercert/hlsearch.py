@@ -87,6 +87,8 @@ _FAMILY_POLY = QuadraticIntPoly(1, 3, 9)
 class ShanksCandidate:
     """One m with its conductor value and primality flag."""
 
+    record_kind = "shanks_candidate"
+
     m: int
     ell: int
     residue: int
@@ -101,6 +103,8 @@ class ShanksCandidate:
 
 @dataclass(frozen=True)
 class HLConstantResult:
+    record_kind = "hl_constant"
+
     prime_bound: int
     partial_product: float
     constant: float
@@ -109,6 +113,8 @@ class HLConstantResult:
 
 @dataclass(frozen=True)
 class PrimeCountReport:
+    record_kind = "prime_count"
+
     x: int
     count: int
     estimate: float

@@ -22,10 +22,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 from .arith import factorize, is_prime
 from .errors import DomainError
-from .tower import KnownInfiniteRegistry
+
+if TYPE_CHECKING:  # certify_eigenform only reads the registry it is given
+    from .tower import KnownInfiniteRegistry
 
 __all__ = [
     "VALID_WEIGHTS",
@@ -57,6 +60,9 @@ EXCEPTIONAL_PRIMES: dict[int, frozenset[int]] = {
 @dataclass(frozen=True)
 class EigenformCertificate:
     """Verdict for the fixed field of the weight-k mod-ell representation."""
+
+    record_kind = "eigenform"
+    record_derived = ("rejection_reasons",)
 
     k: int
     ell: int
@@ -94,6 +100,9 @@ class ResidueQVerdict:
     The claim for this q holds when witnesses is empty.
     """
 
+    record_kind = None  # nested in residue_claim records only
+    record_derived = ("never_one", "forced")
+
     q: int
     witnesses: tuple[int, ...]
     zero_classes: tuple[int, ...]
@@ -110,6 +119,8 @@ class ResidueQVerdict:
 
 @dataclass(frozen=True)
 class ResidueClaimReport:
+    record_kind = "residue_claim"
+
     k: int
     prime_divisors: tuple[int, ...]
     verdicts: tuple[ResidueQVerdict, ...]

@@ -1,14 +1,16 @@
 """Line-delimited certificate records with byte-stable serialization.
 
 Every CLI emission is one JSON object per line.  A result object's payload
-keys follow its dataclass field order, then the derived properties listed
-in _DERIVED; nested result objects become objects the same way and tuples
-become arrays.  Adding, renaming or reordering a field of a result class
-therefore changes its records (and needs a SCHEMA_VERSION bump).  The
-serialization is canonical: keys keep their insertion order, floats print
-with 17 significant digits (lowercase exponent, trailing ".0" when the
-mantissa would otherwise look integral), strings escape to ASCII.  The
-content hash is sha256 over the canonical bytes of (schema_version, kind,
+keys follow its dataclass field order, then the derived properties its
+class lists in record_derived; nested result objects become objects the
+same way and tuples become arrays.  Each result class names its record
+kind in record_kind, so this module imports no result module.  Adding,
+renaming or reordering a field of a result class therefore changes its
+records (and needs a SCHEMA_VERSION bump).  The serialization is
+canonical: keys keep their insertion order, floats print with 17
+significant digits (lowercase exponent, trailing ".0" when the mantissa
+would otherwise look integral), strings escape to ASCII.  The content
+hash is sha256 over the canonical bytes of (schema_version, kind,
 payload); the timestamp is excluded so reruns are byte-identical modulo
 that one field.  canonical_json, the only payload walker, builds that text
 once per record; the record keeps it, its line appends the hash and the
@@ -22,15 +24,10 @@ import json
 import math
 import time
 from dataclasses import dataclass, field, fields
-from functools import cached_property
+from functools import cached_property, lru_cache
 from json.encoder import encode_basestring_ascii as _quote
 
-from .cubic import SimplestCubicField
-from .elliptic import FurutaWitness, GroupReport
 from .errors import DomainError
-from .hlsearch import HLConstantResult, PrimeCountReport, ShanksCandidate
-from .modforms import EigenformCertificate, ResidueClaimReport, ResidueQVerdict
-from .tower import CyclotomicTowerCertificate, TowerProvenance
 
 __all__ = [
     "SCHEMA_VERSION",
@@ -96,7 +93,7 @@ def canonical_json(obj) -> str:
         return "{" + ",".join(parts) + "}"
     if isinstance(obj, (list, tuple)):
         return "[" + ",".join([canonical_json(v) for v in obj]) + "]"
-    names = _NAMES.get(type(obj))
+    names = _payload_keys(type(obj))
     if names is not None:
         return canonical_json({name: getattr(obj, name) for name in names})
     raise DomainError(f"unsupported record value of type {type(obj).__name__}")
@@ -136,10 +133,16 @@ def _hashed_head(kind: str, payload_text: str) -> tuple[str, str]:
     return head, hashlib.sha256((head + "}").encode("ascii")).hexdigest()
 
 
+@lru_cache(maxsize=1)
+def _utc_stamp(second: int) -> str:
+    """The timestamp of a wall-clock second, formatted once for all its records."""
+    return time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime(second))
+
+
 def make_record(kind: str, payload, timestamp: str | None = None) -> CertificateRecord:
     """The record of a payload dict or result object; encoding validates its values."""
     if timestamp is None:
-        timestamp = time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime())
+        timestamp = _utc_stamp(int(time.time()))
     text = canonical_json(payload)
     head, content_hash = _hashed_head(kind, text)
     record = CertificateRecord(
@@ -153,40 +156,46 @@ def make_record(kind: str, payload, timestamp: str | None = None) -> Certificate
     return record
 
 
-_KINDS = {
-    CyclotomicTowerCertificate: "cyclotomic_tower",
-    EigenformCertificate: "eigenform",
-    FurutaWitness: "furuta",
-    GroupReport: "group_report",
-    HLConstantResult: "hl_constant",
-    PrimeCountReport: "prime_count",
-    ResidueClaimReport: "residue_claim",
-    ShanksCandidate: "shanks_candidate",
-}
+RECORD_KINDS = frozenset({
+    "cyclotomic_tower",
+    "eigenform",
+    "furuta",
+    "group_report",
+    "hl_constant",
+    "prime_count",
+    "residue_claim",
+    "shanks_candidate",
+    "rejection",
+})
 
-RECORD_KINDS = frozenset(_KINDS.values()) | {"rejection"}
+# Payload keys per result class: dataclasses.fields() per record is slow.
+_KEYS: dict[type, tuple[str, ...]] = {}
 
-# Properties emitted after a class's dataclass fields, in this order.
-_DERIVED = {
-    EigenformCertificate: ("rejection_reasons",),
-    ResidueQVerdict: ("never_one", "forced"),
-}
 
-# Payload keys per class, computed once: dataclasses.fields() per record is slow.
-_NAMES = {
-    cls: tuple(f.name for f in fields(cls)) + _DERIVED.get(cls, ())
-    for cls in (*_KINDS, TowerProvenance, ResidueQVerdict)
-}
+def _payload_keys(cls: type) -> tuple[str, ...] | None:
+    """A result class's payload keys, or None for a class that is not one.
+
+    A result class declares record_kind (None when it has no record of its
+    own, as for one nested in other records); its keys are its dataclass fields, then the properties
+    it lists in record_derived.
+    """
+    keys = _KEYS.get(cls)
+    if keys is None and hasattr(cls, "record_kind"):
+        keys = _KEYS[cls] = tuple(f.name for f in fields(cls)) + getattr(
+            cls, "record_derived", ()
+        )
+    return keys
 
 
 def record_for(obj, timestamp: str | None = None) -> CertificateRecord:
     """Wrap a module result object in its CertificateRecord."""
-    kind = _KINDS.get(type(obj))
+    cls = type(obj)
+    kind = getattr(cls, "record_kind", None)
     if kind is not None:
         return make_record(kind, obj, timestamp)
-    if isinstance(obj, SimplestCubicField):
-        raise DomainError("SimplestCubicField is internal; emit the tower certificate")
-    raise DomainError(f"no record kind for {type(obj).__name__}")
+    if hasattr(cls, "record_kind"):
+        raise DomainError(f"{cls.__name__} is internal: it has no record of its own")
+    raise DomainError(f"no record kind for {cls.__name__}")
 
 
 def rejection_record(

@@ -51,6 +51,8 @@ TORSION_ASSUMPTION = "torsion-units=+/-1"
 class TowerProvenance:
     """Construction trace attached to every certificate."""
 
+    record_kind = None  # nested in cyclotomic_tower records only
+
     m_mod_12: int
     ell_mod_12: int
     primality_method: str
@@ -73,6 +75,8 @@ class CyclotomicTowerCertificate:
     a file is never rebuilt into a certificate: it counts as evidence only
     when certify_cyclotomic reproduces it to its content hash.
     """
+
+    record_kind = "cyclotomic_tower"
 
     ell: int
     m: int

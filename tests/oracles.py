@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import json
 import math
+from fractions import Fraction
 from math import gcd
 
 import mpmath
@@ -337,6 +338,27 @@ def brute_quadratic_prime_count(a: int, b: int, c: int, x: int) -> int:
         if k > 10**7:
             raise RuntimeError("runaway oracle scan")
     return count
+
+
+def bernoulli(n: int) -> Fraction:
+    """B_n exactly (B_1 = -1/2), by the recurrence sum_{j<=m} C(m+1, j) B_j = 0."""
+    b = [Fraction(1)]
+    for m in range(1, n + 1):
+        b.append(-sum(math.comb(m + 1, j) * b[j] for j in range(m)) / (m + 1))
+    return b[n]
+
+
+def prime_factors(n: int) -> set[int]:
+    """The prime factors of n >= 1, by trial division."""
+    factors, d = set(), 2
+    while d * d <= n:
+        while n % d == 0:
+            factors.add(d)
+            n //= d
+        d += 1
+    if n > 1:
+        factors.add(n)
+    return factors
 
 
 def residue_scan(k: int) -> dict[int, list[int]]:

@@ -1,4 +1,5 @@
 import hashlib
+import importlib.util
 import json
 import math
 import multiprocessing
@@ -1291,3 +1292,63 @@ class TestUsageDigest:
                 assert run(capsys, *argv, "--out", str(target))[:2] == (EXIT_USAGE, ""), template
                 assert target.read_bytes() == b"one line that must survive\n", template
         assert digest.hexdigest() == USAGE_SET_SHA256
+
+
+TRACED_CLI = Path(__file__).resolve().parent.parent / "perfbench" / "traced_cli.py"
+
+# For each name on cli that perfbench/traced_cli.py wraps, a command that calls it.
+CALLERS = {
+    "search_shanks_candidates": ("search", "--m-max", "20"),
+    "certify_cyclotomic": ("certify", "cyclotomic", "--m", "50"),
+    "record_for": ("group", "perfect", "--n", "7"),
+    "to_json_line": ("group", "perfect", "--n", "7"),
+    "parse_record": (
+        "certify", "eigenform", "--weight", "12", "--ell", "877", "--registry", "{registry}"
+    ),
+    "hl_constant": ("hl", "constant", "--prime-bound", "1000"),
+    "empirical_prime_count": ("hl", "count", "--x", "1000", "--prime-bound", "1000"),
+    "sl2_perfect": ("group", "perfect", "--n", "7"),
+    "furuta_n": ("furuta", "--ell", "5", "--m-e", "30"),
+    "certify_eigenform": ("certify", "eigenform", "--weight", "12", "--ell", "877"),
+    "is_prime": ("furuta", "--ell", "5", "--m-e", "30"),
+}
+
+
+def _traced_cli_names():
+    """The names perfbench/traced_cli.py wraps on towercert.cli."""
+    spec = importlib.util.spec_from_file_location("traced_cli", TRACED_CLI)
+    traced_cli = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(traced_cli)
+    return {attr for owner, attr, _ in traced_cli.SPANS if owner is cli}
+
+
+class TestLazyNames:
+    """Library names stay attributes of cli, whose handlers look them up per call."""
+
+    def test_traced_names_exist_and_have_a_caller(self):
+        names = _traced_cli_names()
+        assert sorted(n for n in names if not callable(getattr(cli, n, None))) == []
+        assert sorted(names - set(CALLERS)) == []
+
+    @pytest.mark.parametrize("name", sorted(CALLERS))
+    def test_rebinding_intercepts_the_handler(self, capsys, monkeypatch, tmp_path, name):
+        registry = tmp_path / "registry.jsonl"
+        assert main(["group", "perfect", "--n", "5", "--out", str(registry)]) == EXIT_OK
+        real, calls = getattr(cli, name), []
+
+        def spy(*args, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(cli, name, spy)
+        argv = [a.format(registry=registry) for a in CALLERS[name]]
+        code, out, err = run(capsys, *argv)
+        assert code == EXIT_OK, err
+        assert calls
+
+    def test_parser_constants_match_their_owners(self):
+        from towercert import elliptic, hlsearch, modforms
+
+        assert cli.VALID_WEIGHTS == modforms.VALID_WEIGHTS
+        assert cli.DEFAULT_RESIDUES == hlsearch.DEFAULT_RESIDUES
+        assert cli.MIN_FURUTA_PRIMES == elliptic.MIN_FURUTA_PRIMES

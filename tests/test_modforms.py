@@ -4,7 +4,13 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from oracles import EXCEPTIONAL_TABLE_SHA256, residue_scan, trial_division_prime
+from oracles import (
+    EXCEPTIONAL_TABLE_SHA256,
+    bernoulli,
+    prime_factors,
+    residue_scan,
+    trial_division_prime,
+)
 from towercert.errors import DomainError
 from towercert.modforms import (
     EXCEPTIONAL_PRIMES,
@@ -36,6 +42,17 @@ class TestExceptionalTable:
         for k in VALID_WEIGHTS:
             for p in exceptional_primes(k):
                 assert trial_division_prime(p), (k, p)
+
+    @pytest.mark.parametrize("k", VALID_WEIGHTS)
+    def test_eisenstein_primes_listed(self, k):
+        # a prime dividing the numerator of B_k/(2k) makes the eigenform
+        # congruent to the Eisenstein series E_k: type (i) with m = 0
+        numerator = abs((bernoulli(k) / (2 * k)).numerator)
+        assert prime_factors(numerator) <= EXCEPTIONAL_PRIMES[k]
+
+    def test_weight_20_eisenstein_primes(self):
+        # B_20/40 has numerator -174611 = -283 * 617: the doubled comma splits 283 from 617
+        assert prime_factors(abs((bernoulli(20) / 40).numerator)) == {283, 617}
 
     def test_checksum(self):
         canonical = ";".join(

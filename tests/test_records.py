@@ -1,13 +1,18 @@
+import dataclasses
 import functools
 import hashlib
+import importlib
 import json
+import pkgutil
 import re
 import sys
+import time
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import towercert
 from oracles import canonical_json_reference
 from towercert import records
 from towercert.cubic import class_number
@@ -202,6 +207,16 @@ class TestMakeRecord:
         record = make_record("rejection", {"command": "t", "reasons": []})
         assert re.fullmatch(r"\d{4}-\d{2}-\d{2}T\d{2}:\d{2}:\d{2}Z", record.timestamp)
 
+    def test_default_timestamp_is_the_current_second(self):
+        def now():
+            return time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime())
+
+        payload = {"command": "t", "reasons": []}
+        before = now()
+        stamps = [make_record("rejection", payload).timestamp for _ in range(3)]
+        after = now()
+        assert all(before <= stamp <= after for stamp in stamps)
+
     def test_timestamp_excluded_from_hash(self):
         payload = {"command": "t", "reasons": ["composite"]}
         a = make_record("rejection", payload, timestamp=TS_A)
@@ -213,6 +228,16 @@ class TestMakeRecord:
 class TestRoundTrip:
     def test_known_kinds_cover_samples(self):
         assert set(sample_objects()) | {"rejection"} == RECORD_KINDS
+
+    def test_record_kinds_are_the_declared_kinds(self):
+        declared = set()
+        for info in pkgutil.iter_modules(towercert.__path__):
+            module = importlib.import_module(f"towercert.{info.name}")
+            for cls in vars(module).values():
+                if isinstance(cls, type) and "record_kind" in vars(cls):
+                    assert dataclasses.is_dataclass(cls), cls
+                    declared.add(cls.record_kind)
+        assert declared - {None} | {"rejection"} == RECORD_KINDS
 
     @pytest.mark.parametrize("kind", sorted(RECORD_KINDS - {"rejection"}))
     def test_every_kind_roundtrips(self, kind):

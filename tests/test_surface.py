@@ -67,6 +67,65 @@ def test_package_import_loads_no_submodule():
     assert proc.stdout == "[]\n"
 
 
+# What importing towercert.cli loads: the package, cli and the record codec.
+CLI_BASE = {f"towercert{m}" for m in ("", ".cli", ".arith", ".errors", ".records")}
+
+
+def _loaded_in_fresh_process(code):
+    """The towercert modules, and multiprocessing if loaded, once code has run."""
+    probe = code + (
+        "\nimport sys\nprint(sorted(m for m in sys.modules"
+        " if m.startswith('towercert') or m == 'multiprocessing'))"
+    )
+    src = str(pathlib.Path(towercert.__file__).resolve().parent.parent)
+    proc = subprocess.run(
+        [sys.executable, "-c", probe], capture_output=True, text=True,
+        env={**os.environ, "PYTHONPATH": src}, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return set(ast.literal_eval(proc.stdout))
+
+
+def test_cli_import_and_parser_load_no_library_module():
+    code = "import towercert.cli as cli\ncli.build_parser()"
+    assert _loaded_in_fresh_process(code) == CLI_BASE
+
+
+@pytest.mark.parametrize(
+    "argv, added",
+    [
+        ("group perfect --n 7", {"elliptic"}),
+        ("furuta --ell 5 --m-e 30", {"elliptic"}),
+        ("search --m-max 20", {"hlsearch"}),
+        ("hl constant --prime-bound 1000", {"hlsearch"}),
+        ("certify cyclotomic --m 50", {"hlsearch", "cubic", "tower"}),
+        ("verify residue-claim --weight 12", {"modforms"}),
+    ],
+)
+def test_command_loads_only_its_modules(argv, added):
+    code = (
+        "import os, towercert.cli as cli\n"
+        f"assert cli.main({argv.split()!r} + ['--out', os.devnull]) == 0"
+    )
+    assert _loaded_in_fresh_process(code) == CLI_BASE | {f"towercert.{m}" for m in added}
+
+
+def test_search_jobs_loads_tower_before_the_pool_forks():
+    # a worker forked before tower was loaded would compile it again
+    code = (
+        "import os, sys, towercert.cli as cli\n"
+        "real_pool = cli.Pool\n"
+        "def pool(processes):\n"
+        "    assert 'towercert.tower' in sys.modules\n"
+        "    return real_pool(processes)\n"
+        "cli.Pool, cli.os.cpu_count = pool, lambda: 2\n"
+        "argv = ['search', '--m-max', '30', '--certify', '--jobs', '2', '--out', os.devnull]\n"
+        "assert cli.main(argv) == 0"
+    )
+    added = {"towercert.hlsearch", "towercert.cubic", "towercert.tower", "multiprocessing"}
+    assert _loaded_in_fresh_process(code) == CLI_BASE | added
+
+
 def test_readme_library_snippet_runs():
     section = README.read_text(encoding="utf-8").split("\n## Library\n", 1)[1]
     code = re.search(r"```python\n(.*?)```", section, re.DOTALL).group(1)
