@@ -65,24 +65,6 @@ class FurutaWitness:
     primes: tuple[int, ...]
     n: int
 
-    def __post_init__(self):
-        if len(self.primes) < MIN_FURUTA_PRIMES:
-            raise DomainError(
-                f"a Furuta witness needs at least {MIN_FURUTA_PRIMES} primes, "
-                f"got {len(self.primes)}"
-            )
-        if any(p <= q for p, q in zip(self.primes[1:], self.primes)):
-            raise DomainError("witness primes must be strictly ascending")
-        for p in self.primes:
-            if not is_prime(p):
-                raise DomainError(f"witness entry {p} is not prime")
-            if p % self.ell != 1:
-                raise DomainError(f"witness prime {p} is not 1 mod {self.ell}")
-            if math.gcd(p, self.m_e) != 1:
-                raise DomainError(f"witness prime {p} shares a factor with {self.m_e}")
-        if self.n != math.prod(self.primes):
-            raise DomainError("witness product n does not match its primes")
-
 
 @dataclass(frozen=True)
 class GroupReport:
@@ -92,12 +74,6 @@ class GroupReport:
     group_order: int
     abelianization_order: int
     perfect: bool
-
-    def __post_init__(self):
-        if self.group_order % self.abelianization_order != 0:
-            raise DomainError("abelianization order must divide the group order")
-        if self.perfect != (self.abelianization_order == 1):
-            raise DomainError("perfect flag contradicts the abelianization order")
 
 
 def furuta_n(ell: int, m_e: int, count: int = MIN_FURUTA_PRIMES) -> FurutaWitness:

@@ -94,12 +94,6 @@ class ShanksCandidate:
     residue: int
     is_prime_ell: bool
 
-    def __post_init__(self):
-        if self.ell != self.m * self.m + 3 * self.m + 9:
-            raise DomainError(f"ell {self.ell} != m^2+3m+9 for m={self.m}")
-        if self.residue != self.m % 12:
-            raise DomainError("residue must be m mod 12")
-
 
 @dataclass(frozen=True)
 class HLConstantResult:

@@ -62,7 +62,6 @@ class EigenformCertificate:
     """Verdict for the fixed field of the weight-k mod-ell representation."""
 
     record_kind = "eigenform"
-    record_derived = ("rejection_reasons",)
 
     k: int
     ell: int
@@ -71,24 +70,7 @@ class EigenformCertificate:
     galois_group_full: bool
     tower_evidence: str | None
     certified: bool
-
-    def __post_init__(self):
-        expected = self.not_exceptional and self.det_index == 1 and (
-            self.tower_evidence is not None
-        )
-        if self.certified != expected:
-            raise DomainError("certified flag contradicts its three hypotheses")
-
-    @property
-    def rejection_reasons(self) -> tuple[str, ...]:
-        reasons = []
-        if not self.not_exceptional:
-            reasons.append("exceptional")
-        if self.det_index != 1:
-            reasons.append("det_index")
-        if self.tower_evidence is None:
-            reasons.append("no_tower_evidence")
-        return tuple(reasons)
+    rejection_reasons: tuple[str, ...]
 
 
 @dataclass(frozen=True)
@@ -97,24 +79,17 @@ class ResidueQVerdict:
 
     witnesses: classes with ell = 1 mod q.  zero_classes: classes with
     q | ell, which primality of ell already rules out (ell >= 13 > q here).
-    The claim for this q holds when witnesses is empty.
+    never_one: witnesses is empty, so the claim holds for this q.  forced:
+    every class not killed by q | ell lands on 1 mod q.
     """
 
     record_kind = None  # nested in residue_claim records only
-    record_derived = ("never_one", "forced")
 
     q: int
     witnesses: tuple[int, ...]
     zero_classes: tuple[int, ...]
-
-    @property
-    def never_one(self) -> bool:
-        return not self.witnesses
-
-    @property
-    def forced(self) -> bool:
-        """True when every class not killed by q | ell lands on 1 mod q."""
-        return len(self.witnesses) + len(self.zero_classes) == self.q
+    never_one: bool
+    forced: bool
 
 
 @dataclass(frozen=True)
@@ -142,23 +117,30 @@ def det_image_index(k: int, ell: int) -> int:
     """
     if ell < 3 or not is_prime(ell):
         raise DomainError(f"ell must be an odd prime, got {ell}")
-    if k not in EXCEPTIONAL_PRIMES:
-        raise DomainError(f"no unique level-1 eigenform of weight {k}")
+    exceptional_primes(k)
     return math.gcd(k - 1, ell - 1)
 
 
 def certify_eigenform(k: int, ell: int, registry: KnownInfiniteRegistry) -> EigenformCertificate:
     """Evaluate the three hypotheses for the weight-k, prime-ell fixed field.
 
-    Rejections are structured (flags plus rejection_reasons), never raised;
-    only malformed inputs raise, among them ell = 2 (det_image_index needs
-    an odd prime).  Tower evidence is read from the registry, not
-    recomputed, so this gate stays pure and fast.
+    Rejections are structured (flags plus rejection_reasons, in the order
+    exceptional, det_index, no_tower_evidence), never raised; only
+    malformed inputs raise, among them ell = 2 (det_image_index needs an
+    odd prime).  Tower evidence is read from the registry, not recomputed,
+    so this gate stays pure and fast.
     """
     exceptional = exceptional_primes(k)
     det_index = det_image_index(k, ell)
     evidence = registry.known_infinite(ell)
     not_exceptional = ell not in exceptional
+    reasons = []
+    if not not_exceptional:
+        reasons.append("exceptional")
+    if det_index != 1:
+        reasons.append("det_index")
+    if evidence is None:
+        reasons.append("no_tower_evidence")
     return EigenformCertificate(
         k=k,
         ell=ell,
@@ -166,7 +148,8 @@ def certify_eigenform(k: int, ell: int, registry: KnownInfiniteRegistry) -> Eige
         det_index=det_index,
         galois_group_full=not_exceptional and det_index == 1,
         tower_evidence=evidence,
-        certified=not_exceptional and det_index == 1 and evidence is not None,
+        certified=not reasons,
+        rejection_reasons=tuple(reasons),
     )
 
 
@@ -177,8 +160,7 @@ def verify_residue_claim(k: int) -> ResidueClaimReport:
     ell = 1 mod q; for q = 3 every class surviving the primality constraint
     does, so weights with 3 | k-1 (16 and 22) fail with that witness.
     """
-    if k not in EXCEPTIONAL_PRIMES:
-        raise DomainError(f"no unique level-1 eigenform of weight {k}")
+    exceptional_primes(k)
     divisors = tuple(p for p, _ in factorize(k - 1))
     verdicts = []
     for q in divisors:
@@ -190,7 +172,8 @@ def verify_residue_claim(k: int) -> ResidueClaimReport:
                 witnesses.append(m)
             elif value == 0:
                 zeros.append(m)
-        verdicts.append(ResidueQVerdict(q, tuple(witnesses), tuple(zeros)))
+        forced = len(witnesses) + len(zeros) == q
+        verdicts.append(ResidueQVerdict(q, tuple(witnesses), tuple(zeros), not witnesses, forced))
     return ResidueClaimReport(
         k=k,
         prime_divisors=divisors,

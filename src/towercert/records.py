@@ -1,8 +1,8 @@
 """Line-delimited certificate records with byte-stable serialization.
 
 Every CLI emission is one JSON object per line.  A result object's payload
-keys follow its dataclass field order, then the derived properties its
-class lists in record_derived; nested result objects become objects the
+keys are exactly its dataclass fields, in field order, with no derived
+properties added; nested result objects become objects the
 same way and tuples become arrays.  Each result class names its record
 kind in record_kind, so this module imports no result module.  Adding,
 renaming or reordering a field of a result class therefore changes its
@@ -176,14 +176,12 @@ def _payload_keys(cls: type) -> tuple[str, ...] | None:
     """A result class's payload keys, or None for a class that is not one.
 
     A result class declares record_kind (None when it has no record of its
-    own, as for one nested in other records); its keys are its dataclass fields, then the properties
-    it lists in record_derived.
+    own, as for one nested in other records); its keys are its dataclass
+    fields, in order.
     """
     keys = _KEYS.get(cls)
     if keys is None and hasattr(cls, "record_kind"):
-        keys = _KEYS[cls] = tuple(f.name for f in fields(cls)) + getattr(
-            cls, "record_derived", ()
-        )
+        keys = _KEYS[cls] = tuple(f.name for f in fields(cls))
     return keys
 
 

@@ -9,12 +9,12 @@ from oracles import (
     sl2_order_bruteforce,
     sl2_order_paircount,
     sl2_perfect_restart,
+    trial_division_prime,
 )
 from towercert.elliptic import (
     ELEMENT_BUDGET,
+    MIN_FURUTA_PRIMES,
     PERFECT_LIMIT,
-    FurutaWitness,
-    GroupReport,
     furuta_n,
     _abelianization_order,
     _witness_holds,
@@ -75,19 +75,17 @@ class TestFurutaN:
         assert all(math.gcd(p, 330) == 1 for p in witness.primes)
 
     def test_congruence_recheck(self):
-        for ell in (2, 5, 7, 19):
-            witness = furuta_n(ell, 30)
-            assert all(p % ell == 1 for p in witness.primes)
-            assert len(set(witness.primes)) == len(witness.primes)
-
-    def test_witness_validation(self):
-        with pytest.raises(DomainError):
-            FurutaWitness(5, 30, ELL5_NINE_PRIMES, n=2)  # wrong product
-        with pytest.raises(DomainError):
-            FurutaWitness(5, 30, ELL5_NINE_PRIMES[:8], n=math.prod(ELL5_NINE_PRIMES[:8]))
-        descending = tuple(reversed(ELL5_NINE_PRIMES))
-        with pytest.raises(DomainError):
-            FurutaWitness(5, 30, descending, n=math.prod(descending))
+        ells = (2, 5, 7, 19, 2659, 3547, 5119, 8563, 9127, 9319, 9907, 11779)
+        for ell in ells:
+            for m_e in (30, 210, 330):
+                witness = furuta_n(ell, m_e)
+                primes = witness.primes
+                assert len(primes) >= MIN_FURUTA_PRIMES
+                assert all(p < q for p, q in zip(primes, primes[1:])), primes
+                for p in primes:
+                    assert trial_division_prime(p), (ell, m_e, p)
+                    assert p % ell == 1 and math.gcd(p, m_e) == 1, (ell, m_e, p)
+                assert witness.n == math.prod(primes)
 
 
 class TestSL2Order:
@@ -226,16 +224,6 @@ class TestSL2Perfect:
 
 
 class TestGroupReport:
-    def test_abelianization_must_divide(self):
-        with pytest.raises(DomainError):
-            GroupReport(n=7, group_order=336, abelianization_order=5, perfect=False)
-
-    def test_perfect_flag_must_match(self):
-        with pytest.raises(DomainError):
-            GroupReport(n=7, group_order=336, abelianization_order=1, perfect=False)
-        with pytest.raises(DomainError):
-            GroupReport(n=2, group_order=6, abelianization_order=2, perfect=True)
-
     @given(st.integers(min_value=2, max_value=50))
     @settings(max_examples=15, deadline=None)
     def test_report_internally_consistent(self, n):

@@ -308,6 +308,8 @@ class TestPrimeValueSieve:
         candidates = list(search_shanks_candidates(12_000, every))
         assert [c.m for c in candidates] == list(range(1, 12_001))
         for cand in candidates:
+            assert cand.ell == cand.m**2 + 3 * cand.m + 9, cand
+            assert cand.residue == cand.m % 12, cand
             assert cand.is_prime_ell == is_prime(cand.ell), cand
 
     def test_survivors_past_the_cap_go_to_is_prime(self, monkeypatch):

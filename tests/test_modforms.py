@@ -139,6 +139,19 @@ class TestCertifyEigenform:
         assert after.certified
         assert after.tower_evidence == "computed"
 
+    def test_reasons_match_flags_below_3000(self):
+        registry = KnownInfiniteRegistry()
+        for k in VALID_WEIGHTS:
+            for ell in filter(trial_division_prime, range(3, 3000)):
+                cert = certify_eigenform(k, ell, registry)
+                failed = (
+                    ("exceptional", not cert.not_exceptional),
+                    ("det_index", cert.det_index != 1),
+                    ("no_tower_evidence", cert.tower_evidence is None),
+                )
+                assert cert.rejection_reasons == tuple(r for r, bad in failed if bad), cert
+                assert cert.certified == (cert.rejection_reasons == ()), cert
+
     def test_bad_weight_rejected(self):
         with pytest.raises(DomainError):
             certify_eigenform(14, 877, KnownInfiniteRegistry())
