@@ -8,6 +8,8 @@ locally.  Primality is deterministic, never probabilistic.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
+from itertools import chain, compress
 from math import isqrt
 
 from .errors import DomainError, InputRangeError
@@ -81,8 +83,8 @@ def prime_flags(bound: int) -> bytearray:
 
     One byte per integer (10 MB at bound 10^7), plus half as much again
     while the multiples of 2 are crossed off.  Read the primes with
-    itertools.compress(range(bound + 1), flags); for bound < 2 the array
-    is two zero bytes long, which compress stops at.
+    primes_between, or every flag with itertools.compress(range(bound + 1),
+    flags); for bound < 2 the array is two zero bytes long.
     """
     flags = bytearray(b"\x01") * max(bound + 1, 2)
     flags[0:2] = b"\x00\x00"
@@ -92,6 +94,18 @@ def prime_flags(bound: int) -> bytearray:
             # zeros as a bytearray: assigning bytes would copy them to one first
             flags[start : bound + 1 : p] = bytearray((bound - start) // p + 1)
     return flags
+
+
+def primes_between(flags: bytearray, lo: int, hi: int) -> Iterator[int]:
+    """The primes lo <= p <= hi, ascending, read from flags = prime_flags(B), hi <= B.
+
+    2 is yielded on its own and the odd primes from the odd half of flags,
+    through a strided view: no int is made for an even number, and no copy
+    of flags.  lo >= 0.
+    """
+    odd = lo | 1
+    stream = compress(range(odd, hi + 1, 2), memoryview(flags)[odd : hi + 1 : 2])
+    return chain((2,), stream) if lo <= 2 <= hi else stream
 
 
 def factorize(n: int) -> list[tuple[int, int]]:

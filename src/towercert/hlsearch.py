@@ -26,10 +26,10 @@ import math
 from array import array
 from collections.abc import Iterator
 from dataclasses import dataclass
-from itertools import compress, islice
-from math import isqrt
+from itertools import compress
+from math import isqrt, log1p
 
-from .arith import MAX_NATURAL, exact_sqrt, is_prime, prime_flags
+from .arith import MAX_NATURAL, exact_sqrt, is_prime, prime_flags, primes_between
 from .errors import DomainError, InputRangeError
 
 __all__ = [
@@ -242,7 +242,7 @@ def _prime_value_blocks(
         bound = min(isqrt(max(f(k0), f(k1 - 1), 0)), _SIEVE_CAP)
         if bound > prime_bound:
             sieve = prime_flags(bound)
-            for p in compress(range(prime_bound + 1, bound + 1), sieve[prime_bound + 1 :]):
+            for p in primes_between(sieve, prime_bound + 1, bound):
                 rs = _roots_mod(poly, d, p)
                 if rs is None:
                     divides_all = True
@@ -309,10 +309,12 @@ def hl_constant(prime_bound: int) -> HLConstantResult:
 
     D = -3888 is the discriminant of CONDUCTOR_POLY = 144k^2+84k+19.  As
     D = -3 * 36^2, (D/p) = (-3/p) for every prime p >= 5, and that is +1
-    exactly when p = 1 (mod 3).  Factors are accumulated as logarithms in
-    increasing-prime order with Kahan compensation, then exponentiated, so
-    recomputation at the same bound is bit-identical and the 10^7-term
-    product keeps full double precision.
+    exactly when p = 1 (mod 3).  The primes come from the odd half of the
+    sieve (arith.primes_between), so no int is made for an even number.
+    Factors are accumulated as logarithms in increasing-prime order with
+    Kahan compensation, then exponentiated, so recomputation at the same
+    bound is bit-identical and the 10^7-term product keeps full double
+    precision.
     """
     if prime_bound < 5:
         raise DomainError(f"prime bound must be at least 5, got {prime_bound}")
@@ -321,9 +323,9 @@ def hl_constant(prime_bound: int) -> HLConstantResult:
     log_sum = 0.0
     comp = 0.0
     terms = 0
-    # the primes from 5 on: compress yields 2 and 3 first
-    for p in islice(compress(range(prime_bound + 1), prime_flags(prime_bound)), 2, None):
-        term = math.log1p((-1 if p % 3 == 1 else 1) / (p - 1))
+    for p in primes_between(prime_flags(prime_bound), 5, prime_bound):
+        # -1.0/(p-1) is the negated 1.0/(p-1): the bits of log1p((-1 or 1)/(p-1))
+        term = log1p(-1.0 / (p - 1)) if p % 3 == 1 else log1p(1.0 / (p - 1))
         y = term - comp
         t = log_sum + y
         comp = (t - log_sum) - y

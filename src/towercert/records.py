@@ -13,19 +13,24 @@ would otherwise look integral), strings escape to ASCII.  The content
 hash is sha256 over the canonical bytes of (schema_version, kind,
 payload); the timestamp is excluded so reruns are byte-identical modulo
 that one field.  canonical_json, the only payload walker, builds that text
-once per record; the record keeps it, its line appends the hash and the
-timestamp, and its payload is what the line decodes to.
+once per record; the record keeps it, and its line appends the hash and
+the timestamp.  A made record's payload is decoded from that text on first
+use, so writing a record decodes nothing, and the payload is what the line
+decodes to.  canonical_json dispatches on the exact type of each value;
+subclasses of the JSON types and result objects take a slower path, which
+keeps a result class's encoder once it has met the class.
 """
 
 from __future__ import annotations
 
-import hashlib
 import json
 import math
 import time
 from dataclasses import dataclass, field, fields
 from functools import cached_property, lru_cache
+from hashlib import sha256
 from json.encoder import encode_basestring_ascii as _quote
+from operator import attrgetter, itemgetter
 
 from .errors import DomainError
 
@@ -60,100 +65,84 @@ def format_float(x: float) -> str:
     return text
 
 
+def _encode_int(obj: int) -> str:
+    try:
+        text = repr(obj)
+    except ValueError as exc:  # past this interpreter's int-string digit limit
+        raise DomainError(f"integer cannot be serialized: {exc}") from None
+    # the sign is not a digit; the second test runs only for long texts
+    if len(text) > _MAX_INT_DIGITS and len(text.lstrip("-")) > _MAX_INT_DIGITS:
+        raise DomainError(
+            f"integer cannot be serialized: it exceeds the limit ({_MAX_INT_DIGITS} "
+            "digits) of a default interpreter"
+        )
+    return text
+
+
+def _encode_dict(obj: dict) -> str:
+    parts = []
+    for key, value in obj.items():
+        if not isinstance(key, str):
+            raise DomainError(f"record keys must be strings, got {key!r}")
+        parts.append(_quote(key) + ":" + canonical_json(value))
+    return "{" + ",".join(parts) + "}"
+
+
+def _encode_array(obj) -> str:
+    return "[" + ",".join([canonical_json(v) for v in obj]) + "]"
+
+
+# The encoder of each exact type canonical_json has met: the JSON types
+# below, and each result class once it has been encoded (_result_encoder).
+_ENCODERS = {
+    str: _quote,
+    type(None): lambda obj: "null",
+    bool: lambda obj: "true" if obj else "false",
+    int: _encode_int,
+    float: format_float,
+    dict: _encode_dict,
+    list: _encode_array,
+    tuple: _encode_array,
+}
+
+
 def canonical_json(obj) -> str:
     """Canonical JSON text of obj: the exact bytes records and hashes use."""
-    if isinstance(obj, str):
-        return _quote(obj)
-    if obj is None:
-        return "null"
-    if obj is True:
-        return "true"
-    if obj is False:
-        return "false"
-    if isinstance(obj, int):
-        try:
-            text = repr(obj)
-        except ValueError as exc:  # past this interpreter's int-string digit limit
-            raise DomainError(f"integer cannot be serialized: {exc}") from None
-        # the sign is not a digit; the second test runs only for long texts
-        if len(text) > _MAX_INT_DIGITS and len(text.lstrip("-")) > _MAX_INT_DIGITS:
-            raise DomainError(
-                f"integer cannot be serialized: it exceeds the limit ({_MAX_INT_DIGITS} "
-                "digits) of a default interpreter"
-            )
-        return text
-    if isinstance(obj, float):
-        return format_float(obj)
-    if isinstance(obj, dict):
-        parts = []
-        for key, value in obj.items():
-            if not isinstance(key, str):
-                raise DomainError(f"record keys must be strings, got {key!r}")
-            parts.append(_quote(key) + ":" + canonical_json(value))
-        return "{" + ",".join(parts) + "}"
-    if isinstance(obj, (list, tuple)):
-        return "[" + ",".join([canonical_json(v) for v in obj]) + "]"
-    names = _payload_keys(type(obj))
-    if names is not None:
-        return canonical_json({name: getattr(obj, name) for name in names})
-    raise DomainError(f"unsupported record value of type {type(obj).__name__}")
+    encode = _ENCODERS.get(type(obj))
+    return encode(obj) if encode is not None else _encode_other(obj)
 
 
-@dataclass(frozen=True)
-class CertificateRecord:
-    schema_version: str
-    kind: str
-    payload: dict = field(hash=False)
-    content_hash: str
-    timestamp: str
-
-    def __post_init__(self):
-        if self.schema_version != SCHEMA_VERSION:
-            raise DomainError(f"unsupported schema version {self.schema_version!r}")
-        if not isinstance(self.kind, str) or self.kind not in RECORD_KINDS:
-            raise DomainError(f"unknown record kind {self.kind!r}")
-        if not isinstance(self.payload, dict):
-            raise DomainError("record payload must be a JSON object")
-        if not isinstance(self.timestamp, str):
-            raise DomainError("record timestamp must be a string")
-
-    @cached_property
-    def _head(self) -> str:
-        """The hashed text minus its closing brace; make_record and parse_record set it."""
-        return _hashed_head(self.kind, canonical_json(self.payload))[0]
+def _encode_other(obj) -> str:
+    """canonical_json of a subclass of a JSON type, or of a result object."""
+    for base in (str, int, float, dict, list, tuple):
+        if isinstance(obj, base):
+            return _ENCODERS[base](obj)
+    encode = _result_encoder(type(obj))
+    if encode is None:
+        raise DomainError(f"unsupported record value of type {type(obj).__name__}")
+    return encode(obj)
 
 
-# A record's schema version is always SCHEMA_VERSION: __post_init__ checks it.
-_PREFIX = '{"schema_version":' + canonical_json(SCHEMA_VERSION) + ',"kind":'
+def _result_encoder(cls: type):
+    """The encoder of a result class, made once and kept in _ENCODERS; None for other classes.
 
+    A result class declares record_kind (None when it has no record of its
+    own, as for one nested in other records); its payload keys are its
+    dataclass fields, in order.  The encoder keeps each key quoted with its
+    colon, and reads the values with one attrgetter, which returns a tuple
+    because every result class has at least two fields.
+    """
+    if not hasattr(cls, "record_kind"):
+        return None
+    names = [f.name for f in fields(cls)]
+    keys = [_quote(name) + ":" for name in names]
+    values = attrgetter(*names)
 
-def _hashed_head(kind: str, payload_text: str) -> tuple[str, str]:
-    """A record's text minus its closing brace, and the sha256 of the whole text."""
-    head = _PREFIX + canonical_json(kind) + ',"payload":' + payload_text
-    return head, hashlib.sha256((head + "}").encode("ascii")).hexdigest()
+    def encode(obj) -> str:
+        return "{" + ",".join([k + canonical_json(v) for k, v in zip(keys, values(obj))]) + "}"
 
-
-@lru_cache(maxsize=1)
-def _utc_stamp(second: int) -> str:
-    """The timestamp of a wall-clock second, formatted once for all its records."""
-    return time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime(second))
-
-
-def make_record(kind: str, payload, timestamp: str | None = None) -> CertificateRecord:
-    """The record of a payload dict or result object; encoding validates its values."""
-    if timestamp is None:
-        timestamp = _utc_stamp(int(time.time()))
-    text = canonical_json(payload)
-    head, content_hash = _hashed_head(kind, text)
-    record = CertificateRecord(
-        schema_version=SCHEMA_VERSION,
-        kind=kind,
-        payload=json.loads(text),
-        content_hash=content_hash,
-        timestamp=timestamp,
-    )
-    record.__dict__["_head"] = head
-    return record
+    _ENCODERS[cls] = encode
+    return encode
 
 
 RECORD_KINDS = frozenset({
@@ -168,21 +157,84 @@ RECORD_KINDS = frozenset({
     "rejection",
 })
 
-# Payload keys per result class: dataclasses.fields() per record is slow.
-_KEYS: dict[type, tuple[str, ...]] = {}
+# The hashed text of a record of each kind, up to its payload.  Every
+# record's schema version is SCHEMA_VERSION: _check sees to it.
+_HEAD_START = {
+    kind: '{"schema_version":' + _quote(SCHEMA_VERSION) + ',"kind":' + _quote(kind) + ',"payload":'
+    for kind in RECORD_KINDS
+}
 
 
-def _payload_keys(cls: type) -> tuple[str, ...] | None:
-    """A result class's payload keys, or None for a class that is not one.
+def _check(schema_version, kind, payload_is_object: bool, timestamp) -> None:
+    if schema_version != SCHEMA_VERSION:
+        raise DomainError(f"unsupported schema version {schema_version!r}")
+    if not isinstance(kind, str) or kind not in RECORD_KINDS:
+        raise DomainError(f"unknown record kind {kind!r}")
+    if not payload_is_object:
+        raise DomainError("record payload must be a JSON object")
+    if not isinstance(timestamp, str):
+        raise DomainError("record timestamp must be a string")
 
-    A result class declares record_kind (None when it has no record of its
-    own, as for one nested in other records); its keys are its dataclass
-    fields, in order.
+
+def _hashed_head(kind: str, payload_text: str) -> tuple[str, str]:
+    """A record's text minus its closing brace, and the sha256 of the whole text."""
+    head = _HEAD_START[kind] + payload_text
+    return head, sha256((head + "}").encode("ascii")).hexdigest()
+
+
+@dataclass(frozen=True)
+class CertificateRecord:
+    """One record: schema version, kind, payload, content hash and timestamp.
+
+    A record also keeps its hashed text, minus the closing brace, in _head,
+    which to_json_line extends to its line.  make_record keeps only that
+    text, and payload is decoded from it on first access.
     """
-    keys = _KEYS.get(cls)
-    if keys is None and hasattr(cls, "record_kind"):
-        keys = _KEYS[cls] = tuple(f.name for f in fields(cls))
-    return keys
+
+    schema_version: str
+    kind: str
+    payload: dict = field(hash=False)
+    content_hash: str
+    timestamp: str
+
+    def __post_init__(self):
+        _check(self.schema_version, self.kind, isinstance(self.payload, dict), self.timestamp)
+
+    def __getattr__(self, name: str):
+        # called only for an attribute not set: a made record's payload
+        if name != "payload":
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        payload = self.__dict__["payload"] = json.loads(self._head + "}")["payload"]
+        return payload
+
+    @cached_property
+    def _head(self) -> str:
+        """The hashed text minus its closing brace; make_record and parse_record set it."""
+        return _hashed_head(self.kind, canonical_json(self.payload))[0]
+
+
+@lru_cache(maxsize=1)
+def _utc_stamp(second: int) -> str:
+    """The timestamp of a wall-clock second, formatted once for all its records."""
+    return time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime(second))
+
+
+def make_record(kind: str, payload, timestamp: str | None = None) -> CertificateRecord:
+    """The record of a payload dict or result object; encoding validates its values."""
+    if timestamp is None:
+        timestamp = _utc_stamp(int(time.time()))
+    text = canonical_json(payload)
+    _check(SCHEMA_VERSION, kind, text[0] == "{", timestamp)
+    head, content_hash = _hashed_head(kind, text)
+    record = object.__new__(CertificateRecord)
+    record.__dict__.update(
+        schema_version=SCHEMA_VERSION,
+        kind=kind,
+        content_hash=content_hash,
+        timestamp=timestamp,
+        _head=head,
+    )
+    return record
 
 
 def record_for(obj, timestamp: str | None = None) -> CertificateRecord:
@@ -213,6 +265,11 @@ def to_json_line(record: CertificateRecord) -> str:
     )
 
 
+# The five fields of a record line, in CertificateRecord's argument order.
+_LINE_FIELDS = ("schema_version", "kind", "payload", "content_hash", "timestamp")
+_line_fields = itemgetter(*_LINE_FIELDS)
+
+
 def parse_record(line: str) -> CertificateRecord:
     """Parse one record line and check its content hash.
 
@@ -229,16 +286,12 @@ def parse_record(line: str) -> CertificateRecord:
         raise DomainError(f"record line cannot be decoded: {exc}") from exc
     if not isinstance(raw, dict):
         raise DomainError("record line must be a JSON object")
-    missing = {"schema_version", "kind", "payload", "content_hash", "timestamp"} - set(raw)
-    if missing:
-        raise DomainError(f"record line missing fields {sorted(missing)}")
-    record = CertificateRecord(
-        schema_version=raw["schema_version"],
-        kind=raw["kind"],
-        payload=raw["payload"],
-        content_hash=raw["content_hash"],
-        timestamp=raw["timestamp"],
-    )
+    try:
+        values = _line_fields(raw)
+    except KeyError:
+        missing = set(_LINE_FIELDS) - set(raw)
+        raise DomainError(f"record line missing fields {sorted(missing)}") from None
+    record = CertificateRecord(*values)
     try:
         head, expected = _hashed_head(record.kind, canonical_json(record.payload))
     except RecursionError as exc:
@@ -249,4 +302,3 @@ def parse_record(line: str) -> CertificateRecord:
         )
     record.__dict__["_head"] = head
     return record
-

@@ -12,6 +12,7 @@ from towercert.arith import (
     factorize,
     is_prime,
     prime_flags,
+    primes_between,
 )
 from towercert.errors import DomainError, InputRangeError
 
@@ -115,7 +116,7 @@ class TestExactSqrt:
 
 
 def primes_up_to(bound):
-    # the primes as hl_constant reads them off the sieve
+    # every flag of the sieve, as cubic reads it; primes_between has its own tests
     return list(compress(range(bound + 1), prime_flags(bound)))
 
 
@@ -141,6 +142,22 @@ class TestPrimesUpTo:
         for bound in range(201):
             assert primes_up_to(bound) == odd_wheel_sieve(bound), bound
         assert primes_up_to(10**5) == odd_wheel_sieve(10**5)
+
+    def test_every_window_of_small_bounds(self):
+        # each end odd or even, on a prime or not, 2 inside or outside the window
+        for bound in range(41):
+            flags = prime_flags(bound)
+            primes = odd_wheel_sieve(bound)
+            for lo in range(bound + 2):
+                for hi in range(lo - 1, bound + 1):
+                    expected = [p for p in primes if lo <= p <= hi]
+                    assert list(primes_between(flags, lo, hi)) == expected, (bound, lo, hi)
+
+    def test_window_of_a_large_sieve(self):
+        flags = prime_flags(10**5)
+        primes = odd_wheel_sieve(10**5)
+        for lo, hi in ((5, 10**5), (2, 99991), (99990, 10**5), (1000, 1009), (1024, 2048)):
+            assert list(primes_between(flags, lo, hi)) == [p for p in primes if lo <= p <= hi]
 
 
 class TestFactorize:

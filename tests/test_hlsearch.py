@@ -165,8 +165,10 @@ class TestHLConstant:
             assert factor > 0.0
 
 
-    # both sides of |D| = 3888, the period of (D/p) in p
-    @pytest.mark.parametrize("bound", [5, 6, 7, 3887, 3888, 3889, 10**5 + 3])
+    # both sides of |D| = 3888, the period of (D/p) in p; the first bounds past
+    # 7, where a stream over the odd half could drop or repeat a prime; and
+    # 10**6, the hl count default
+    @pytest.mark.parametrize("bound", [5, 6, 7, 8, 9, 10, 3887, 3888, 3889, 10**5 + 3, 10**6])
     def test_equals_per_prime_symbol_loop(self, bound):
         partial, terms = hl_constant_reference(bound)
         result = hl_constant(bound)

@@ -1,8 +1,10 @@
+import copy
 import dataclasses
 import functools
 import hashlib
 import importlib
 import json
+import pickle
 import pkgutil
 import re
 import sys
@@ -173,6 +175,93 @@ class TestCanonicalJsonAgainstReference:
     @given(_STRINGS)
     def test_string_is_json_dumps(self, text):
         assert canonical_json(text) == json.dumps(text, ensure_ascii=True)
+
+
+# Payload values at the codec's edges: 63-bit and 4300-digit integers (the
+# longest a default interpreter reads back), negative zero and subnormals.
+_EDGE_INTS = st.sampled_from(
+    [2**63, -(2**63), 2**63 - 1, 10**4299, 10**4300 - 1, -(10**4300 - 1)]
+)
+_EDGE_FLOATS = st.sampled_from([-0.0, 0.0, 5e-324, -5e-324, 2.2250738585072009e-308])
+_CODEC_SCALARS = (
+    _SCALARS
+    | _EDGE_INTS
+    | st.integers(min_value=-(2**64), max_value=2**64)
+    | _EDGE_FLOATS
+)
+_CODEC_VALUES = st.recursive(
+    _CODEC_SCALARS,
+    lambda inner: st.lists(inner, max_size=4)
+    | st.lists(inner, max_size=4).map(tuple)
+    | st.dictionaries(_STRINGS, inner, max_size=4),
+    max_leaves=24,
+)
+_PAYLOADS = st.dictionaries(_STRINGS, _CODEC_VALUES, max_size=5)
+
+
+class _Str(str):
+    pass
+
+
+class _Int(int):
+    pass
+
+
+class _Float(float):
+    pass
+
+
+class _Dict(dict):
+    pass
+
+
+class _List(list):
+    pass
+
+
+class _Tuple(tuple):
+    pass
+
+
+def _subclassed(value):
+    """value with each str, int, float, dict, list and tuple in it made a subclass instance."""
+    if value is None or isinstance(value, bool):
+        return value
+    if isinstance(value, str):
+        return _Str(value)
+    if isinstance(value, int):
+        return _Int(value)
+    if isinstance(value, float):
+        return _Float(value)
+    if isinstance(value, dict):
+        return _Dict({_Str(k): _subclassed(v) for k, v in value.items()})
+    if isinstance(value, tuple):
+        return _Tuple(_subclassed(v) for v in value)
+    return _List(_subclassed(v) for v in value)
+
+
+class TestCodecProperties:
+    @given(_PAYLOADS, st.sampled_from(sorted(RECORD_KINDS)))
+    @settings(max_examples=150)
+    def test_encode_decode_and_parse_agree(self, payload, kind):
+        text = canonical_json(payload)
+        assert text == canonical_json_reference(payload)
+        record = make_record(kind, payload, timestamp=TS_A)
+        assert record.payload == json.loads(text)
+        assert parse_record(to_json_line(record)) == record
+
+    @given(_CODEC_VALUES)
+    @settings(max_examples=100)
+    def test_subclasses_encode_as_their_base_types(self, value):
+        sub = _subclassed(value)
+        assert canonical_json(sub) == canonical_json(value)
+        assert canonical_json(sub) == canonical_json_reference(sub)
+
+    def test_subclass_payload_makes_the_same_record(self):
+        payload = {"m": 7, "xs": [1.5, "π", (None, True)], "d": {"k": -0.0}}
+        sub = _subclassed(payload)
+        assert type(sub) is _Dict and type(sub["xs"]) is _List
+        assert make_record("rejection", sub, TS_A) == make_record("rejection", payload, TS_A)
 
 
 class TestMakeRecord:
@@ -486,9 +575,59 @@ class TestSingleEncoding:
         assert to_json_line(made) == GOLDEN_LINES[case]
         assert to_json_line(parsed) == GOLDEN_LINES[case]
 
+    @pytest.mark.parametrize("case", sorted(GOLDEN_LINES))
+    def test_write_path_decodes_nothing(self, case, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("the write path decoded its own text")
+
+        monkeypatch.setattr(records.json, "loads", refuse)
+        made = golden_record(case)
+        assert to_json_line(made) == GOLDEN_LINES[case]
+        monkeypatch.undo()
+        # decoded on first access, to what the line's payload decodes to
+        assert made.payload == json.loads(GOLDEN_LINES[case])["payload"]
+        assert made == parse_record(GOLDEN_LINES[case])
+
     def test_constructed_record_encodes_on_demand(self):
         made = golden_record("furuta")
         built = CertificateRecord(
             made.schema_version, made.kind, dict(made.payload), made.content_hash, made.timestamp
         )
         assert to_json_line(built) == GOLDEN_LINES["furuta"]
+
+
+class TestRecordValue:
+    # a made record holds its text and no payload until asked for it
+
+    def test_equal_records_hash_alike_whatever_their_payload_object(self):
+        made = golden_record("furuta")
+        parsed = parse_record(GOLDEN_LINES["furuta"])
+        built = CertificateRecord(
+            made.schema_version, made.kind, dict(made.payload), made.content_hash, made.timestamp
+        )
+        assert made == parsed == built
+        assert hash(made) == hash(parsed) == hash(built)
+        assert len({made, parsed, built}) == 1
+        assert made != record_for(sample_objects()["furuta"], timestamp=TS_B)
+        assert golden_record("furuta") == parsed  # payload not yet decoded on either side
+
+    @pytest.mark.parametrize("case", ["furuta", "rejection"])
+    def test_pickle_and_copy_keep_the_record(self, case):
+        made = golden_record(case)
+        built = CertificateRecord(
+            made.schema_version, made.kind, dict(made.payload), made.content_hash, made.timestamp
+        )
+        for record in (golden_record(case), parse_record(GOLDEN_LINES[case]), built):
+            for clone in (pickle.loads(pickle.dumps(record)), copy.copy(record), copy.deepcopy(record)):
+                assert clone == record
+                assert to_json_line(clone) == GOLDEN_LINES[case]
+
+    def test_pickle_and_copy_keep_a_built_payload_as_it_is(self):
+        made = golden_record("rejection")
+        payload = {**made.payload, "reasons": tuple(made.payload["reasons"])}
+        built = CertificateRecord(
+            made.schema_version, made.kind, payload, made.content_hash, made.timestamp
+        )
+        for clone in (pickle.loads(pickle.dumps(built)), copy.copy(built), copy.deepcopy(built)):
+            assert clone == built  # a tuple is not equal to a list
+            assert to_json_line(clone) == GOLDEN_LINES["rejection"]
