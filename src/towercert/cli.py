@@ -3,8 +3,9 @@
 Exit codes are a stable contract: 0 success, 1 validation rejection
 (composite conductor, failed gate, uncertified verdict), 2 usage error,
 3 numeric or resource failure.  A handler returns 0 or 1 itself; _run maps
-what it raises: DomainError (InputRangeError included), from the library's
-argument checks or the CLI's own, is a usage error (exit 2), and
+what it raises: CertificationRejected is a rejection record and exit 1,
+DomainError (InputRangeError included), from the library's argument
+checks or the CLI's own, is a usage error (exit 2), and
 NumericError or ResourceLimitError is exit 3, as is output that cannot be
 written (a closed pipe, a full disk).  Nothing is randomized and no
 environment variables are read; identical arguments reproduce identical
@@ -302,10 +303,7 @@ def _cmd_search(args, emitter) -> int:
 def _cmd_certify_cyclotomic(args, emitter) -> int:
     m = args.m if args.m is not None else m_from_prime(args.ell)
     if m is None:
-        emitter.record(
-            rejection_record("certify cyclotomic", ["not_shanks_form"], {"ell": args.ell})
-        )
-        return EXIT_REJECTED
+        raise CertificationRejected(["not_shanks_form"], ell=args.ell)
     record, failed = _certify_record(m)
     emitter.record(record)
     if failed:
@@ -343,11 +341,10 @@ def _load_registry(path: str, ell: int, registry: KnownInfiniteRegistry) -> None
                     continue
                 try:
                     record = parse_record(line.rstrip("\n"))
-                    payload = record.payload
                     if (
                         record.kind == "cyclotomic_tower"
-                        and payload.get("certified")
-                        and payload.get("ell") == ell
+                        and record.payload.get("certified")
+                        and record.payload.get("ell") == ell
                     ):
                         recomputed = recomputed or _tower_hash(ell, registry)
                         if record.content_hash != recomputed:
@@ -366,10 +363,7 @@ def _cmd_certify_eigenform(args, emitter) -> int:
     if args.registry is not None:
         _load_registry(args.registry, args.ell, registry)
     if not is_prime(args.ell):
-        emitter.record(
-            rejection_record("certify eigenform", ["composite"], {"ell": args.ell})
-        )
-        return EXIT_REJECTED
+        raise CertificationRejected(["composite"], ell=args.ell)
     certificate = certify_eigenform(args.weight, args.ell, registry)
     emitter.record(record_for(certificate))
     return EXIT_OK if certificate.certified else EXIT_REJECTED
@@ -410,8 +404,7 @@ def _cmd_furuta(args, emitter) -> int:
     if args.m_e < 30 or args.m_e % 30 != 0:
         raise DomainError("--m-e must be a positive multiple of 30")
     if not is_prime(args.ell):
-        emitter.record(rejection_record("furuta", ["composite"], {"ell": args.ell}))
-        return EXIT_REJECTED
+        raise CertificationRejected(["composite"], ell=args.ell)
     emitter.record(record_for(furuta_n(args.ell, args.m_e, args.count)))
     return EXIT_OK
 
@@ -435,9 +428,17 @@ def _say(message: str) -> None:
 
 
 def _run(args, emitter) -> int:
-    """Run the command's handler and map its outcome to an exit code."""
+    """Run the command's handler and map its outcome to an exit code.
+
+    A CertificationRejected becomes a rejection record labelled with the
+    command ("certify eigenform", "furuta", ...), and exit 1.
+    """
     try:
         return args.handler(args, emitter)
+    except CertificationRejected as exc:
+        command = " ".join(filter(None, (args.command, getattr(args, "target", None))))
+        emitter.record(rejection_record(command, exc.reasons, exc.context))
+        return EXIT_REJECTED
     except DomainError as exc:
         _say(f"error: {exc}")
         return EXIT_USAGE

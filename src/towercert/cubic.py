@@ -48,9 +48,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import compress, islice
+from itertools import islice
 
-from .arith import factorize, is_prime, prime_flags
+from .arith import factorize, is_prime, prime_flags, primes_between
 from .errors import DomainError, InputRangeError, IntegralityError, NumericError
 from .hlsearch import shanks_value
 
@@ -260,7 +260,7 @@ def _chi_indices(ell: int, zeta: int, n_max: int) -> bytearray:
     idx[0] = _ELL_MULTIPLE
     e = (ell - 1) // 3
     index = {1: 0, zeta: 1, zeta * zeta % ell: 2, 0: _ELL_MULTIPLE}
-    for p in compress(range(n_max + 1), prime_flags(n_max)):
+    for p in primes_between(prime_flags(n_max), 2, n_max):
         c = index[pow(p, e, ell)]
         if c:
             q = p

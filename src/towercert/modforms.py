@@ -42,8 +42,6 @@ __all__ = [
     "verify_residue_claim",
 ]
 
-VALID_WEIGHTS = (12, 16, 18, 20, 22, 26)
-
 # Swinnerton-Dyer's exceptional primes per weight.  The weight-20 source row
 # prints a doubled comma between 13 and 283; read as a typographical slip,
 # since every entry must be prime.
@@ -55,6 +53,9 @@ EXCEPTIONAL_PRIMES: dict[int, frozenset[int]] = {
     22: frozenset({2, 3, 5, 7, 13, 17, 131, 593}),
     26: frozenset({2, 3, 5, 7, 11, 17, 19, 657931}),
 }
+
+# The weights with one normalized cuspidal eigenform of level 1: the table's rows.
+VALID_WEIGHTS = tuple(EXCEPTIONAL_PRIMES)
 
 
 @dataclass(frozen=True)

@@ -12,13 +12,15 @@ significant digits (lowercase exponent, trailing ".0" when the mantissa
 would otherwise look integral), strings escape to ASCII.  The content
 hash is sha256 over the canonical bytes of (schema_version, kind,
 payload); the timestamp is excluded so reruns are byte-identical modulo
-that one field.  canonical_json, the only payload walker, builds that text
-once per record; the record keeps it, and its line appends the hash and
-the timestamp.  A made record's payload is decoded from that text on first
-use, so writing a record decodes nothing, and the payload is what the line
-decodes to.  canonical_json dispatches on the exact type of each value;
-subclasses of the JSON types and result objects take a slower path, which
-keeps a result class's encoder once it has met the class.
+that one field.  canonical_json, the only payload walker, builds the
+payload's text once per record, and the record holds that text as
+payload_text: its line is the text framed by the schema version and kind
+in front and the hash and timestamp behind, and its payload is decoded
+from the text on first use, so writing a record decodes nothing and the
+payload is what the line decodes to.  canonical_json dispatches on the
+exact type of each value; subclasses of the JSON types and result objects
+take a slower path, which keeps a result class's encoder once it has met
+the class.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ from __future__ import annotations
 import json
 import math
 import time
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 from functools import cached_property, lru_cache
 from hashlib import sha256
 from json.encoder import encode_basestring_ascii as _quote
@@ -176,41 +178,35 @@ def _check(schema_version, kind, payload_is_object: bool, timestamp) -> None:
         raise DomainError("record timestamp must be a string")
 
 
-def _hashed_head(kind: str, payload_text: str) -> tuple[str, str]:
-    """A record's text minus its closing brace, and the sha256 of the whole text."""
-    head = _HEAD_START[kind] + payload_text
-    return head, sha256((head + "}").encode("ascii")).hexdigest()
+def _content_hash(kind: str, payload_text: str) -> str:
+    """The sha256 of a record's hashed text: its schema version, kind and payload."""
+    return sha256((_HEAD_START[kind] + payload_text + "}").encode("ascii")).hexdigest()
 
 
 @dataclass(frozen=True)
 class CertificateRecord:
-    """One record: schema version, kind, payload, content hash and timestamp.
+    """One record: schema version, kind, payload text, content hash and timestamp.
 
-    A record also keeps its hashed text, minus the closing brace, in _head,
-    which to_json_line extends to its line.  make_record keeps only that
-    text, and payload is decoded from it on first access.
+    payload_text is the canonical JSON of the payload, exactly as hashed
+    and written; payload is decoded from it on first access.  The
+    constructor checks the schema version, the kind, the timestamp and that
+    payload_text is a JSON object's text; it does not recompute the hash.
     """
 
     schema_version: str
     kind: str
-    payload: dict = field(hash=False)
+    payload_text: str
     content_hash: str
     timestamp: str
 
     def __post_init__(self):
-        _check(self.schema_version, self.kind, isinstance(self.payload, dict), self.timestamp)
-
-    def __getattr__(self, name: str):
-        # called only for an attribute not set: a made record's payload
-        if name != "payload":
-            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
-        payload = self.__dict__["payload"] = json.loads(self._head + "}")["payload"]
-        return payload
+        text = self.payload_text
+        is_object = isinstance(text, str) and text[:1] == "{"
+        _check(self.schema_version, self.kind, is_object, self.timestamp)
 
     @cached_property
-    def _head(self) -> str:
-        """The hashed text minus its closing brace; make_record and parse_record set it."""
-        return _hashed_head(self.kind, canonical_json(self.payload))[0]
+    def payload(self) -> dict:
+        return json.loads(self.payload_text)
 
 
 @lru_cache(maxsize=1)
@@ -224,17 +220,11 @@ def make_record(kind: str, payload, timestamp: str | None = None) -> Certificate
     if timestamp is None:
         timestamp = _utc_stamp(int(time.time()))
     text = canonical_json(payload)
-    _check(SCHEMA_VERSION, kind, text[0] == "{", timestamp)
-    head, content_hash = _hashed_head(kind, text)
-    record = object.__new__(CertificateRecord)
-    record.__dict__.update(
-        schema_version=SCHEMA_VERSION,
-        kind=kind,
-        content_hash=content_hash,
-        timestamp=timestamp,
-        _head=head,
-    )
-    return record
+    try:
+        content_hash = _content_hash(kind, text)
+    except (KeyError, TypeError):
+        content_hash = ""  # not a record kind: the constructor rejects it
+    return CertificateRecord(SCHEMA_VERSION, kind, text, content_hash, timestamp)
 
 
 def record_for(obj, timestamp: str | None = None) -> CertificateRecord:
@@ -259,13 +249,13 @@ def rejection_record(
 
 def to_json_line(record: CertificateRecord) -> str:
     return (
-        record._head
+        _HEAD_START[record.kind] + record.payload_text
         + ',"content_hash":' + _quote(record.content_hash)
         + ',"timestamp":' + _quote(record.timestamp) + "}"
     )
 
 
-# The five fields of a record line, in CertificateRecord's argument order.
+# The five fields of a record line.
 _LINE_FIELDS = ("schema_version", "kind", "payload", "content_hash", "timestamp")
 _line_fields = itemgetter(*_LINE_FIELDS)
 
@@ -287,18 +277,16 @@ def parse_record(line: str) -> CertificateRecord:
     if not isinstance(raw, dict):
         raise DomainError("record line must be a JSON object")
     try:
-        values = _line_fields(raw)
+        schema_version, kind, payload, content_hash, timestamp = _line_fields(raw)
     except KeyError:
         missing = set(_LINE_FIELDS) - set(raw)
         raise DomainError(f"record line missing fields {sorted(missing)}") from None
-    record = CertificateRecord(*values)
+    _check(schema_version, kind, isinstance(payload, dict), timestamp)
     try:
-        head, expected = _hashed_head(record.kind, canonical_json(record.payload))
+        text = canonical_json(payload)
     except RecursionError as exc:
         raise DomainError("record payload nests too deeply to encode") from exc
-    if record.content_hash != expected:
-        raise DomainError(
-            f"content hash mismatch: stored {record.content_hash}, recomputed {expected}"
-        )
-    record.__dict__["_head"] = head
-    return record
+    expected = _content_hash(kind, text)
+    if content_hash != expected:
+        raise DomainError(f"content hash mismatch: stored {content_hash}, recomputed {expected}")
+    return CertificateRecord(schema_version, kind, text, content_hash, timestamp)

@@ -380,6 +380,70 @@ def residue_scan(k: int) -> dict[int, list[int]]:
     return out
 
 
+def _series_product(a: list[int], b: list[int]) -> list[int]:
+    """The product of two q-series of one length, truncated to that length."""
+    return [sum(a[i] * b[n - i] for i in range(n + 1)) for n in range(len(a))]
+
+
+def _eisenstein(k: int, c: int, length: int) -> list[int]:
+    """1 + c * sum sigma_(k-1)(n) q^n, to q^(length-1)."""
+    sigma = [0] * length
+    for d in range(1, length):
+        for n in range(d, length, d):
+            sigma[n] += d ** (k - 1)
+    return [1] + [c * s for s in sigma[1:]]
+
+
+def level_one_eigenforms(length: int) -> dict[int, list[int]]:
+    """Weight k -> a_0, ..., a_(length-1) of the normalized level-1 cuspidal eigenform.
+
+    For k in {12, 16, 18, 20, 22, 26} the cusp forms of weight k are one
+    line, spanned by E_(k-12) * Delta with Delta = (E4^3 - E6^2) / 1728 and
+    E_(k-12) = 1, E4, E6, E4^2, E4 E6, E4^2 E6.  Exact integers throughout.
+    """
+    e4 = _eisenstein(4, 240, length)
+    e6 = _eisenstein(6, -504, length)
+    e4_squared = _series_product(e4, e4)
+    delta = [
+        (x - y) // 1728
+        for x, y in zip(_series_product(e4_squared, e4), _series_product(e6, e6))
+    ]
+    e4_delta = _series_product(e4, delta)
+    e4_squared_delta = _series_product(e4, e4_delta)
+    return {
+        12: delta,
+        16: e4_delta,
+        18: _series_product(e6, delta),
+        20: e4_squared_delta,
+        22: _series_product(e6, e4_delta),
+        26: _series_product(e6, e4_squared_delta),
+    }
+
+
+def swinnerton_dyer_types(k: int, ell: int, coefficients: list[int]) -> set[str]:
+    """The congruence types a_p mod ell meets at every prime p != ell below len(coefficients).
+
+    coefficients are a_0, a_1, ... of the weight-k eigenform.  The types,
+    from Swinnerton-Dyer (LNM 350, 1973), are
+    (i) a_p = p^m + p^(k-1-m) for one m, here tried for 0 <= m < min(ell-1, k);
+    (ii) a_p = 0 whenever p is not a square mod ell (ell odd);
+    (iii) p^(1-k) a_p^2 is 0, 1, 2 or 4.
+    """
+    primes = [p for p in range(2, len(coefficients)) if trial_division_prime(p) and p != ell]
+    a = {p: coefficients[p] % ell for p in primes}
+    types = set()
+    if any(
+        all(a[p] == (pow(p, m, ell) + pow(p, k - 1 - m, ell)) % ell for p in primes)
+        for m in range(min(ell - 1, k))
+    ):
+        types.add("i")
+    if ell > 2 and all(a[p] == 0 for p in primes if pow(p, (ell - 1) // 2, ell) == ell - 1):
+        types.add("ii")
+    if all(pow(p, 1 - k, ell) * a[p] ** 2 % ell in {0, 1, 2, 4} for p in primes):
+        types.add("iii")
+    return types
+
+
 def canonical_json_reference(obj) -> str:
     """The record encoder as first written: one json.dumps call per string.
 

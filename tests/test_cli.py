@@ -250,6 +250,33 @@ class TestCertifyEigenform:
         assert record.payload["certified"] is True
         assert record.payload["tower_evidence"] == "computed"
 
+    def test_registry_decodes_only_tower_payloads(self, capsys, tmp_path, monkeypatch):
+        registry_file = tmp_path / "towers.jsonl"
+        run(capsys, "search", "--m-max", "60", "--certify", "--out", str(registry_file))
+        read = []
+
+        def keep(line):
+            read.append(parse_record(line))
+            return read[-1]
+
+        monkeypatch.setattr(cli, "parse_record", keep)
+        code, out, err = run(
+            capsys,
+            "certify",
+            "eigenform",
+            "--weight",
+            "12",
+            "--ell",
+            "2659",
+            "--registry",
+            str(registry_file),
+        )
+        assert code == EXIT_OK
+        assert {record.kind for record in read} == {"shanks_candidate", "cyclotomic_tower"}
+        # a decoded payload is cached in the instance dict
+        for record in read:
+            assert ("payload" in vars(record)) == (record.kind == "cyclotomic_tower")
+
     def test_det_index_blocks_weight_16(self, capsys, tmp_path):
         registry_file = tmp_path / "towers.jsonl"
         run(capsys, "search", "--m-max", "60", "--certify", "--out", str(registry_file))

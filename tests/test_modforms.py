@@ -1,4 +1,5 @@
 import hashlib
+import math
 
 import pytest
 from hypothesis import given
@@ -7,8 +8,10 @@ from hypothesis import strategies as st
 from oracles import (
     EXCEPTIONAL_TABLE_SHA256,
     bernoulli,
+    level_one_eigenforms,
     prime_factors,
     residue_scan,
+    swinnerton_dyer_types,
     trial_division_prime,
 )
 from towercert.errors import DomainError
@@ -61,6 +64,46 @@ class TestExceptionalTable:
         )
         digest = hashlib.sha256(canonical.encode("ascii")).hexdigest()
         assert digest == EXCEPTIONAL_TABLE_SHA256
+
+
+# q-expansions to q^299: a_p for the 61 primes p < 300
+EXPANSION_LENGTH = 300
+
+
+@pytest.fixture(scope="module")
+def eigenforms():
+    return level_one_eigenforms(EXPANSION_LENGTH)
+
+
+class TestExceptionalCongruences:
+    def test_expansions_are_normalized_hecke_eigenforms(self, eigenforms):
+        assert eigenforms[12][1:6] == [1, -24, 252, -1472, 4830]  # Ramanujan's tau
+        for k, a in eigenforms.items():
+            assert a[0] == 0 and a[1] == 1, k
+            for m in range(2, EXPANSION_LENGTH):
+                for n in range(m + 1, EXPANSION_LENGTH // m + 1):
+                    if m * n < EXPANSION_LENGTH and math.gcd(m, n) == 1:
+                        assert a[m * n] == a[m] * a[n], (k, m, n)
+            for p in filter(trial_division_prime, range(2, 18)):
+                assert a[p * p] == a[p] ** 2 - p ** (k - 1), (k, p)
+
+    @pytest.mark.parametrize("k", VALID_WEIGHTS)
+    def test_every_listed_prime_meets_a_type(self, k, eigenforms):
+        for ell in EXCEPTIONAL_PRIMES[k]:
+            assert swinnerton_dyer_types(k, ell, eigenforms[k]), (k, ell)
+
+    def test_non_eisenstein_rows_meet_their_types(self, eigenforms):
+        # the listed primes that divide no numerator of B_k/(2k) and exceed k+1
+        assert swinnerton_dyer_types(12, 23, eigenforms[12]) == {"ii", "iii"}
+        assert swinnerton_dyer_types(16, 31, eigenforms[16]) == {"ii", "iii"}
+        assert swinnerton_dyer_types(16, 59, eigenforms[16]) == {"iii"}
+
+    @pytest.mark.parametrize("k", VALID_WEIGHTS)
+    def test_unlisted_primes_meet_none(self, k, eigenforms):
+        # the check tells primes apart: no other prime below 400 meets a type
+        for ell in filter(trial_division_prime, range(2, 400)):
+            if ell not in EXCEPTIONAL_PRIMES[k]:
+                assert not swinnerton_dyer_types(k, ell, eigenforms[k]), (k, ell)
 
 
 class TestDetImageIndex:

@@ -548,6 +548,14 @@ def golden_record(case):
     return record_for(obj, timestamp=TS_A)
 
 
+def built_record(case):
+    """The golden record of case, built by the constructor from its payload text."""
+    made = golden_record(case)
+    return CertificateRecord(
+        made.schema_version, made.kind, made.payload_text, made.content_hash, made.timestamp
+    )
+
+
 class TestGoldenRecords:
     def test_every_kind_pinned(self):
         assert {json.loads(line)["kind"] for line in GOLDEN_LINES.values()} == RECORD_KINDS
@@ -588,46 +596,49 @@ class TestSingleEncoding:
         assert made.payload == json.loads(GOLDEN_LINES[case])["payload"]
         assert made == parse_record(GOLDEN_LINES[case])
 
-    def test_constructed_record_encodes_on_demand(self):
-        made = golden_record("furuta")
-        built = CertificateRecord(
-            made.schema_version, made.kind, dict(made.payload), made.content_hash, made.timestamp
-        )
+    def test_constructed_record_writes_its_text(self, monkeypatch):
+        built = built_record("furuta")
+        monkeypatch.setattr(records, "canonical_json", None)
+        monkeypatch.setattr(records.json, "loads", None)
         assert to_json_line(built) == GOLDEN_LINES["furuta"]
+
+    @pytest.mark.parametrize(
+        "text",
+        [{"ell": 5}, b'{"ell":5}', None, "", '[{"ell":5}]', '"{"', "5"],
+        ids=["dict", "bytes", "none", "empty", "array", "string", "number"],
+    )
+    def test_payload_text_must_be_an_object_text(self, text):
+        made = golden_record("furuta")
+        with pytest.raises(DomainError, match="payload must be a JSON object"):
+            CertificateRecord(made.schema_version, made.kind, text, made.content_hash, made.timestamp)
 
 
 class TestRecordValue:
-    # a made record holds its text and no payload until asked for it
+    # a record is its five strings; its payload, once decoded, is not part of its value
 
     def test_equal_records_hash_alike_whatever_their_payload_object(self):
         made = golden_record("furuta")
         parsed = parse_record(GOLDEN_LINES["furuta"])
-        built = CertificateRecord(
-            made.schema_version, made.kind, dict(made.payload), made.content_hash, made.timestamp
-        )
+        built = built_record("furuta")
+        assert made.payload == parsed.payload  # decoded on two sides, not on the third
         assert made == parsed == built
         assert hash(made) == hash(parsed) == hash(built)
         assert len({made, parsed, built}) == 1
         assert made != record_for(sample_objects()["furuta"], timestamp=TS_B)
-        assert golden_record("furuta") == parsed  # payload not yet decoded on either side
+        assert golden_record("furuta") == parsed
 
     @pytest.mark.parametrize("case", ["furuta", "rejection"])
     def test_pickle_and_copy_keep_the_record(self, case):
-        made = golden_record(case)
-        built = CertificateRecord(
-            made.schema_version, made.kind, dict(made.payload), made.content_hash, made.timestamp
-        )
-        for record in (golden_record(case), parse_record(GOLDEN_LINES[case]), built):
+        for record in (golden_record(case), parse_record(GOLDEN_LINES[case]), built_record(case)):
             for clone in (pickle.loads(pickle.dumps(record)), copy.copy(record), copy.deepcopy(record)):
                 assert clone == record
                 assert to_json_line(clone) == GOLDEN_LINES[case]
 
-    def test_pickle_and_copy_keep_a_built_payload_as_it_is(self):
-        made = golden_record("rejection")
-        payload = {**made.payload, "reasons": tuple(made.payload["reasons"])}
-        built = CertificateRecord(
-            made.schema_version, made.kind, payload, made.content_hash, made.timestamp
-        )
-        for clone in (pickle.loads(pickle.dumps(built)), copy.copy(built), copy.deepcopy(built)):
-            assert clone == built  # a tuple is not equal to a list
-            assert to_json_line(clone) == GOLDEN_LINES["rejection"]
+    def test_pickle_and_copy_keep_a_decoded_payload(self):
+        payload = json.loads(GOLDEN_LINES["rejection"])["payload"]
+        for record in (golden_record("rejection"), built_record("rejection")):
+            assert record.payload == payload
+            for clone in (pickle.loads(pickle.dumps(record)), copy.copy(record), copy.deepcopy(record)):
+                assert clone == record
+                assert clone.payload == payload
+                assert to_json_line(clone) == GOLDEN_LINES["rejection"]
