@@ -7,9 +7,10 @@ what it raises: CertificationRejected is a rejection record and exit 1,
 DomainError (InputRangeError included), from the library's argument
 checks or the CLI's own, is a usage error (exit 2), and
 NumericError or ResourceLimitError is exit 3, as is output that cannot be
-written (a closed pipe, a full disk).  Nothing is randomized and no
-environment variables are read; identical arguments reproduce identical
-records modulo the timestamp field.
+written (a closed pipe, a full disk).  A composite `certify eigenform
+--ell` is rejected (exit 1) before its --registry file is opened.  Nothing
+is randomized and no environment variables are read; identical arguments
+reproduce identical records modulo the timestamp field.
 
 A command loads only the modules it runs.  Importing this module and
 building the parser load arith, errors and records; every other library
@@ -359,11 +360,11 @@ def _load_registry(path: str, ell: int, registry: KnownInfiniteRegistry) -> None
 
 
 def _cmd_certify_eigenform(args, emitter) -> int:
+    if not is_prime(args.ell):
+        raise CertificationRejected(["composite"], ell=args.ell)
     registry = KnownInfiniteRegistry()
     if args.registry is not None:
         _load_registry(args.registry, args.ell, registry)
-    if not is_prime(args.ell):
-        raise CertificationRejected(["composite"], ell=args.ell)
     certificate = certify_eigenform(args.weight, args.ell, registry)
     emitter.record(record_for(certificate))
     return EXIT_OK if certificate.certified else EXIT_REJECTED

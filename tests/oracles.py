@@ -560,46 +560,46 @@ def e1_reference(x: float) -> float:
 
 
 def afe_sums_reference(ell: int, zeta: int, compensated: bool) -> list[complex]:
-    """[A(T1), A(T2), B(T1), B(T2)] as the package summed them before its chi table.
+    """[A, B, P] as the package summed them before its chi table.
 
     The loop of cubic._afe_sums before the prime-power sieve: one modular
     power per n, and one kernel lambda per series, called in a single pass
-    over n that keeps twelve running sums (series by value of chi).
+    over n that keeps nine running sums (series by value of chi).  A and B
+    are Neumaier-compensated when compensated is set; P is always plain.
     """
     from towercert.cubic import _KERNEL_CUTOFF, _SMOOTHING
 
     e = (ell - 1) // 3
     bucket = {1: 0, zeta: 1, zeta * zeta % ell: 2}
     erfc, e1 = math.erfc, e1_reference
-    series = []
-    for t in _SMOOTHING:
-        alpha = math.sqrt(math.pi * t / ell)
-        series.append((lambda n, alpha=alpha: erfc(n * alpha) / n,
-                       int(math.sqrt(_KERNEL_CUTOFF) / alpha)))
-    for t in _SMOOTHING:
-        beta = math.pi / (ell * t)
-        series.append((lambda n, beta=beta: e1(beta * n * n),
-                       int(math.sqrt(_KERNEL_CUTOFF / beta))))
-    total = [0.0] * 12
-    carry = [0.0] * 12
-    for n in range(1, max(cutoff for _, cutoff in series) + 1):
+    alpha = math.sqrt(math.pi * _SMOOTHING / ell)
+    beta = math.pi / (ell * _SMOOTHING)
+    gamma = math.pi / ell
+    series = [
+        (lambda n: erfc(n * alpha) / n, int(math.sqrt(_KERNEL_CUTOFF) / alpha), compensated),
+        (lambda n: e1(beta * n * n), int(math.sqrt(_KERNEL_CUTOFF / beta)), compensated),
+        (lambda n: math.exp(-gamma * n * n), int(math.sqrt(_KERNEL_CUTOFF / gamma)), False),
+    ]
+    total = [0.0] * 9
+    carry = [0.0] * 9
+    for n in range(1, max(cutoff for _, cutoff, _ in series) + 1):
         r = pow(n, e, ell)
         if r == 0:
             continue  # a multiple of ell, reached only for small ell
         i = bucket[r]
-        for kernel, cutoff in series:
+        for kernel, cutoff, compensate in series:
             if n <= cutoff:
                 x = kernel(n)
                 s = total[i]
                 total[i] = u = s + x
-                if compensated:
+                if compensate:
                     carry[i] += (s - u) + x if abs(s) >= abs(x) else (x - u) + s
             i += 3
     half_sqrt3 = math.sqrt(3.0) / 2.0
     sums = []
-    for j in range(0, 12, 3):
+    for j in range(0, 9, 3):
         s0, s1, s2 = (total[i] + carry[i] for i in range(j, j + 3))
         # chi takes the values 1, w, w^2 on the three buckets
         sums.append(complex(s0 - 0.5 * (s1 + s2), half_sqrt3 * (s1 - s2)))
-    a1, a2, b1, b2 = sums
-    return [a1, a2, b1.conjugate(), b2.conjugate()]  # the B series carry conj(chi)
+    a, b, p = sums
+    return [a, b.conjugate(), p]  # the B series carries conj(chi)

@@ -1,3 +1,4 @@
+import cmath
 import math
 import tracemalloc
 
@@ -37,7 +38,7 @@ from towercert.cubic import (
     regulator,
 )
 from towercert.errors import DomainError, InputRangeError, IntegralityError, NumericError
-from towercert.hlsearch import shanks_value
+from towercert.hlsearch import search_shanks_candidates, shanks_value
 from towercert.tower import certify_cyclotomic
 
 # Analytic class numbers frozen after cross-checking small conductors
@@ -280,8 +281,9 @@ class TestRootNumber:
         assert abs(w - gauss_sum_root_number(ell)) < 1e-12
 
     def test_unseparated_candidates_raise(self, monkeypatch):
-        # at one smoothing parameter all three cube roots agree
-        monkeypatch.setattr(cubic, "_SMOOTHING", (0.25, 0.25))
+        # each wrong root misses the theta relation by sqrt(3) * |P|, so at
+        # a relative tolerance of 2 all three cube roots fit
+        monkeypatch.setattr(cubic, "_ROOT_AGREE", 2.0)
         with pytest.raises(NumericError, match="root number mod 2659 not resolved"):
             l_sum(2659)
 
@@ -296,6 +298,41 @@ class TestRootNumber:
         monkeypatch.setattr(cubic, "_jacobi_sum", conjugate)
         with pytest.raises(NumericError, match="root number mod 2659 not resolved"):
             l_sum(2659)
+
+    def test_theta_relation_margin(self):
+        # P alone, for the prime conductors in the residue filter with
+        # m <= 3000, m = 42827 (the least |P| under the cap) and m = 99982:
+        # the right cube root of J/sqrt(ell) fits P = w*conj(P) to
+        # _ROOT_AGREE * |P|, and each wrong one misses by sqrt(3) * |P|
+        ms = [c.m for c in search_shanks_candidates(3000) if c.is_prime_ell] + [42827, 99982]
+        assert len(ms) == 252
+        for m in ms:
+            ell = shanks_value(m)
+            zeta = pow(_least_primitive_root(ell), (ell - 1) // 3, ell)
+            n_max = int(math.sqrt(37 * ell / math.pi))
+            idx = _chi_indices(ell, zeta, n_max)
+            sums = [0.0] * 4
+            for n in range(1, n_max + 1):
+                sums[idx[n]] += math.exp(-math.pi * n * n / ell)
+            s0, s1, s2, _ = sums
+            p = complex(s0 - 0.5 * (s1 + s2), math.sqrt(3.0) / 2.0 * (s1 - s2))
+            a, b = _jacobi_sum(ell, zeta)
+            angle = math.atan2(b * math.sqrt(3.0) / 2.0, a - b / 2.0)
+            roots = [cmath.rect(1.0, (angle + 2.0 * math.pi * k) / 3.0) for k in range(3)]
+            right, *wrong = sorted(abs(p - w * p.conjugate()) / abs(p) for w in roots)
+            assert right < cubic._ROOT_AGREE, m
+            assert min(wrong) >= 1.0, m
+
+    @pytest.mark.parametrize("compensated", [False, True])
+    def test_one_e1_series_per_l_sum(self, monkeypatch, compensated):
+        # the root number costs no second AFE pass: E1 runs once per term
+        # of the T = 0.25 series
+        ell = 2659
+        real_e1 = cubic._e1
+        calls = []
+        monkeypatch.setattr(cubic, "_e1", lambda x: calls.append(x) or real_e1(x))
+        l_sum(ell, compensated=compensated)
+        assert len(calls) == int(math.sqrt(cubic._KERNEL_CUTOFF / (math.pi / (ell * 0.25))))
 
 
 class TestClassNumber:
