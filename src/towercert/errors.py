@@ -16,7 +16,8 @@ class DomainError(ValueError):
 class InputRangeError(DomainError):
     """An integer input or result lies outside a declared range.
 
-    The ranges are the 63-bit width and cubic.MAX_CONDUCTOR.
+    The ranges are the 63-bit width, cubic.MAX_CONDUCTOR and, for
+    hlsearch.hl_constant's prime bound, hlsearch.MAX_PRIME_BOUND.
     """
 
 

@@ -4,20 +4,20 @@ Covers the candidate search with the mod-12 congruence filter, the
 singular-series constant for the restriction 144k^2 + 84k + 19
 (m = 12k + 2), and empirical counts of prime values below a cutoff.
 
-Both the search and the counts decide "f(k) is prime" for a block of k at
+Both the search and the counts decide "f(k) is prime" for a range of k at
 once, by sieving over the roots of f mod p (Jacobson and Williams, Math.
-Comp. 72 (2003) 499-519).  A block is sieved by the primes p <= P, where
-P = min(isqrt(its largest value), 2^20) never falls from one block to the
-next: each k = r (mod p) with f(r) = 0 (mod p) is crossed off.  The
-decision is exact.  A survivor below (P + 1)^2 is prime, because a
-composite value below (P + 1)^2 has a prime factor <= P; only a survivor
-above that, which needs P at the cap, goes to is_prime.  A value f(k) <= P
-is read from the prime sieve the root table is built from, which keeps
-f(k) = p and drops values below 2.  A prime dividing all three
-coefficients divides every value, so then only that read sets a flag.
-Memory is one block's flags (at most 2^20 bytes), that prime sieve (2^20
-bytes) and the root table (8 bytes a root of a prime <= 2^20), whatever
-the range of k.
+Comp. 72 (2003) 499-519).  The range is sieved by the primes p <= P, where
+P = min(isqrt(its largest value), 2^20): each k = r (mod p) with
+f(r) = 0 (mod p) is crossed off.  The roots are found once per range and
+the k are crossed off in blocks of 2^20.  The decision is exact.  A
+survivor below (P + 1)^2 is prime, because a composite value below
+(P + 1)^2 has a prime factor <= P; only a survivor above that, which needs
+P at the cap, goes to is_prime.  A value f(k) <= P is read from the prime
+sieve the root table is built from, which keeps f(k) = p and drops values
+below 2.  A prime dividing all three coefficients divides every value, so
+then only that read sets a flag.  Memory is one block's flags (at most
+2^20 bytes), that prime sieve (2^20 bytes) and the root table (8 bytes a
+root of a prime <= 2^20), whatever the range of k.
 """
 
 from __future__ import annotations
@@ -52,9 +52,8 @@ __all__ = [
 DEFAULT_RESIDUES = frozenset({2, 7, 10, 11})
 
 # Largest sieving prime of the prime-value sieve, and the most k in one of
-# its blocks; the shortest block it starts with.
+# its blocks.
 _SIEVE_CAP = 1 << 20
-_MIN_BLOCK = 1 << 10
 
 # Largest hl_constant bound: its sieve holds a byte per integer, 100 MB at
 # 10**8 (150 MB at its peak); the primes are streamed from it, never listed.
@@ -226,31 +225,32 @@ def _prime_value_blocks(
     """Blocks (k0, flags) covering start <= k < stop: flags[k - k0] is 1 iff poly(k) is prime.
 
     poly needs a > 0 and start >= 0; the module docstring gives the method.
-    A block holds about isqrt(poly(k0)) k, from _MIN_BLOCK to _SIEVE_CAP,
-    so the first one comes at once however far stop is.
+    One prime sieve and one root table serve the whole range; each block
+    holds _SIEVE_CAP k, the last one fewer.  So the first block waits for
+    the whole table, which at P = 2^20 holds the roots mod 82,025 primes.
     """
+    if start >= stop:
+        return
     f = poly.evaluate
     d = poly.b * poly.b - 4 * poly.a * poly.c
+    # poly is convex, so the range's largest value is at one of its ends
+    bound = min(isqrt(max(f(start), f(stop - 1), 0)), _SIEVE_CAP)
+    sieve = prime_flags(bound)
     moduli, roots = array("I"), array("I")
-    prime_bound, sieve = 1, prime_flags(1)
     divides_all = False
-    k0 = start
-    while k0 < stop:
-        size = min(max(isqrt(max(f(k0), 0)), _MIN_BLOCK), _SIEVE_CAP)
-        k1 = min(k0 + size, stop)
+    for p in primes_between(sieve, 2, bound):
+        rs = _roots_mod(poly, d, p)
+        if rs is None:
+            divides_all = True
+            continue
+        for r in rs:
+            moduli.append(p)
+            roots.append(r)
+    exact = _below(poly, (bound + 1) ** 2)
+    small = _below(poly, bound + 1)
+    for k0 in range(start, stop, _SIEVE_CAP):
+        k1 = min(k0 + _SIEVE_CAP, stop)
         n = k1 - k0
-        bound = min(isqrt(max(f(k0), f(k1 - 1), 0)), _SIEVE_CAP)
-        if bound > prime_bound:
-            sieve = prime_flags(bound)
-            for p in primes_between(sieve, prime_bound + 1, bound):
-                rs = _roots_mod(poly, d, p)
-                if rs is None:
-                    divides_all = True
-                    continue
-                for r in rs:
-                    moduli.append(p)
-                    roots.append(r)
-            prime_bound = bound
         if divides_all:
             flags = bytearray(n)
         else:
@@ -260,18 +260,15 @@ def _prime_value_blocks(
                 if i < n:
                     # zeros as a bytearray: assigning bytes would copy them to one first
                     flags[i::p] = bytearray((n - 1 - i) // p + 1)
-        exact = _below(poly, (prime_bound + 1) ** 2)
         for part in (range(k0, min(k1, exact.start)), range(max(k0, exact.stop), k1)):
             for k in compress(part, flags[part.start - k0 : part.stop - k0]):
                 if not is_prime(f(k)):
                     flags[k - k0] = 0
-        small = _below(poly, prime_bound + 1)
         for k in range(max(k0, small.start), min(k1, small.stop)):
             v = f(k)
             # v >= 2 first: a negative v would index the sieve from its end
             flags[k - k0] = v >= 2 and sieve[v]
         yield k0, flags
-        k0 = k1
 
 
 def _candidates(m_max: int, residues: frozenset[int]) -> Iterator[ShanksCandidate]:
@@ -291,8 +288,9 @@ def search_shanks_candidates(
     Candidates whose conductor is composite are kept (flagged) so sweep
     reports can show why an m was skipped.  The flags are exact; they come
     from the prime-value sieve (see the module docstring) over every m,
-    before the residue filter.  Memory is bounded however large m_max is,
-    and the first candidate comes at once.
+    before the residue filter.  Memory is bounded however large m_max is.
+    The first candidate waits for the sieve's root table: the roots mod the
+    primes up to about min(m_max, 2^20).
     """
     if m_max < 1:
         raise DomainError(f"m_max must be positive, got {m_max}")
@@ -311,28 +309,23 @@ def hl_constant(prime_bound: int) -> HLConstantResult:
     D = -3 * 36^2, (D/p) = (-3/p) for every prime p >= 5, and that is +1
     exactly when p = 1 (mod 3).  The primes come from the odd half of the
     sieve (arith.primes_between), so no int is made for an even number.
-    Factors are accumulated as logarithms in increasing-prime order with
-    Kahan compensation, then exponentiated, so recomputation at the same
-    bound is bit-identical and the 10^7-term product keeps full double
-    precision.
+    The factors' logarithms are summed by math.fsum, so the log-sum is
+    correctly rounded (the exact sum of the terms, rounded once), then
+    exponentiated; recomputation at the same bound is bit-identical.
     """
     if prime_bound < 5:
         raise DomainError(f"prime bound must be at least 5, got {prime_bound}")
     if prime_bound > MAX_PRIME_BOUND:
         raise InputRangeError(f"prime bound {prime_bound} exceeds {MAX_PRIME_BOUND}")
-    log_sum = 0.0
-    comp = 0.0
-    terms = 0
-    for p in primes_between(prime_flags(prime_bound), 5, prime_bound):
-        # -1.0/(p-1) is the negated 1.0/(p-1): the bits of log1p((-1 or 1)/(p-1))
-        term = log1p(-1.0 / (p - 1)) if p % 3 == 1 else log1p(1.0 / (p - 1))
-        y = term - comp
-        t = log_sum + y
-        comp = (t - log_sum) - y
-        log_sum = t
-        terms += 1
+    flags = prime_flags(prime_bound)
+    # -1.0/(p-1) is the negated 1.0/(p-1): the bits of log1p((-1 or 1)/(p-1))
+    log_sum = math.fsum(
+        log1p(-1.0 / (p - 1)) if p % 3 == 1 else log1p(1.0 / (p - 1))
+        for p in primes_between(flags, 5, prime_bound)
+    )
     partial = math.exp(log_sum)
-    return HLConstantResult(prime_bound, partial, partial / 4.0, terms)
+    # every prime but 2 and 3 gives a term
+    return HLConstantResult(prime_bound, partial, partial / 4.0, flags.count(1) - 2)
 
 
 def empirical_prime_count(

@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 import time
 from dataclasses import dataclass, fields
 from functools import cached_property, lru_cache
@@ -68,16 +69,15 @@ def format_float(x: float) -> str:
 
 
 def _encode_int(obj: int) -> str:
+    limit = _MAX_INT_DIGITS
     try:
         text = repr(obj)
-    except ValueError as exc:  # past this interpreter's int-string digit limit
-        raise DomainError(f"integer cannot be serialized: {exc}") from None
-    # the sign is not a digit; the second test runs only for long texts
-    if len(text) > _MAX_INT_DIGITS and len(text.lstrip("-")) > _MAX_INT_DIGITS:
-        raise DomainError(
-            f"integer cannot be serialized: it exceeds the limit ({_MAX_INT_DIGITS} "
-            "digits) of a default interpreter"
-        )
+        # the sign is not a digit; the second test runs only for long texts
+        fits = len(text) <= limit or len(text.lstrip("-")) <= limit
+    except ValueError:  # past this interpreter's limit, which the CLI sets to 4300
+        limit, fits = sys.get_int_max_str_digits(), False
+    if not fits:
+        raise DomainError(f"integer cannot be serialized: it exceeds the limit ({limit} digits)")
     return text
 
 

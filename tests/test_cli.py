@@ -884,6 +884,21 @@ class TestFuruta:
         assert record.kind == "rejection"
         assert record.payload["reasons"] == ["composite"]
 
+    def test_n_past_digit_limit_names_no_interpreter_setting(self):
+        # the command runs at the 4300-digit limit, so repr itself refuses this n
+        src = str(Path(towercert.__file__).resolve().parent.parent)
+        env = {**os.environ, "PYTHONPATH": src}
+        env.pop("PYTHONINTMAXSTRDIGITS", None)
+        proc = subprocess.run(
+            [sys.executable, "-m", "towercert.cli", "furuta", "--ell", "5", "--m-e", "30",
+             "--count", "3000"],
+            capture_output=True, env=env, timeout=60,
+        )
+        assert proc.returncode == EXIT_USAGE, proc.stderr
+        assert proc.stdout == b""
+        assert b"(4300 digits)" in proc.stderr
+        assert b"set_int_max_str_digits" not in proc.stderr
+
 
 class TestGroup:
     def test_perfect_7(self, capsys):

@@ -176,6 +176,12 @@ class TestHLConstant:
         assert result.constant == partial / 4.0
         assert result.terms_used == terms
 
+    def test_ten_million_pinned(self):
+        # the bits and count of the compensated loop this sum replaced
+        result = hl_constant(10**7)
+        assert result.partial_product.hex() == "0x1.1ee6c991d928ap+0"
+        assert result.terms_used == 664577
+
     def test_symbol_is_the_mod_3_rule(self):
         # D = -3 * 36^2, so (D/p) = (-3/p): the rule hl_constant uses
         a, b, c = CONDUCTOR_POLY.a, CONDUCTOR_POLY.b, CONDUCTOR_POLY.c
@@ -325,6 +331,38 @@ class TestPrimeValueSieve:
         for coefficients in SIEVE_POLYS + [(144, 84, 19), (1, 0, 0)]:
             poly = QuadraticIntPoly(*coefficients)
             assert empirical_prime_count(poly, 10**7, 0.3).count == prime_count_mr(poly, 10**7)
+
+    @pytest.mark.parametrize(
+        "run",
+        [
+            lambda: list(search_shanks_candidates(100_000)),
+            lambda: empirical_prime_count(CONDUCTOR_POLY, 10**12, 0.28),
+        ],
+        ids=["search", "count"],
+    )
+    def test_one_prime_sieve_per_range_and_full_blocks(self, monkeypatch, run):
+        sieves, ranges = [], []
+        prime_flags, prime_value_blocks = hlsearch.prime_flags, hlsearch._prime_value_blocks
+
+        def counted_flags(bound):
+            sieves.append(bound)
+            return prime_flags(bound)
+
+        def recorded_blocks(poly, start, stop):
+            blocks = []
+            ranges.append((start, stop, blocks))
+            for k0, flags in prime_value_blocks(poly, start, stop):
+                blocks.append((k0, len(flags)))
+                yield k0, flags
+
+        monkeypatch.setattr(hlsearch, "prime_flags", counted_flags)
+        monkeypatch.setattr(hlsearch, "_prime_value_blocks", recorded_blocks)
+        run()
+        assert len(sieves) == len(ranges) == 1
+        for start, stop, blocks in ranges:
+            assert [k0 for k0, _ in blocks] == list(range(start, stop, hlsearch._SIEVE_CAP))
+            assert all(n == hlsearch._SIEVE_CAP for _, n in blocks[:-1])
+            assert sum(n for _, n in blocks) == stop - start
 
     def test_survey_commands_need_no_miller_rabin(self, monkeypatch):
         calls = _counting_is_prime(monkeypatch)
