@@ -78,21 +78,56 @@ def exact_sqrt(n: int) -> int | None:
     return r if r * r == n else None
 
 
+# Integers in one block of prime_segments, about 384 KB of flags: a multiple
+# of 6, so every block starts at a multiple of 6 and its 6k+1 and 6k+5
+# flags are the strided slices flags[1::6] and flags[5::6].
+_SEGMENT = 6 << 16
+
+
+def prime_segments(bound: int) -> Iterator[tuple[int, bytearray]]:
+    """Blocks (lo, flags) covering 0..bound: flags[i] == 1 exactly when lo + i is prime.
+
+    A segmented sieve of Eratosthenes (Bays and Hudson, BIT 17 (1977)
+    121-127).  Each block holds _SEGMENT integers, the last one fewer, and
+    lo is a multiple of _SEGMENT.  A block starts from the 6k+1, 6k+5
+    pattern, so the multiples of 2 and 3 are never crossed off; the odd
+    multiples of each base prime 5 <= p <= isqrt(bound) are, from p^2.  The
+    base primes come from prime_flags(isqrt(bound)), this sieve one level
+    down.  Memory is one block plus the base primes, whatever the bound;
+    each block is a new array the caller may keep.  bound >= 0.
+    """
+    root = isqrt(bound)
+    base = list(primes_between(prime_flags(root), 5, root)) if root >= 5 else []
+    for lo in range(0, bound + 1, _SEGMENT):
+        n = min(_SEGMENT, bound + 1 - lo)
+        flags = bytearray(b"\x00\x01\x00\x00\x00\x01") * -(-n // 6)
+        del flags[n:]
+        if lo == 0:
+            # 1 is no prime; 2 and 3 are
+            flags[:4] = b"\x00\x00\x01\x01"[:n]
+        for p in base:
+            if p * p >= lo + n:
+                break
+            # the first odd multiple of p in the block, from p^2 on
+            i = (max(p, -(-lo // p)) | 1) * p - lo
+            if i < n:
+                # zeros as a bytearray: assigning bytes would copy them to one first
+                flags[i :: 2 * p] = bytearray((n - 1 - i) // (2 * p) + 1)
+        yield lo, flags
+
+
 def prime_flags(bound: int) -> bytearray:
     """Byte sieve: flags[n] == 1 exactly when n <= bound is prime.
 
-    One byte per integer (10 MB at bound 10^7), plus half as much again
-    while the multiples of 2 are crossed off.  Read the primes with
+    The blocks of prime_segments, joined: one byte per integer (10 MB at
+    bound 10^7) plus one block while it is copied in.  Read the primes with
     primes_between, or every flag with itertools.compress(range(bound + 1),
-    flags); for bound < 2 the array is two zero bytes long.
+    flags); for bound < 2 the array is two zero bytes long.  A reader that
+    needs one pass over the primes streams prime_segments instead.
     """
-    flags = bytearray(b"\x01") * max(bound + 1, 2)
-    flags[0:2] = b"\x00\x00"
-    for p in range(2, isqrt(bound) + 1):
-        if flags[p]:
-            start = p * p
-            # zeros as a bytearray: assigning bytes would copy them to one first
-            flags[start : bound + 1 : p] = bytearray((bound - start) // p + 1)
+    flags = bytearray(max(bound + 1, 2))
+    for lo, block in prime_segments(bound):
+        flags[lo : lo + len(block)] = block
     return flags
 
 
@@ -101,7 +136,8 @@ def primes_between(flags: bytearray, lo: int, hi: int) -> Iterator[int]:
 
     2 is yielded on its own and the odd primes from the odd half of flags,
     through a strided view: no int is made for an even number, and no copy
-    of flags.  lo >= 0.
+    of flags.  lo >= 0.  This needs the whole array of B + 1 bytes; one
+    pass over the primes up to a large B reads prime_segments in its place.
     """
     odd = lo | 1
     stream = compress(range(odd, hi + 1, 2), memoryview(flags)[odd : hi + 1 : 2])

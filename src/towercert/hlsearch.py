@@ -26,10 +26,17 @@ import math
 from array import array
 from collections.abc import Iterator
 from dataclasses import dataclass
-from itertools import compress
+from itertools import chain, compress
 from math import isqrt, log1p
 
-from .arith import MAX_NATURAL, exact_sqrt, is_prime, prime_flags, primes_between
+from .arith import (
+    MAX_NATURAL,
+    exact_sqrt,
+    is_prime,
+    prime_flags,
+    prime_segments,
+    primes_between,
+)
 from .errors import DomainError, InputRangeError
 
 __all__ = [
@@ -55,8 +62,8 @@ DEFAULT_RESIDUES = frozenset({2, 7, 10, 11})
 # its blocks.
 _SIEVE_CAP = 1 << 20
 
-# Largest hl_constant bound: its sieve holds a byte per integer, 100 MB at
-# 10**8 (150 MB at its peak); the primes are streamed from it, never listed.
+# Largest hl_constant bound.  Its memory is two sieve blocks (under 1 MB) at
+# any bound; the cap bounds its time, about 2 s at 10**8.
 MAX_PRIME_BOUND = 10**8
 
 
@@ -307,25 +314,34 @@ def hl_constant(prime_bound: int) -> HLConstantResult:
 
     D = -3888 is the discriminant of CONDUCTOR_POLY = 144k^2+84k+19.  As
     D = -3 * 36^2, (D/p) = (-3/p) for every prime p >= 5, and that is +1
-    exactly when p = 1 (mod 3).  The primes come from the odd half of the
-    sieve (arith.primes_between), so no int is made for an even number.
-    The factors' logarithms are summed by math.fsum, so the log-sum is
-    correctly rounded (the exact sum of the terms, rounded once), then
+    exactly when p = 1 (mod 6), -1 when p = 5 (mod 6).  The primes stream
+    from the blocks of arith.prime_segments, so memory is under 1 MB (the
+    block being read and the next one being sieved) whatever the bound.
+    Each residue class is read from its strided slice of a block's flags:
+    p - 1 comes straight from a range, and the term log1p(-/+1.0/(p - 1))
+    from maps of C functions, so no Python code runs per prime.  The terms
+    are summed by one math.fsum, so the log-sum is correctly rounded (the
+    exact sum of the terms, rounded once, in any order), then
     exponentiated; recomputation at the same bound is bit-identical.
     """
     if prime_bound < 5:
         raise DomainError(f"prime bound must be at least 5, got {prime_bound}")
     if prime_bound > MAX_PRIME_BOUND:
         raise InputRangeError(f"prime bound {prime_bound} exceeds {MAX_PRIME_BOUND}")
-    flags = prime_flags(prime_bound)
-    # -1.0/(p-1) is the negated 1.0/(p-1): the bits of log1p((-1 or 1)/(p-1))
-    log_sum = math.fsum(
-        log1p(-1.0 / (p - 1)) if p % 3 == 1 else log1p(1.0 / (p - 1))
-        for p in primes_between(flags, 5, prime_bound)
-    )
-    partial = math.exp(log_sum)
+    primes = 0
+
+    def log_terms() -> Iterator[Iterator[float]]:
+        nonlocal primes
+        for lo, flags in prime_segments(prime_bound):
+            primes += flags.count(1)
+            end = lo + len(flags)
+            # p - 1 of the primes p = lo + 1 + 6j, then of the p = lo + 5 + 6j (lo = 0 mod 6)
+            yield map(log1p, map((-1.0).__truediv__, compress(range(lo, end, 6), flags[1::6])))
+            yield map(log1p, map((1.0).__truediv__, compress(range(lo + 4, end, 6), flags[5::6])))
+
+    partial = math.exp(math.fsum(chain.from_iterable(log_terms())))
     # every prime but 2 and 3 gives a term
-    return HLConstantResult(prime_bound, partial, partial / 4.0, flags.count(1) - 2)
+    return HLConstantResult(prime_bound, partial, partial / 4.0, primes - 2)
 
 
 def empirical_prime_count(

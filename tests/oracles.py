@@ -5,7 +5,7 @@ agreement with the package is evidence, not circularity: different
 primality algorithm, different sieve, different character construction,
 different analytic route to the L-value, different group-order counting.
 The code at the end is the exception: jacobi_symbol is a helper the package
-no longer needs, and each of the five reference implementations keeps a
+no longer needs, and each of the six reference implementations keeps a
 replaced loop of the package as the oracle for its faster successor.
 """
 
@@ -603,3 +603,18 @@ def afe_sums_reference(ell: int, zeta: int, compensated: bool) -> list[complex]:
         sums.append(complex(s0 - 0.5 * (s1 + s2), half_sqrt3 * (s1 - s2)))
     a, b, p = sums
     return [a, b.conjugate(), p]  # the B series carries conj(chi)
+
+
+def prime_flags_reference(bound: int) -> bytearray:
+    """Byte sieve flags[n] == 1 exactly when n <= bound is prime, two zero bytes for bound < 2.
+
+    The package's unsegmented sieve before prime_segments: one array up to
+    bound, every multiple of each prime p <= isqrt(bound) crossed off from p^2.
+    """
+    flags = bytearray(b"\x01") * max(bound + 1, 2)
+    flags[0:2] = b"\x00\x00"
+    for p in range(2, math.isqrt(bound) + 1):
+        if flags[p]:
+            start = p * p
+            flags[start : bound + 1 : p] = bytearray((bound - start) // p + 1)
+    return flags

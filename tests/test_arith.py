@@ -5,13 +5,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import jacobi_symbol, odd_wheel_sieve, trial_division_prime
+from oracles import jacobi_symbol, odd_wheel_sieve, prime_flags_reference, trial_division_prime
+from towercert import arith
 from towercert.arith import (
     MAX_NATURAL,
     exact_sqrt,
     factorize,
     is_prime,
     prime_flags,
+    prime_segments,
     primes_between,
 )
 from towercert.errors import DomainError, InputRangeError
@@ -158,6 +160,33 @@ class TestPrimesUpTo:
         primes = odd_wheel_sieve(10**5)
         for lo, hi in ((5, 10**5), (2, 99991), (99990, 10**5), (1000, 1009), (1024, 2048)):
             assert list(primes_between(flags, lo, hi)) == [p for p in primes if lo <= p <= hi]
+
+
+# one integer either side of the first three block boundaries, and each boundary
+SEGMENT_EDGES = [k * arith._SEGMENT + d for k in (1, 2, 3) for d in (-1, 0, 1)]
+
+
+class TestPrimeSegments:
+    def test_segment_is_a_multiple_of_6(self):
+        # hl_constant reads the 6k+1 and 6k+5 flags of every block at the same offsets
+        assert arith._SEGMENT % 6 == 0
+
+    @pytest.mark.parametrize("bound", [0, 1, 2, 5, 3000, *SEGMENT_EDGES])
+    def test_blocks_tile_zero_to_bound(self, bound):
+        blocks = [(lo, len(flags)) for lo, flags in prime_segments(bound)]
+        assert [lo for lo, _ in blocks] == list(range(0, bound + 1, arith._SEGMENT))
+        assert all(n == arith._SEGMENT for _, n in blocks[:-1])
+        assert sum(n for _, n in blocks) == bound + 1
+
+    def test_join_equals_unsegmented_sieve_at_every_small_bound(self):
+        for bound in range(3001):
+            assert prime_flags(bound) == prime_flags_reference(bound), bound
+
+    @pytest.mark.parametrize("bound", SEGMENT_EDGES)
+    def test_join_equals_unsegmented_sieve_at_block_edges(self, bound):
+        flags, expected = prime_flags(bound), prime_flags_reference(bound)
+        assert flags == expected
+        assert list(primes_between(flags, 0, bound)) == list(compress(range(bound + 1), expected))
 
 
 class TestFactorize:

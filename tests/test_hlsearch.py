@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from itertools import islice
 from math import isqrt
 
@@ -13,7 +14,7 @@ from oracles import (
     odd_wheel_sieve,
     prime_count_mr,
 )
-from towercert import hlsearch
+from towercert import arith, hlsearch
 from towercert.arith import is_prime
 from towercert.errors import DomainError, InputRangeError
 from towercert.hlsearch import (
@@ -28,6 +29,9 @@ from towercert.hlsearch import (
 )
 
 FROZEN_CONSTANT_1E6 = 0.28015118850435017
+
+# one integer either side of the first three prime_segments block boundaries, and each boundary
+SEGMENT_EDGES = [k * arith._SEGMENT + d for k in (1, 2, 3) for d in (-1, 0, 1)]
 
 
 class TestDiscriminant:
@@ -166,9 +170,12 @@ class TestHLConstant:
 
 
     # both sides of |D| = 3888, the period of (D/p) in p; the first bounds past
-    # 7, where a stream over the odd half could drop or repeat a prime; and
-    # 10**6, the hl count default
-    @pytest.mark.parametrize("bound", [5, 6, 7, 8, 9, 10, 3887, 3888, 3889, 10**5 + 3, 10**6])
+    # 7, where a stream over the 6k+1 and 6k+5 flags could drop or repeat a
+    # prime; 10**6, the hl count default; and both sides of the first three
+    # boundaries between prime_segments blocks
+    @pytest.mark.parametrize(
+        "bound", [5, 6, 7, 8, 9, 10, 3887, 3888, 3889, 10**5 + 3, 10**6, *SEGMENT_EDGES]
+    )
     def test_equals_per_prime_symbol_loop(self, bound):
         partial, terms = hl_constant_reference(bound)
         result = hl_constant(bound)
@@ -181,6 +188,39 @@ class TestHLConstant:
         result = hl_constant(10**7)
         assert result.partial_product.hex() == "0x1.1ee6c991d928ap+0"
         assert result.terms_used == 664577
+
+    # as at 10**7, on both sides of the first three prime_segments block
+    # boundaries (k * 393216); 786433 and 1179649 are primes, each first in its block
+    @pytest.mark.parametrize(
+        "bound, partial_hex, terms",
+        [
+            (393215, "0x1.1ee3b1e8cb814p+0", 33333),
+            (393216, "0x1.1ee3b1e8cb814p+0", 33333),
+            (393217, "0x1.1ee3b1e8cb814p+0", 33333),
+            (786431, "0x1.1ee76fc7d7a95p+0", 62944),
+            (786432, "0x1.1ee76fc7d7a95p+0", 62944),
+            (786433, "0x1.1ee757df39035p+0", 62945),
+            (1179647, "0x1.1ee3dd079f2adp+0", 91463),
+            (1179648, "0x1.1ee3dd079f2adp+0", 91463),
+            (1179649, "0x1.1ee3cd176838ap+0", 91464),
+        ],
+    )
+    def test_block_edges_pinned(self, bound, partial_hex, terms):
+        result = hl_constant(bound)
+        assert result.partial_product.hex() == partial_hex
+        assert result.terms_used == terms
+
+    @pytest.mark.parametrize("bound", [10**6, 8 * 10**6])
+    def test_memory_bounded(self, bound):
+        # the block being read and the one being sieved, plus the base primes
+        # and fsum's partials; not the byte per integer of a whole sieve
+        tracemalloc.start()
+        try:
+            hl_constant(bound)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2 * arith._SEGMENT + 2**17
 
     def test_symbol_is_the_mod_3_rule(self):
         # D = -3 * 36^2, so (D/p) = (-3/p): the rule hl_constant uses
