@@ -12,14 +12,19 @@ their exact product, the one place arbitrary-width integers are needed.
 
 The linear-disjointness step relies on SL2(Z/n) being perfect for
 (n, 30) = 1.  sl2_perfect decides this for n <= 100 and reports the
-abelianization order, so failures (n = 2, 3) are informative.  By CRT,
-SL2(Z/n) = SL2(Z/n6) x SL2(Z/n') with n6 the {2,3}-part of n, and the
-abelianization of a direct product is the product of theirs.  SL2(Z/n')
-is perfect by an explicit witness: with D = diag(2, 1/2), t = 1/3 mod n'
-and [x, y] = x*y*x^-1*y^-1, conjugation by D scales U(t) to U(4t), so
-[D, U(t)] = U(3t) = U(1), and [D^-1, L(t)] = L(1) likewise; U(1) and L(1)
-generate, since SL2(Z) maps onto SL2(Z/n').  The two commutators are
-computed, not assumed.  Only SL2(Z/n6) is closed exactly: the normal
+abelianization order, so failures (n = 2, 3) are informative.  That order
+is gcd(n, 12) for every n:
+- SL2(Z) maps onto SL2(Z/n) (Shimura, Introduction to the Arithmetic
+  Theory of Automorphic Functions, Lemma 1.38).
+- SL2(Z)^ab = Z/12, generated by the image of U = [[1,1],[0,1]].  With
+  S = [[0,-1],[1,0]], SL2(Z) is generated by S and U, subject to S^4 = 1
+  and (SU)^3 = S^2 (Serre, A Course in Arithmetic, ch. VII); written
+  additively, the second relation gives S = -3U, the first then 12U = 0.
+- So SL2(Z/n)^ab is cyclic, generated by the image of U, and U^n = 1
+  makes its order divide gcd(n, 12).
+- SL2(Z/n) also maps onto SL2(Z/d), d = gcd(n, 12), so its
+  abelianization maps onto SL2(Z/d)^ab, whose order the BFS finds to be d.
+Only SL2(Z/d) is closed, in a group of order at most 1152: the normal
 closure of [U, L] as one orbit, a BFS from the identity under right
 multiplication by [U, L] and conjugation by U and L.
 """
@@ -29,14 +34,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .arith import factorize, is_prime
+from .arith import check_natural, factorize, is_prime
 from .errors import DomainError, ResourceLimitError
 
 __all__ = [
     "FurutaWitness",
     "GroupReport",
     "MIN_FURUTA_PRIMES",
-    "ELEMENT_BUDGET",
     "PERFECT_LIMIT",
     "furuta_n",
     "sl2_order",
@@ -44,9 +48,6 @@ __all__ = [
 ]
 
 MIN_FURUTA_PRIMES = 9
-
-# Visited-set cap for the commutator closure: deterministic memory behavior.
-ELEMENT_BUDGET = 10**6
 
 # Candidate cap for the arithmetic-progression prime search.
 _MAX_PROGRESSION_STEPS = 10**6
@@ -87,6 +88,7 @@ def furuta_n(ell: int, m_e: int, count: int = MIN_FURUTA_PRIMES) -> FurutaWitnes
         raise DomainError(f"ell must be prime, got {ell}")
     if m_e < 30 or m_e % 30 != 0:
         raise DomainError(f"M_E must be a positive multiple of 30, got {m_e}")
+    check_natural(m_e, "M_E")
     if count < MIN_FURUTA_PRIMES:
         raise DomainError(
             f"the construction requires nine or more primes, got count={count}"
@@ -116,41 +118,20 @@ def sl2_order(n: int) -> int:
 
 
 def sl2_perfect(n: int) -> GroupReport:
-    """Abelianization of SL2(Z/n) = SL2(Z/n6) x SL2(Z/n'), n6 the {2,3}-part.
+    """The abelianization of SL2(Z/n), read off SL2(Z/d) with d = gcd(n, 12).
 
-    SL2(Z/n') is perfect by the module docstring's witness [D, U(1/3)] =
-    U(1), [D^-1, L(1/3)] = L(1), checked here (a mismatch is a bug and
-    raises ResourceLimitError).  SL2(Z/n6), n6 <= 96, goes through the BFS.
+    Its order is d by the module docstring's argument; the BFS closes
+    SL2(Z/d) only, never more than the 1152 elements of SL2(Z/12).
     """
     if not 2 <= n <= PERFECT_LIMIT:
         raise DomainError(f"sl2_perfect supports 2 <= n <= {PERFECT_LIMIT}, got {n}")
-    n6 = math.prod(p**e for p, e in factorize(n) if p <= 3)
-    if n6 < n and not _witness_holds(n // n6):
-        raise ResourceLimitError(f"commutator witness failed at n'={n // n6}")
-    abelianization = _abelianization_order(n6) if n6 > 1 else 1
+    d = math.gcd(n, 12)
+    abelianization = _abelianization_order(d) if d > 1 else 1
     return GroupReport(
         n=n,
         group_order=sl2_order(n),
         abelianization_order=abelianization,
         perfect=abelianization == 1,
-    )
-
-
-def _witness_holds(n: int) -> bool:
-    """[D, U(1/3)] == U(1) and [D^-1, L(1/3)] == L(1) in SL2(Z/n), n > 1 prime to 6."""
-
-    def mul(x, y):
-        (a, b, c, d), (e, f, g, h) = x, y
-        return ((a * e + b * g) % n, (a * f + b * h) % n, (c * e + d * g) % n, (c * f + d * h) % n)
-
-    def commutator(x, y):
-        (a, b, c, d), (e, f, g, h) = x, y
-        return mul(mul(x, y), mul((d, -b % n, -c % n, a), (h, -f % n, -g % n, e)))
-
-    half, third = pow(2, -1, n), pow(3, -1, n)
-    return (
-        commutator((2, 0, 0, half), (1, third, 0, 1)) == (1, 1, 0, 1)
-        and commutator((half, 0, 0, 2), (1, 0, third, 1)) == (1, 0, 1, 1)
     )
 
 
@@ -171,7 +152,6 @@ def _abelianization_order(n: int) -> int:
     group products of those conjugates give all of N.
     """
     order = sl2_order(n)
-    budget = ELEMENT_BUDGET
     identity = (1 % n, 0, 0, 1 % n)
     members = {identity}
     elements = [identity]
@@ -185,8 +165,6 @@ def _abelianization_order(n: int) -> int:
             ((a - b) % n, b, (a + c - b - d) % n, (b + d) % n),
         ):
             if h not in members:
-                if len(members) >= budget:
-                    raise ResourceLimitError(f"subgroup closure exceeded {budget} elements at n={n}")
                 members.add(h)
                 elements.append(h)
     commutator_order = len(members)

@@ -43,11 +43,11 @@ class IntegralityError(NumericError):
 
 
 class ResourceLimitError(RuntimeError):
-    """A search or closure exceeded its budget, or failed an internal check.
+    """A search exceeded its budget, or a computation failed an internal check.
 
-    sl2_perfect also raises it when its commutator witness fails or its
-    closure yields an order that does not divide the group order: either
-    means a bug, not a bad input, so it maps to exit 3 like a budget.
+    sl2_perfect also raises it when its closure yields an order that does
+    not divide the group order: that means a bug, not a bad input, so it
+    maps to exit 3 like a budget.
     """
 
 

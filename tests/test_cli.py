@@ -1083,10 +1083,13 @@ class TestOutFile:
             ("search", "--m-max", "12", "--residues", "-1"),
             # n has ~6,700 digits, past the int-string limit of the record encoder
             ("furuta", "--ell", "877", "--m-e", "30", "--count", "1000"),
+            # a multiple of 30, but only the product n may pass the 63-bit width
+            ("furuta", "--ell", "5", "--m-e", str(30 * 10**28)),
         ],
         ids=[
             "bound-1", "bound-above-max", "m-max-0", "bad-residues", "missing-registry",
             "m-0", "ell-12", "n-101", "count-bound-4", "negative-residue", "furuta-n-digits",
+            "furuta-m-e-past-63-bits",
         ],
     )
     def test_usage_error_leaves_existing_file(self, capsys, tmp_path, argv):

@@ -11,17 +11,16 @@ from oracles import (
     sl2_perfect_restart,
     trial_division_prime,
 )
+from towercert.arith import MAX_NATURAL, factorize
 from towercert.elliptic import (
-    ELEMENT_BUDGET,
     MIN_FURUTA_PRIMES,
     PERFECT_LIMIT,
     furuta_n,
     _abelianization_order,
-    _witness_holds,
     sl2_order,
     sl2_perfect,
 )
-from towercert.errors import DomainError, ResourceLimitError
+from towercert.errors import DomainError, InputRangeError
 
 ELL5_NINE_PRIMES = (11, 31, 41, 61, 71, 101, 131, 151, 181)
 
@@ -58,6 +57,15 @@ class TestFurutaN:
             furuta_n(5, 31)
         with pytest.raises(DomainError):
             furuta_n(5, 0)
+
+    def test_m_e_past_63_bits_rejected(self):
+        # only the product n may pass the 63-bit width contract, not M_E
+        with pytest.raises(InputRangeError):
+            furuta_n(5, 30 * 10**28)
+        largest = MAX_NATURAL // 30 * 30
+        witness = furuta_n(5, largest)
+        assert witness.m_e == largest
+        assert all(math.gcd(p, largest) == 1 for p in witness.primes)
 
     def test_deterministic(self):
         assert furuta_n(7, 30) == furuta_n(7, 30)
@@ -167,7 +175,7 @@ class TestSL2Perfect:
     def test_abelianization_multiplicative_on_coprime_pairs(self):
         # SL2(Z/ab) = SL2(Z/a) x SL2(Z/b) for coprime a, b, and the
         # abelianization of a direct product is the product of theirs.
-        # sl2_perfect splits n this way, so each a*b side is the full-n BFS.
+        # sl2_perfect closes only SL2(Z/gcd(n, 12)), so each a*b side is a full-n BFS.
         pairs = [(a, b) for a in range(2, 51) for b in range(a + 1, 51) if math.gcd(a, b) == 1 and a * b <= 100]
         moduli = {m for a, b in pairs for m in (a, b)}
         ab_order = {n: sl2_perfect(n).abelianization_order for n in moduli}
@@ -177,50 +185,32 @@ class TestSL2Perfect:
             assert ab_order[a * b] == ab_order[a] * ab_order[b], (a, b)
 
     def test_abelianization_is_gcd_with_12(self):
-        for n in range(2, PERFECT_LIMIT + 1):
-            assert sl2_perfect(n).abelianization_order == math.gcd(n, 12), n
+        # the {2,3}-smooth n are the closures sl2_perfect no longer runs past d = gcd(n, 12)
+        smooth = [n for n in range(2, PERFECT_LIMIT + 1) if all(p <= 3 for p, _ in factorize(n))]
+        assert len(smooth) == 19 and smooth[-2:] == [81, 96]
+        for n in smooth:
+            assert _abelianization_order(n) == math.gcd(n, 12), n
 
-    def test_witness_below_10_000(self):
-        assert all(_witness_holds(n) for n in range(5, 10**4) if math.gcd(n, 6) == 1)
-
-    @pytest.mark.parametrize("ell, m_e", [(5, 30), (2659, 30), (11779, 210)])
-    def test_witness_for_furuta_n(self, ell, m_e):
-        # the groups the linear-disjointness step uses, far past PERFECT_LIMIT
-        assert _witness_holds(furuta_n(ell, m_e).n)
-
-    def test_witness_mismatch_raises(self, monkeypatch):
+    def test_closes_only_divisors_of_12(self, monkeypatch):
         import towercert.elliptic as mod
 
-        monkeypatch.setattr(mod, "_witness_holds", lambda n: False)
-        with pytest.raises(ResourceLimitError):
-            sl2_perfect(7)
-        # a {2,3}-smooth n has no n' factor to witness
-        assert sl2_perfect(8).abelianization_order == 4
+        closed = []
+        bfs = mod._abelianization_order
+
+        def spy(n):
+            closed.append(n)
+            return bfs(n)
+
+        monkeypatch.setattr(mod, "_abelianization_order", spy)
+        for n in range(2, PERFECT_LIMIT + 1):
+            assert sl2_perfect(n).abelianization_order == math.gcd(n, 12), n
+        assert closed and all(12 % d == 0 for d in closed), sorted(set(closed))
 
     def test_out_of_range(self):
         with pytest.raises(DomainError):
             sl2_perfect(1)
         with pytest.raises(DomainError):
             sl2_perfect(101)
-
-    def test_budget_enforced(self, monkeypatch):
-        import towercert.elliptic as mod
-
-        # n = 28: the BFS runs on the {2,3}-part 4, whose closure has 12 elements
-        monkeypatch.setattr(mod, "ELEMENT_BUDGET", 10)
-        with pytest.raises(ResourceLimitError):
-            sl2_perfect(28)
-
-    def test_budget_unused_prime_to_6(self, monkeypatch):
-        import towercert.elliptic as mod
-
-        monkeypatch.setattr(mod, "ELEMENT_BUDGET", 1)
-        assert sl2_perfect(97).perfect
-
-    def test_default_budget_covers_77(self):
-        assert sl2_order(77) < ELEMENT_BUDGET
-        # the closure never holds more than the group, so no accepted n hits the budget
-        assert all(sl2_order(n) < ELEMENT_BUDGET for n in range(2, PERFECT_LIMIT + 1))
 
 
 class TestGroupReport:
