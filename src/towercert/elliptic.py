@@ -11,7 +11,7 @@ an infinite ell-class field tower.  The witness records the primes and
 their exact product, the one place arbitrary-width integers are needed.
 
 The linear-disjointness step relies on SL2(Z/n) being perfect for
-(n, 30) = 1.  sl2_perfect decides this for n <= 100 and reports the
+(n, 30) = 1.  sl2_perfect decides this for n <= 1000 and reports the
 abelianization order, so failures (n = 2, 3) are informative.  That order
 is gcd(n, 12) for every n:
 - SL2(Z) maps onto SL2(Z/n) (Shimura, Introduction to the Arithmetic
@@ -23,10 +23,10 @@ is gcd(n, 12) for every n:
 - So SL2(Z/n)^ab is cyclic, generated by the image of U, and U^n = 1
   makes its order divide gcd(n, 12).
 - SL2(Z/n) also maps onto SL2(Z/d), d = gcd(n, 12), so its
-  abelianization maps onto SL2(Z/d)^ab, whose order the BFS finds to be d.
-Only SL2(Z/d) is closed, in a group of order at most 1152: the normal
-closure of [U, L] as one orbit, a BFS from the identity under right
-multiplication by [U, L] and conjugation by U and L.
+  abelianization maps onto SL2(Z/d)^ab.  That group has order d for
+  d = 2, 3, 4 (a closure in the test oracles checks it), and the Chinese
+  remainder theorem gives 6 and 12.
+So sl2_perfect closes no group: it reports sl2_order(n) and gcd(n, 12).
 """
 
 from __future__ import annotations
@@ -52,9 +52,8 @@ MIN_FURUTA_PRIMES = 9
 # Candidate cap for the arithmetic-progression prime search.
 _MAX_PROGRESSION_STEPS = 10**6
 
-_ORDER_LIMIT = 1000
-# Largest n that sl2_perfect (and `group perfect --n`) accepts.
-PERFECT_LIMIT = 100
+# Largest n that sl2_order and sl2_perfect (and `group perfect --n`) accept.
+PERFECT_LIMIT = 1000
 
 
 @dataclass(frozen=True)
@@ -93,6 +92,7 @@ def furuta_n(ell: int, m_e: int, count: int = MIN_FURUTA_PRIMES) -> FurutaWitnes
         raise DomainError(
             f"the construction requires nine or more primes, got count={count}"
         )
+    check_natural(count, "count")
     primes = []
     for step in range(1, _MAX_PROGRESSION_STEPS + 1):
         candidate = step * ell + 1
@@ -109,8 +109,8 @@ def furuta_n(ell: int, m_e: int, count: int = MIN_FURUTA_PRIMES) -> FurutaWitnes
 
 def sl2_order(n: int) -> int:
     """Order of SL2(Z/n): multiplicative, p^(3k-2)*(p^2-1) per prime power."""
-    if not 2 <= n <= _ORDER_LIMIT:
-        raise DomainError(f"sl2_order supports 2 <= n <= {_ORDER_LIMIT}, got {n}")
+    if not 2 <= n <= PERFECT_LIMIT:
+        raise DomainError(f"sl2_order supports 2 <= n <= {PERFECT_LIMIT}, got {n}")
     order = 1
     for p, e in factorize(n):
         order *= p ** (3 * e - 2) * (p * p - 1)
@@ -118,59 +118,8 @@ def sl2_order(n: int) -> int:
 
 
 def sl2_perfect(n: int) -> GroupReport:
-    """The abelianization of SL2(Z/n), read off SL2(Z/d) with d = gcd(n, 12).
-
-    Its order is d by the module docstring's argument; the BFS closes
-    SL2(Z/d) only, never more than the 1152 elements of SL2(Z/12).
-    """
+    """The abelianization of SL2(Z/n): order gcd(n, 12), by the module docstring."""
     if not 2 <= n <= PERFECT_LIMIT:
         raise DomainError(f"sl2_perfect supports 2 <= n <= {PERFECT_LIMIT}, got {n}")
     d = math.gcd(n, 12)
-    abelianization = _abelianization_order(d) if d > 1 else 1
-    return GroupReport(
-        n=n,
-        group_order=sl2_order(n),
-        abelianization_order=abelianization,
-        perfect=abelianization == 1,
-    )
-
-
-def _abelianization_order(n: int) -> int:
-    """|SL2(Z/n)| over the order of its commutator subgroup, as one orbit.
-
-    The derived subgroup is the normal closure N of c = [U, L], for the
-    elementary generators U = [[1,1],[0,1]], L = [[1,0],[1,1]]: any normal
-    subgroup containing c has abelian quotient (the images of U and L
-    commute and generate), and conversely.
-
-    N is the orbit of the identity under x -> x*c, x -> U*x*U^-1 and
-    x -> L*x*L^-1.  The orbit lies in N, as N contains c and is normal.
-    Conversely, the orbit is closed under conjugation by U and L, hence
-    by their inverses (powers of U and L in the finite group G) and so by
-    all of G.  Then it is closed under right multiplication by every
-    t*c*t^-1, since x*t*c*t^-1 = t*((t^-1*x*t)*c)*t^-1, and in a finite
-    group products of those conjugates give all of N.
-    """
-    order = sl2_order(n)
-    identity = (1 % n, 0, 0, 1 % n)
-    members = {identity}
-    elements = [identity]
-    # the loop reaches the elements appended while it runs: one BFS
-    for x in elements:
-        a, b, c, d = x
-        # x*[U, L] with [U, L] = [[3, -1], [1, 0]], U*x*U^-1 and L*x*L^-1
-        for h in (
-            ((3 * a + b) % n, -a % n, (3 * c + d) % n, -c % n),
-            ((a + c) % n, (b + d - a - c) % n, c, (d - c) % n),
-            ((a - b) % n, b, (a + c - b - d) % n, (b + d) % n),
-        ):
-            if h not in members:
-                members.add(h)
-                elements.append(h)
-    commutator_order = len(members)
-    # a subgroup order always divides the group order; a mismatch means a bug
-    if order % commutator_order != 0:
-        raise ResourceLimitError(
-            f"closure produced a non-divisor order {commutator_order} at n={n}"
-        )
-    return order // commutator_order
+    return GroupReport(n=n, group_order=sl2_order(n), abelianization_order=d, perfect=d == 1)

@@ -43,12 +43,7 @@ class IntegralityError(NumericError):
 
 
 class ResourceLimitError(RuntimeError):
-    """A search exceeded its budget, or a computation failed an internal check.
-
-    sl2_perfect also raises it when its closure yields an order that does
-    not divide the group order: that means a bug, not a bad input, so it
-    maps to exit 3 like a budget.
-    """
+    """A search exceeded its budget: furuta_n's progression steps."""
 
 
 class CertificationRejected(Exception):

@@ -31,6 +31,7 @@ from math import isqrt, log1p
 
 from .arith import (
     MAX_NATURAL,
+    check_natural,
     exact_sqrt,
     is_prime,
     prime_flags,
@@ -137,6 +138,7 @@ def m_from_prime(ell: int) -> int | None:
     The positive root is (-3 + sqrt(4*ell - 27)) / 2; it must be a positive
     integer for the inversion to exist.
     """
+    check_natural(ell, "ell")
     if ell < 13:
         raise DomainError(f"ell must be at least 13 (m=1), got {ell}")
     r = exact_sqrt(4 * ell - 27)

@@ -5,7 +5,7 @@ agreement with the package is evidence, not circularity: different
 primality algorithm, different sieve, different character construction,
 different analytic route to the L-value, different group-order counting.
 The code at the end is the exception: jacobi_symbol is a helper the package
-no longer needs, and each of the six reference implementations keeps a
+no longer needs, and each of the seven reference implementations keeps a
 replaced loop of the package as the oracle for its faster successor.
 """
 
@@ -618,3 +618,44 @@ def prime_flags_reference(bound: int) -> bytearray:
             start = p * p
             flags[start : bound + 1 : p] = bytearray((bound - start) // p + 1)
     return flags
+
+
+def abelianization_order_orbit(n: int) -> int:
+    """|SL2(Z/n)| over the order of its commutator subgroup, as one orbit.
+
+    The package's closure before sl2_perfect became gcd(n, 12); the group
+    order comes from sl2_order_paircount.
+
+    The derived subgroup is the normal closure N of c = [U, L], for the
+    elementary generators U = [[1,1],[0,1]], L = [[1,0],[1,1]]: any normal
+    subgroup containing c has abelian quotient (the images of U and L
+    commute and generate), and conversely.
+
+    N is the orbit of the identity under x -> x*c, x -> U*x*U^-1 and
+    x -> L*x*L^-1.  The orbit lies in N, as N contains c and is normal.
+    Conversely, the orbit is closed under conjugation by U and L, hence
+    by their inverses (powers of U and L in the finite group G) and so by
+    all of G.  Then it is closed under right multiplication by every
+    t*c*t^-1, since x*t*c*t^-1 = t*((t^-1*x*t)*c)*t^-1, and in a finite
+    group products of those conjugates give all of N.
+    """
+    order = sl2_order_paircount(n)
+    identity = (1 % n, 0, 0, 1 % n)
+    members = {identity}
+    elements = [identity]
+    # the loop reaches the elements appended while it runs: one BFS
+    for x in elements:
+        a, b, c, d = x
+        # x*[U, L] with [U, L] = [[3, -1], [1, 0]], U*x*U^-1 and L*x*L^-1
+        for h in (
+            ((3 * a + b) % n, -a % n, (3 * c + d) % n, -c % n),
+            ((a + c) % n, (b + d - a - c) % n, c, (d - c) % n),
+            ((a - b) % n, b, (a + c - b - d) % n, (b + d) % n),
+        ):
+            if h not in members:
+                members.add(h)
+                elements.append(h)
+    commutator_order = len(members)
+    # a subgroup order always divides the group order
+    assert order % commutator_order == 0, (n, commutator_order)
+    return order // commutator_order

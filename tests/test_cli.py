@@ -921,7 +921,7 @@ class TestGroup:
         assert record.payload["abelianization_order"] == 2
 
     def test_out_of_range(self, capsys):
-        for n in ("1", "101"):
+        for n in ("1", "1001"):
             code, out, err = run(capsys, "group", "perfect", "--n", n)
             assert code == EXIT_USAGE, n
 
@@ -1078,18 +1078,22 @@ class TestOutFile:
             ("certify", "eigenform", "--weight", "12", "--ell", "877", "--registry", "{absent}"),
             ("certify", "cyclotomic", "--m", "0"),
             ("certify", "cyclotomic", "--ell", "12"),
-            ("group", "perfect", "--n", "101"),
+            ("group", "perfect", "--n", "1001"),
             ("hl", "count", "--x", "100", "--prime-bound", "4"),
             ("search", "--m-max", "12", "--residues", "-1"),
             # n has ~6,700 digits, past the int-string limit of the record encoder
             ("furuta", "--ell", "877", "--m-e", "30", "--count", "1000"),
             # a multiple of 30, but only the product n may pass the 63-bit width
             ("furuta", "--ell", "5", "--m-e", str(30 * 10**28)),
+            # past the 63-bit width, not a not_shanks_form rejection record
+            ("certify", "cyclotomic", "--ell", str(2**63)),
+            # refused before the progression search walks all its steps
+            ("furuta", "--ell", "5", "--m-e", "30", "--count", str(10**29)),
         ],
         ids=[
             "bound-1", "bound-above-max", "m-max-0", "bad-residues", "missing-registry",
-            "m-0", "ell-12", "n-101", "count-bound-4", "negative-residue", "furuta-n-digits",
-            "furuta-m-e-past-63-bits",
+            "m-0", "ell-12", "n-1001", "count-bound-4", "negative-residue", "furuta-n-digits",
+            "furuta-m-e-past-63-bits", "ell-past-63-bits", "furuta-count-past-63-bits",
         ],
     )
     def test_usage_error_leaves_existing_file(self, capsys, tmp_path, argv):
@@ -1304,13 +1308,13 @@ class TestEigenformRangeDigest:
 
 
 # `group perfect` for every accepted n plus the usage error on each side.
-GROUP_PERFECT_SHA256 = "ea21ca940779e90ce4c2228a91f542431472743d8964dd4a6df5e25adc7196e5"
+GROUP_PERFECT_SHA256 = "4af24f13975cca85094916f22e2a35b572b93db7f1e7e6f846b3b3421e95ac3d"
 
 
 class TestGroupPerfectDigest:
     def test_group_perfect_bytes_pinned(self, capsys):
         digest = hashlib.sha256()
-        for n in range(1, 102):
+        for n in range(1, 1002):
             code, out, _ = run(capsys, "group", "perfect", "--n", str(n))
             digest.update(f"group perfect --n {n} exit {code}\n{_without_timestamp(out)}".encode())
         assert digest.hexdigest() == GROUP_PERFECT_SHA256
@@ -1340,7 +1344,7 @@ USAGE_SET = (
     ("certify", "eigenform", "--weight", "12", "--ell", "1"),
     ("group", "perfect", "--n", "1"),
     ("group", "perfect", "--n", "2"),
-    ("group", "perfect", "--n", "101"),
+    ("group", "perfect", "--n", "1001"),
     ("hl", "constant", "--prime-bound", "4"),
     ("hl", "constant", "--prime-bound", str(MAX_PRIME_BOUND + 1)),
     ("hl", "count", "--x", "100", "--prime-bound", "4"),
@@ -1354,7 +1358,7 @@ USAGE_SET = (
     ("verify", "residue-claim", "--weight", "14"),
 )
 
-USAGE_SET_SHA256 = "548ca33c14883da8d12d23d564e5dee2b329bb998f05eb3b8c02c952274762b7"
+USAGE_SET_SHA256 = "b4380ccfc4505c4b0c5126b1abc5fbe2fd82dd6360f0ffbcc1d42fb4bdebcf19"
 
 
 class TestUsageDigest:

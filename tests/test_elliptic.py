@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from oracles import (
     FROZEN_61BIT_PRIMES,
+    abelianization_order_orbit,
     sl2_order_bruteforce,
     sl2_order_paircount,
     sl2_perfect_restart,
@@ -14,9 +15,7 @@ from oracles import (
 from towercert.arith import MAX_NATURAL, factorize
 from towercert.elliptic import (
     MIN_FURUTA_PRIMES,
-    PERFECT_LIMIT,
     furuta_n,
-    _abelianization_order,
     sl2_order,
     sl2_perfect,
 )
@@ -57,6 +56,11 @@ class TestFurutaN:
             furuta_n(5, 31)
         with pytest.raises(DomainError):
             furuta_n(5, 0)
+
+    def test_count_past_63_bits_rejected(self):
+        # refused before the progression search, which would walk all its steps
+        with pytest.raises(InputRangeError):
+            furuta_n(5, 30, count=MAX_NATURAL + 1)
 
     def test_m_e_past_63_bits_rejected(self):
         # only the product n may pass the 63-bit width contract, not M_E
@@ -175,42 +179,33 @@ class TestSL2Perfect:
     def test_abelianization_multiplicative_on_coprime_pairs(self):
         # SL2(Z/ab) = SL2(Z/a) x SL2(Z/b) for coprime a, b, and the
         # abelianization of a direct product is the product of theirs.
-        # sl2_perfect closes only SL2(Z/gcd(n, 12)), so each a*b side is a full-n BFS.
+        # Every side is a full-n closure, not the gcd(n, 12) of sl2_perfect.
         pairs = [(a, b) for a in range(2, 51) for b in range(a + 1, 51) if math.gcd(a, b) == 1 and a * b <= 100]
-        moduli = {m for a, b in pairs for m in (a, b)}
-        ab_order = {n: sl2_perfect(n).abelianization_order for n in moduli}
-        for n in {a * b for a, b in pairs}:
-            ab_order[n] = _abelianization_order(n)
+        moduli = {m for a, b in pairs for m in (a, b, a * b)}
+        ab_order = {n: abelianization_order_orbit(n) for n in moduli}
         for a, b in pairs:
             assert ab_order[a * b] == ab_order[a] * ab_order[b], (a, b)
 
     def test_abelianization_is_gcd_with_12(self):
-        # the {2,3}-smooth n are the closures sl2_perfect no longer runs past d = gcd(n, 12)
-        smooth = [n for n in range(2, PERFECT_LIMIT + 1) if all(p <= 3 for p, _ in factorize(n))]
+        # the {2,3}-smooth n, d = 2, 3, 4, 6, 12 among them: the closures behind the formula
+        smooth = [n for n in range(2, 101) if all(p <= 3 for p, _ in factorize(n))]
         assert len(smooth) == 19 and smooth[-2:] == [81, 96]
         for n in smooth:
-            assert _abelianization_order(n) == math.gcd(n, 12), n
+            assert abelianization_order_orbit(n) == math.gcd(n, 12), n
 
-    def test_closes_only_divisors_of_12(self, monkeypatch):
-        import towercert.elliptic as mod
-
-        closed = []
-        bfs = mod._abelianization_order
-
-        def spy(n):
-            closed.append(n)
-            return bfs(n)
-
-        monkeypatch.setattr(mod, "_abelianization_order", spy)
-        for n in range(2, PERFECT_LIMIT + 1):
-            assert sl2_perfect(n).abelianization_order == math.gcd(n, 12), n
-        assert closed and all(12 % d == 0 for d in closed), sorted(set(closed))
+    def test_report_is_the_formula_up_to_1000(self):
+        for n in range(2, 1001):
+            report = sl2_perfect(n)
+            d = math.gcd(n, 12)
+            assert (report.group_order, report.abelianization_order, report.perfect) == (
+                sl2_order(n), d, d == 1
+            ), n
 
     def test_out_of_range(self):
         with pytest.raises(DomainError):
             sl2_perfect(1)
         with pytest.raises(DomainError):
-            sl2_perfect(101)
+            sl2_perfect(1001)
 
 
 class TestGroupReport:

@@ -74,6 +74,11 @@ class TestMFromPrime:
         with pytest.raises(DomainError):
             m_from_prime(12)
 
+    def test_past_63_bits_rejected(self):
+        with pytest.raises(InputRangeError):
+            m_from_prime(2**63)
+        assert m_from_prime(2**63 - 1) is None
+
     def test_roundtrip_exhaustive(self):
         for m in range(1, 10**4 + 1):
             assert m_from_prime(shanks_value(m)) == m
