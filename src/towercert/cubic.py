@@ -76,9 +76,9 @@ __all__ = [
 
 INTEGRALITY_TOL = 1e-3
 
-# Largest conductor class_number accepts.  The L-sum there needs about
-# 6.9*sqrt(ell) = 7e5 terms, and the plain-sum integrality gap near it
-# (about 1e-5) is some 90x inside INTEGRALITY_TOL.
+# Largest conductor class_number accepts (its L-sum needs 6.9*sqrt(ell) = 7e5 terms).
+# Over the 5346 prime conductors of the residue filter up to it, the plain-sum
+# integrality gap peaks at 2.4e-5 (m = 91786), some 40x inside INTEGRALITY_TOL.
 MAX_CONDUCTOR = 10**10
 
 # One smoothing parameter T; _ROOT_AGREE bounds the root number's relative miss.
@@ -275,19 +275,7 @@ def _chi_indices(ell: int, zeta: int, n_max: int) -> bytearray:
     return idx
 
 
-def _neumaier(idx: bytearray, terms) -> list[float]:
-    """The four Neumaier-compensated sums of terms; the n-th term (n = 1, 2, ...) goes to sum idx[n]."""
-    total = [0.0] * 4
-    carry = [0.0] * 4
-    for n, x in enumerate(terms, 1):
-        i = idx[n]
-        s = total[i]
-        total[i] = u = s + x
-        carry[i] += (s - u) + x if abs(s) >= abs(x) else (x - u) + s
-    return [t + c for t, c in zip(total, carry)]
-
-
-def _afe_sums(ell: int, zeta: int, compensated: bool) -> list[complex]:
+def _afe_sums(ell: int, zeta: int) -> list[complex]:
     """The AFE series A, B of chi mod ell at T = _SMOOTHING, and its theta series P:
 
         A = sum chi(n) * erfc(n * sqrt(pi*T/ell)) / n,
@@ -296,8 +284,7 @@ def _afe_sums(ell: int, zeta: int, compensated: bool) -> list[complex]:
 
     each cut once its kernel is below exp(-_KERNEL_CUTOFF).  chi(n) comes
     from _chi_indices, and each series is one loop over n that keeps three
-    running sums (by value of chi).  A and B are plain or
-    Neumaier-compensated; P only picks the root number, and is plain.
+    running sums (by value of chi), all plain floats.
     """
     erfc, e1, exp = math.erfc, _e1, math.exp
     # erfc(x) <= exp(-x^2) and E1(x) < exp(-x) bound the kernels.
@@ -308,16 +295,12 @@ def _afe_sums(ell: int, zeta: int, compensated: bool) -> list[complex]:
     b_cut = int(math.sqrt(_KERNEL_CUTOFF / beta))
     p_cut = int(math.sqrt(_KERNEL_CUTOFF / gamma))
     idx = _chi_indices(ell, zeta, max(a_cut, b_cut, p_cut))
-    if compensated:
-        a_sums = _neumaier(idx, (erfc(n * alpha) / n for n in range(1, a_cut + 1)))
-        b_sums = _neumaier(idx, (e1(beta * n * n) for n in range(1, b_cut + 1)))
-    else:
-        a_sums = [0.0] * 4
-        for n in range(1, a_cut + 1):
-            a_sums[idx[n]] += erfc(n * alpha) / n
-        b_sums = [0.0] * 4
-        for n in range(1, b_cut + 1):
-            b_sums[idx[n]] += e1(beta * n * n)
+    a_sums = [0.0] * 4
+    for n in range(1, a_cut + 1):
+        a_sums[idx[n]] += erfc(n * alpha) / n
+    b_sums = [0.0] * 4
+    for n in range(1, b_cut + 1):
+        b_sums[idx[n]] += e1(beta * n * n)
     p_sums = [0.0] * 4
     for n in range(1, p_cut + 1):
         p_sums[idx[n]] += exp(-gamma * n * n)
@@ -330,7 +313,7 @@ def _afe_sums(ell: int, zeta: int, compensated: bool) -> list[complex]:
     return [a, b.conjugate(), p]  # the B series carries conj(chi)
 
 
-def _l_value(ell: int, compensated: bool) -> tuple[complex, complex]:
+def _l_value(ell: int) -> tuple[complex, complex]:
     """L(1, chi) and the root number W = tau(chi)/sqrt(ell), for prime ell = 1 mod 3.
 
     chi(g) = w for the least primitive root g.  L(1, chi) is
@@ -339,7 +322,7 @@ def _l_value(ell: int, compensated: bool) -> tuple[complex, complex]:
     NumericError is raised unless exactly one root fits (none fits P = 0).
     """
     zeta = pow(_least_primitive_root(ell), (ell - 1) // 3, ell)
-    afe_a, afe_b, p = _afe_sums(ell, zeta, compensated)
+    afe_a, afe_b, p = _afe_sums(ell, zeta)
     a, b = _jacobi_sum(ell, zeta)
     # W^3 = tau^3 / ell^(3/2) = J / sqrt(ell), and |J| = sqrt(ell)
     angle = math.atan2(b * math.sqrt(3.0) / 2.0, a - b / 2.0)
@@ -356,7 +339,7 @@ def _l_value(ell: int, compensated: bool) -> tuple[complex, complex]:
     return afe_a + w * afe_b / math.sqrt(ell), w
 
 
-def l_sum(ell: int, compensated: bool = False) -> complex:
+def l_sum(ell: int) -> complex:
     """S = -sqrt(ell) * L(1, chi) / W for the cubic chi mod ell with chi(g) = w.
 
     S equals the log-sine sum sum conj(chi(a)) * log(2*sin(pi*a/ell)), and
@@ -365,7 +348,7 @@ def l_sum(ell: int, compensated: bool = False) -> complex:
     theta relation (see _l_value), in O(sqrt(ell) * log(ell)) time and
     O(sqrt(ell)) memory: a table of chi(n) for the 6.9*sqrt(ell) terms, at
     most 2.1 MB while it is built under MAX_CONDUCTOR.  The AFE's running
-    sums are plain floats, or Neumaier-compensated when ``compensated``.
+    sums are plain floats.
     """
     if ell < 7:
         raise DomainError(f"conductor must be at least 7, got {ell}")
@@ -373,7 +356,7 @@ def l_sum(ell: int, compensated: bool = False) -> complex:
         raise DomainError(f"conductor {ell} is not prime")
     if ell % 3 != 1:
         raise DomainError(f"no cubic character mod {ell}: ell != 1 mod 3")
-    l_value, w = _l_value(ell, compensated)
+    l_value, w = _l_value(ell)
     return -math.sqrt(ell) * l_value / w
 
 
@@ -397,8 +380,8 @@ def class_number(m: int) -> SimplestCubicField:
     """Analytic class number h = |S|^2 / (4R) with integrality diagnostics.
 
     Requires a prime conductor of at most MAX_CONDUCTOR (InputRangeError
-    above it).  The computation fails loudly if, even after compensated
-    resummation, the analytic value misses every integer by at least
+    above it).  S is summed once, with no retry: the computation fails
+    loudly if the analytic value misses every integer by at least
     INTEGRALITY_TOL or rounds to an h that no cyclic cubic field of prime
     conductor has (see _class_group_obstruction).  A value near an
     integer divided by 3 is flagged as a possible unit-index failure rather
@@ -410,25 +393,24 @@ def class_number(m: int) -> SimplestCubicField:
     if not is_prime(ell):
         raise DomainError(f"conductor {ell} (m={m}) is composite")
     reg = regulator(m)
-    for compensated in (False, True):
-        s = l_sum(ell, compensated=compensated)
-        h_float = (s.real * s.real + s.imag * s.imag) / (4.0 * reg)
-        h = round(h_float)
-        gap = abs(h_float - h)
-        integral = gap < INTEGRALITY_TOL and h >= 1
-        if not integral:
-            problem = f"misses integrality tolerance {INTEGRALITY_TOL}"
-        elif (obstruction := _class_group_obstruction(h)) is not None:
-            problem = f"rounds to {h}, which no cyclic cubic field of prime conductor has: {obstruction}"
-        else:
-            return SimplestCubicField(
-                m=m,
-                ell=ell,
-                regulator=reg,
-                class_number_float=h_float,
-                class_number=h,
-                integrality_gap=gap,
-            )
+    s = l_sum(ell)
+    h_float = (s.real * s.real + s.imag * s.imag) / (4.0 * reg)
+    h = round(h_float)
+    gap = abs(h_float - h)
+    integral = gap < INTEGRALITY_TOL and h >= 1
+    if not integral:
+        problem = f"misses integrality tolerance {INTEGRALITY_TOL}"
+    elif (obstruction := _class_group_obstruction(h)) is not None:
+        problem = f"rounds to {h}, which no cyclic cubic field of prime conductor has: {obstruction}"
+    else:
+        return SimplestCubicField(
+            m=m,
+            ell=ell,
+            regulator=reg,
+            class_number_float=h_float,
+            class_number=h,
+            integrality_gap=gap,
+        )
     thirds_gap = abs(3.0 * h_float - round(3.0 * h_float))
     raise IntegralityError(
         f"analytic class number {h_float!r} for m={m} {problem}",

@@ -35,7 +35,7 @@ import math
 from dataclasses import dataclass
 
 from .arith import check_natural, factorize, is_prime
-from .errors import DomainError, ResourceLimitError
+from .errors import DomainError, InputRangeError, ResourceLimitError
 
 __all__ = [
     "FurutaWitness",
@@ -80,6 +80,8 @@ def furuta_n(ell: int, m_e: int, count: int = MIN_FURUTA_PRIMES) -> FurutaWitnes
     """The `count` smallest primes p = 1 mod ell with gcd(p, m_e) = 1.
 
     count < 9 is rejected: the tower argument needs nine or more primes.
+    count > _MAX_PROGRESSION_STEPS is out of range (InputRangeError): each
+    progression step yields at most one prime.
     The product n is exact (Python integers are unbounded; this is the only
     quantity allowed past the 63-bit width contract).
     """
@@ -92,7 +94,11 @@ def furuta_n(ell: int, m_e: int, count: int = MIN_FURUTA_PRIMES) -> FurutaWitnes
         raise DomainError(
             f"the construction requires nine or more primes, got count={count}"
         )
-    check_natural(count, "count")
+    if count > _MAX_PROGRESSION_STEPS:
+        raise InputRangeError(
+            f"count {count} above the {_MAX_PROGRESSION_STEPS} progression steps, "
+            "each of which yields at most one prime"
+        )
     primes = []
     for step in range(1, _MAX_PROGRESSION_STEPS + 1):
         candidate = step * ell + 1

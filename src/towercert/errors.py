@@ -16,8 +16,9 @@ class DomainError(ValueError):
 class InputRangeError(DomainError):
     """An integer input or result lies outside a declared range.
 
-    The ranges are the 63-bit width, cubic.MAX_CONDUCTOR and, for
-    hlsearch.hl_constant's prime bound, hlsearch.MAX_PRIME_BOUND.
+    The ranges are the 63-bit width, cubic.MAX_CONDUCTOR, for
+    hlsearch.hl_constant's prime bound hlsearch.MAX_PRIME_BOUND and, for
+    elliptic.furuta_n's count, its 10^6 progression steps.
     """
 
 

@@ -559,13 +559,12 @@ def e1_reference(x: float) -> float:
     return math.exp(-x) / tail
 
 
-def afe_sums_reference(ell: int, zeta: int, compensated: bool) -> list[complex]:
+def afe_sums_reference(ell: int, zeta: int) -> list[complex]:
     """[A, B, P] as the package summed them before its chi table.
 
     The loop of cubic._afe_sums before the prime-power sieve: one modular
     power per n, and one kernel lambda per series, called in a single pass
-    over n that keeps nine running sums (series by value of chi).  A and B
-    are Neumaier-compensated when compensated is set; P is always plain.
+    over n that keeps nine plain running sums (series by value of chi).
     """
     from towercert.cubic import _KERNEL_CUTOFF, _SMOOTHING
 
@@ -576,29 +575,24 @@ def afe_sums_reference(ell: int, zeta: int, compensated: bool) -> list[complex]:
     beta = math.pi / (ell * _SMOOTHING)
     gamma = math.pi / ell
     series = [
-        (lambda n: erfc(n * alpha) / n, int(math.sqrt(_KERNEL_CUTOFF) / alpha), compensated),
-        (lambda n: e1(beta * n * n), int(math.sqrt(_KERNEL_CUTOFF / beta)), compensated),
-        (lambda n: math.exp(-gamma * n * n), int(math.sqrt(_KERNEL_CUTOFF / gamma)), False),
+        (lambda n: erfc(n * alpha) / n, int(math.sqrt(_KERNEL_CUTOFF) / alpha)),
+        (lambda n: e1(beta * n * n), int(math.sqrt(_KERNEL_CUTOFF / beta))),
+        (lambda n: math.exp(-gamma * n * n), int(math.sqrt(_KERNEL_CUTOFF / gamma))),
     ]
     total = [0.0] * 9
-    carry = [0.0] * 9
-    for n in range(1, max(cutoff for _, cutoff, _ in series) + 1):
+    for n in range(1, max(cutoff for _, cutoff in series) + 1):
         r = pow(n, e, ell)
         if r == 0:
             continue  # a multiple of ell, reached only for small ell
         i = bucket[r]
-        for kernel, cutoff, compensate in series:
+        for kernel, cutoff in series:
             if n <= cutoff:
-                x = kernel(n)
-                s = total[i]
-                total[i] = u = s + x
-                if compensate:
-                    carry[i] += (s - u) + x if abs(s) >= abs(x) else (x - u) + s
+                total[i] += kernel(n)
             i += 3
     half_sqrt3 = math.sqrt(3.0) / 2.0
     sums = []
     for j in range(0, 9, 3):
-        s0, s1, s2 = (total[i] + carry[i] for i in range(j, j + 3))
+        s0, s1, s2 = total[j : j + 3]
         # chi takes the values 1, w, w^2 on the three buckets
         sums.append(complex(s0 - 0.5 * (s1 + s2), half_sqrt3 * (s1 - s2)))
     a, b, p = sums

@@ -643,10 +643,10 @@ class TestSearch:
         real_l_sum = cubic.l_sum
         reg = cubic.regulator(50)
 
-        def l_sum_with_h_20(ell, compensated=False):
+        def l_sum_with_h_20(ell):
             if ell == 2659:
                 return complex(math.sqrt(80.0 * reg), 0.0)
-            return real_l_sum(ell, compensated)
+            return real_l_sum(ell)
 
         monkeypatch.setattr(cubic, "l_sum", l_sum_with_h_20)
         code, out, err = run(capsys, "search", "--m-max", "60", "--certify", "--jobs", "1")
@@ -1089,11 +1089,14 @@ class TestOutFile:
             ("certify", "cyclotomic", "--ell", str(2**63)),
             # refused before the progression search walks all its steps
             ("furuta", "--ell", "5", "--m-e", "30", "--count", str(10**29)),
+            # within 63 bits, but more primes than the progression has steps
+            ("furuta", "--ell", "5", "--m-e", "30", "--count", "2000000"),
         ],
         ids=[
             "bound-1", "bound-above-max", "m-max-0", "bad-residues", "missing-registry",
             "m-0", "ell-12", "n-1001", "count-bound-4", "negative-residue", "furuta-n-digits",
             "furuta-m-e-past-63-bits", "ell-past-63-bits", "furuta-count-past-63-bits",
+            "furuta-count-past-step-budget",
         ],
     )
     def test_usage_error_leaves_existing_file(self, capsys, tmp_path, argv):

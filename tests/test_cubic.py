@@ -196,19 +196,16 @@ class TestLSum:
 
     @pytest.mark.parametrize("ell", [13, 19, 163, 2659, 101449])
     def test_half_walk_matches_full_range_oracle(self, ell):
-        expected = full_range_l_sum(ell)
-        for compensated in (False, True):
-            assert abs(l_sum(ell, compensated=compensated) - expected) < 1e-9
+        assert abs(l_sum(ell) - full_range_l_sum(ell)) < 1e-9
 
-    @pytest.mark.parametrize("compensated", [False, True])
     @pytest.mark.parametrize("ell", [2659, 248509])
-    def test_memory_bounded(self, ell, compensated):
+    def test_memory_bounded(self, ell):
         # a few bytes per term of the longest series, not the old
         # discrete-log table's 8 bytes per residue
         n_terms = int(math.sqrt(37 * ell / (math.pi * 0.25)))
         tracemalloc.start()
         try:
-            l_sum(ell, compensated=compensated)
+            l_sum(ell)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -219,9 +216,7 @@ class TestLSum:
         conductors.append(shanks_value(2303))
         for ell in conductors:
             zeta = pow(_least_primitive_root(ell), (ell - 1) // 3, ell)
-            for compensated in (False, True):
-                expected = afe_sums_reference(ell, zeta, compensated)
-                assert _afe_sums(ell, zeta, compensated) == expected, (ell, compensated)
+            assert _afe_sums(ell, zeta) == afe_sums_reference(ell, zeta), ell
 
     @pytest.mark.parametrize("ell", [7, 13, 19, 2659])
     def test_chi_indices_match_modular_powers(self, ell):
@@ -239,12 +234,6 @@ class TestLSum:
             s = l_sum(ell)
             s_sq = s.real * s.real + s.imag * s.imag
             assert s_sq == pytest.approx(digamma_l_value_squared(ell), rel=1e-9)
-
-    def test_compensated_matches_plain(self):
-        for ell in (13, 163):
-            plain = l_sum(ell, compensated=False)
-            comp = l_sum(ell, compensated=True)
-            assert abs(plain - comp) < 1e-9
 
     def test_small_conductor_rejected(self):
         with pytest.raises(DomainError):
@@ -277,7 +266,7 @@ class TestRootNumber:
 
     @pytest.mark.parametrize("ell", [7, 19, 163, 2659, 11779, 19603])
     def test_matches_gauss_sum_oracle(self, ell):
-        _, w = _l_value(ell, False)
+        _, w = _l_value(ell)
         assert abs(w - gauss_sum_root_number(ell)) < 1e-12
 
     def test_unseparated_candidates_raise(self, monkeypatch):
@@ -323,15 +312,14 @@ class TestRootNumber:
             assert right < cubic._ROOT_AGREE, m
             assert min(wrong) >= 1.0, m
 
-    @pytest.mark.parametrize("compensated", [False, True])
-    def test_one_e1_series_per_l_sum(self, monkeypatch, compensated):
+    def test_one_e1_series_per_l_sum(self, monkeypatch):
         # the root number costs no second AFE pass: E1 runs once per term
         # of the T = 0.25 series
         ell = 2659
         real_e1 = cubic._e1
         calls = []
         monkeypatch.setattr(cubic, "_e1", lambda x: calls.append(x) or real_e1(x))
-        l_sum(ell, compensated=compensated)
+        l_sum(ell)
         assert len(calls) == int(math.sqrt(cubic._KERNEL_CUTOFF / (math.pi / (ell * 0.25))))
 
 
@@ -400,14 +388,23 @@ class TestClassNumber:
     def test_impossible_class_number_is_integrality_error(self, monkeypatch, h, reason):
         # |S|^2 = 4 * h * R makes the analytic value exactly h
         reg = regulator(50)
-        monkeypatch.setattr(
-            cubic, "l_sum", lambda ell, compensated=False: complex(math.sqrt(4.0 * h * reg), 0.0)
-        )
+        monkeypatch.setattr(cubic, "l_sum", lambda ell: complex(math.sqrt(4.0 * h * reg), 0.0))
         with pytest.raises(IntegralityError, match=f"rounds to {h}, .*: {reason}") as info:
             class_number(50)
         assert info.value.value == pytest.approx(h, abs=1e-9)
         assert info.value.gap < INTEGRALITY_TOL
         assert info.value.unit_index_suspected is False
+
+    def test_failing_gate_sums_once(self, monkeypatch):
+        # one pass per conductor: a rejected value is not summed again
+        reg = regulator(50)
+        calls = []
+        monkeypatch.setattr(
+            cubic, "l_sum", lambda ell: calls.append(ell) or complex(math.sqrt(80.0 * reg), 0.0)
+        )
+        with pytest.raises(IntegralityError, match="rounds to 20"):
+            class_number(50)
+        assert calls == [shanks_value(50)]
 
     def test_possible_class_numbers_pass_the_check(self):
         assert all(cubic._class_group_obstruction(h) is None for h in KNOWN_CLASS_NUMBERS.values())

@@ -15,6 +15,7 @@ from oracles import (
 from towercert.arith import MAX_NATURAL, factorize
 from towercert.elliptic import (
     MIN_FURUTA_PRIMES,
+    _MAX_PROGRESSION_STEPS,
     furuta_n,
     sl2_order,
     sl2_perfect,
@@ -61,6 +62,11 @@ class TestFurutaN:
         # refused before the progression search, which would walk all its steps
         with pytest.raises(InputRangeError):
             furuta_n(5, 30, count=MAX_NATURAL + 1)
+
+    def test_count_above_step_budget_rejected(self):
+        # each progression step yields at most one prime, so the search could not succeed
+        with pytest.raises(InputRangeError, match="progression steps"):
+            furuta_n(5, 30, count=_MAX_PROGRESSION_STEPS + 1)
 
     def test_m_e_past_63_bits_rejected(self):
         # only the product n may pass the 63-bit width contract, not M_E

@@ -189,7 +189,7 @@ class TestHLConstant:
         assert result.terms_used == terms
 
     def test_ten_million_pinned(self):
-        # the bits and count of the compensated loop this sum replaced
+        # the bits and count of the Kahan loop this sum replaced
         result = hl_constant(10**7)
         assert result.partial_product.hex() == "0x1.1ee6c991d928ap+0"
         assert result.terms_used == 664577
