@@ -16,10 +16,11 @@ A command loads only the modules it runs.  Importing this module and
 building the parser load arith, errors and records; every other library
 name a handler calls (sl2_perfect, certify_cyclotomic, Pool, ...) is a
 module attribute here that imports its module on the first call, so
-`group perfect` loads elliptic alone and `search` without --certify
-hlsearch alone.  The names stay attributes of this module, looked up by
-the handlers at each call, so a test or a tracer that rebinds one of them
-still sees every call.
+`group perfect` loads elliptic alone, `search` without --certify hlsearch
+alone, and `certify eigenform` modforms alone unless its --registry file
+cites a tower record for --ell.  The names stay attributes of this module,
+looked up by the handlers at each call, so a test or a tracer that rebinds
+one of them still sees every call.
 """
 
 from __future__ import annotations
@@ -79,7 +80,6 @@ m_from_prime = _lazy(".hlsearch", "m_from_prime")
 hl_constant = _lazy(".hlsearch", "hl_constant")
 empirical_prime_count = _lazy(".hlsearch", "empirical_prime_count")
 certify_cyclotomic = _lazy(".tower", "certify_cyclotomic")
-KnownInfiniteRegistry = _lazy(".tower", "KnownInfiniteRegistry")
 certify_eigenform = _lazy(".modforms", "certify_eigenform")
 verify_residue_claim = _lazy(".modforms", "verify_residue_claim")
 sl2_perfect = _lazy(".elliptic", "sl2_perfect")
@@ -312,29 +312,15 @@ def _cmd_certify_cyclotomic(args, emitter) -> int:
     return EXIT_OK if record.payload.get("certified") else EXIT_REJECTED
 
 
-def _tower_hash(ell: int, registry: KnownInfiniteRegistry) -> str:
-    """Content hash of ell's recomputed tower certificate, registered if certified.
+def _cited_tower(path: str, ell: int):
+    """ell's recomputed tower certificate if the JSONL file cites it, else None.
 
-    A conductor that cannot be certified raises DomainError.
+    Every line must parse with its content hash, and a certified tower
+    record for ell must carry the hash of ell's certificate, recomputed once
+    at the first such record.  Errors name the physical line; blank lines
+    are skipped.
     """
-    m = m_from_prime(ell)
-    if m is None:
-        raise DomainError(f"conductor {ell} is not m^2+3m+9 for any m >= 1")
-    try:
-        return record_for(certify_cyclotomic(m, registry)).content_hash
-    except CertificationRejected as exc:
-        raise DomainError(f"conductor {ell} cannot be certified: {exc}") from exc
-
-
-def _load_registry(path: str, ell: int, registry: KnownInfiniteRegistry) -> None:
-    """Check a JSONL file, read line by line, for records citing ell's tower.
-
-    Every line must parse with its content hash.  A certified tower record
-    for ell must also carry the content hash of ell's certificate, computed
-    once at the first such record.  Errors name the physical line; blank
-    lines are skipped.
-    """
-    recomputed = None
+    tower = recomputed = None
     try:
         with open(path, encoding="utf-8") as handle:
             for number, line in enumerate(handle, start=1):
@@ -342,30 +328,37 @@ def _load_registry(path: str, ell: int, registry: KnownInfiniteRegistry) -> None
                     continue
                 try:
                     record = parse_record(line.rstrip("\n"))
-                    if (
-                        record.kind == "cyclotomic_tower"
-                        and record.payload.get("certified")
-                        and record.payload.get("ell") == ell
-                    ):
-                        recomputed = recomputed or _tower_hash(ell, registry)
-                        if record.content_hash != recomputed:
+                    payload = record.payload if record.kind == "cyclotomic_tower" else {}
+                    if not payload.get("certified") or payload.get("ell") != ell:
+                        continue
+                    if tower is None:
+                        m = m_from_prime(ell)
+                        if m is None:
+                            raise DomainError(f"conductor {ell} is not m^2+3m+9 for any m >= 1")
+                        try:
+                            tower = certify_cyclotomic(m)
+                        except CertificationRejected as exc:
                             raise DomainError(
-                                f"tower record for ell={ell} differs from its recomputed "
-                                f"certificate (content hash {recomputed})"
-                            )
+                                f"conductor {ell} cannot be certified: {exc}"
+                            ) from exc
+                        recomputed = record_for(tower).content_hash
+                    if record.content_hash != recomputed:
+                        raise DomainError(
+                            f"tower record for ell={ell} differs from its recomputed "
+                            f"certificate (content hash {recomputed})"
+                        )
                 except DomainError as exc:
                     raise DomainError(f"bad registry record at {path}:{number}: {exc}") from exc
     except (OSError, UnicodeDecodeError) as exc:
         raise DomainError(f"cannot read registry file {path}: {exc}") from exc
+    return tower
 
 
 def _cmd_certify_eigenform(args, emitter) -> int:
     if not is_prime(args.ell):
         raise CertificationRejected(["composite"], ell=args.ell)
-    registry = KnownInfiniteRegistry()
-    if args.registry is not None:
-        _load_registry(args.registry, args.ell, registry)
-    certificate = certify_eigenform(args.weight, args.ell, registry)
+    tower = None if args.registry is None else _cited_tower(args.registry, args.ell)
+    certificate = certify_eigenform(args.weight, args.ell, tower)
     emitter.record(record_for(certificate))
     return EXIT_OK if certificate.certified else EXIT_REJECTED
 

@@ -5,11 +5,11 @@ cuspidal eigenform of level 1, and Swinnerton-Dyer's table lists the finitely
 many exceptional primes ell where the mod-ell representation is small.  Away
 from those, the image is the full determinant-one preimage; it is all of
 GL2(F_ell) exactly when gcd(k-1, ell-1) = 1.  Certification of the fixed
-field additionally needs tower evidence for Q(zeta_ell) from a registry
-the caller passes: its literature seed, or a certificate certify_cyclotomic
-computed and recorded there.  The CLI never loads evidence: a registry file
-can only cite a tower record, which counts once certify_cyclotomic
-reproduces it to its content hash.
+field additionally needs tower evidence for Q(zeta_ell): ell is one of the
+LITERATURE_CONDUCTORS, or the caller passes a certified certificate that
+certify_cyclotomic computed for ell.  The CLI never loads evidence: a
+registry file can only cite a tower record, which counts once
+certify_cyclotomic reproduces it to its content hash.
 
 The residue-claim verifier checks, per prime q | k-1, whether the family
 ell = m^2+3m+9 can avoid ell = 1 mod q at all.  For q = 3 it cannot: any m
@@ -27,12 +27,13 @@ from typing import TYPE_CHECKING
 from .arith import factorize, is_prime
 from .errors import DomainError
 
-if TYPE_CHECKING:  # certify_eigenform only reads the registry it is given
-    from .tower import KnownInfiniteRegistry
+if TYPE_CHECKING:  # certify_eigenform only reads the certificate it is given
+    from .tower import CyclotomicTowerCertificate
 
 __all__ = [
     "VALID_WEIGHTS",
     "EXCEPTIONAL_PRIMES",
+    "LITERATURE_CONDUCTORS",
     "EigenformCertificate",
     "ResidueQVerdict",
     "ResidueClaimReport",
@@ -56,6 +57,9 @@ EXCEPTIONAL_PRIMES: dict[int, frozenset[int]] = {
 
 # The weights with one normalized cuspidal eigenform of level 1: the table's rows.
 VALID_WEIGHTS = tuple(EXCEPTIONAL_PRIMES)
+
+# Conductors whose cyclotomic fields have infinite towers by the literature.
+LITERATURE_CONDUCTORS = frozenset({877})
 
 
 @dataclass(frozen=True)
@@ -122,18 +126,27 @@ def det_image_index(k: int, ell: int) -> int:
     return math.gcd(k - 1, ell - 1)
 
 
-def certify_eigenform(k: int, ell: int, registry: KnownInfiniteRegistry) -> EigenformCertificate:
+def certify_eigenform(
+    k: int, ell: int, tower: CyclotomicTowerCertificate | None = None
+) -> EigenformCertificate:
     """Evaluate the three hypotheses for the weight-k, prime-ell fixed field.
 
     Rejections are structured (flags plus rejection_reasons, in the order
     exceptional, det_index, no_tower_evidence), never raised; only
     malformed inputs raise, among them ell = 2 (det_image_index needs an
-    odd prime).  Tower evidence is read from the registry, not recomputed,
-    so this gate stays pure and fast.
+    odd prime) and a tower certificate for another conductor.  Tower
+    evidence is "literature" for LITERATURE_CONDUCTORS, else "computed"
+    when tower is certified, else None; it is read, never recomputed, so
+    this gate stays pure and fast.
     """
     exceptional = exceptional_primes(k)
     det_index = det_image_index(k, ell)
-    evidence = registry.known_infinite(ell)
+    if tower is not None and tower.ell != ell:
+        raise DomainError(f"tower certificate is for ell={tower.ell}, not {ell}")
+    if ell in LITERATURE_CONDUCTORS:
+        evidence = "literature"
+    else:
+        evidence = "computed" if tower is not None and tower.certified else None
     not_exceptional = ell not in exceptional
     reasons = []
     if not not_exceptional:

@@ -34,7 +34,6 @@ from .hlsearch import DEFAULT_RESIDUES, shanks_value
 __all__ = [
     "TowerProvenance",
     "CyclotomicTowerCertificate",
-    "KnownInfiniteRegistry",
     "TORSION_ASSUMPTION",
     "ramified_count",
     "schoof_rhs",
@@ -88,32 +87,6 @@ class CyclotomicTowerCertificate:
     provenance: TowerProvenance
 
 
-class KnownInfiniteRegistry:
-    """Map from prime conductors to tower evidence: "literature" or "computed".
-
-    Seeded with the conductors whose infinite towers are established in the
-    literature; a seed is never overwritten, and neither is an earlier
-    computed entry.  There is no shared instance: each caller builds its
-    own registry and passes it wherever evidence is recorded or read.
-    """
-
-    LITERATURE_CONDUCTORS = (877,)
-
-    def __init__(self):
-        self._evidence = dict.fromkeys(self.LITERATURE_CONDUCTORS, "literature")
-
-    def record(self, certificate: CyclotomicTowerCertificate) -> None:
-        if not certificate.certified:
-            raise DomainError("only certified certificates enter the registry")
-        self._evidence.setdefault(certificate.ell, "computed")
-
-    def known_infinite(self, ell: int) -> str | None:
-        """Evidence that Q(zeta_ell) has an infinite tower, or None."""
-        if not is_prime(ell):
-            raise DomainError(f"registry keys are prime conductors, got {ell}")
-        return self._evidence.get(ell)
-
-
 def ramified_count(h: int) -> int:
     """Ramified places in the quadratic step above the class field: 4h.
 
@@ -144,16 +117,14 @@ def schoof_holds(rho: int, d2_base: int, d2_top: int) -> bool:
     return t >= 0 and t * t >= 4 * (d2_top + 1)
 
 
-def certify_cyclotomic(
-    m: int, registry: KnownInfiniteRegistry | None = None
-) -> CyclotomicTowerCertificate:
+def certify_cyclotomic(m: int) -> CyclotomicTowerCertificate:
     """Run the full pipeline for one m and return the audited verdict.
 
     Raises CertificationRejected (reasons "composite" and/or "residue") if
     the conductor is not prime or m is outside the mod-12 filter; returns a
     certificate with certified=False when the conductor is prime but the
-    class number stays below the threshold.  Certified conductors are
-    recorded in the registry when one is given.
+    class number stays below the threshold.  A pure function of m: pass the
+    result to certify_eigenform to cite it as tower evidence.
     """
     ell = shanks_value(m)
     reasons = []
@@ -167,7 +138,7 @@ def certify_cyclotomic(
     h = field.class_number
     rho = ramified_count(h)
     d2 = 3 * h  # r1 + r2 = 3h for the class field and the step above it
-    certificate = CyclotomicTowerCertificate(
+    return CyclotomicTowerCertificate(
         ell=ell,
         m=m,
         h=h,
@@ -186,6 +157,3 @@ def certify_cyclotomic(
             ramified_finite_primes=h,
         ),
     )
-    if certificate.certified and registry is not None:
-        registry.record(certificate)
-    return certificate

@@ -25,7 +25,7 @@ from towercert.cubic import class_number
 from towercert.elliptic import sl2_perfect
 from towercert.hlsearch import hl_constant
 from towercert.modforms import EXCEPTIONAL_PRIMES, VALID_WEIGHTS, certify_eigenform
-from towercert.tower import KnownInfiniteRegistry, certify_cyclotomic, schoof_holds
+from towercert.tower import certify_cyclotomic, schoof_holds
 
 SMALL_REJECTED_CONDUCTORS = (19, 79, 139, 163, 607, 1063, 1567, 1987)
 
@@ -108,17 +108,14 @@ def test_acceptance_4_threshold_property(announce):
 
 def test_acceptance_5_eigenform_gates(announce):
     with announce(5, "eigenform gates: literature pass, exceptional reject, det-index reject"):
-        seeded = KnownInfiniteRegistry()
-        assert certify_eigenform(12, 877, seeded).certified
-        assert certify_eigenform(12, 877, seeded).tower_evidence == "literature"
+        assert certify_eigenform(12, 877).certified
+        assert certify_eigenform(12, 877).tower_evidence == "literature"
 
-        exceptional = certify_eigenform(12, 691, seeded)
+        exceptional = certify_eigenform(12, 691)
         assert not exceptional.certified
         assert not exceptional.not_exceptional
 
-        computed = KnownInfiniteRegistry()
-        certify_cyclotomic(50, computed)
-        blocked = certify_eigenform(16, 2659, computed)
+        blocked = certify_eigenform(16, 2659, certify_cyclotomic(50))
         assert not blocked.certified
         assert blocked.det_index == 3
         assert blocked.rejection_reasons == ("det_index",)

@@ -23,7 +23,7 @@ from towercert.modforms import (
     exceptional_primes,
     verify_residue_claim,
 )
-from towercert.tower import KnownInfiniteRegistry, certify_cyclotomic
+from towercert.tower import certify_cyclotomic
 
 
 class TestExceptionalTable:
@@ -147,46 +147,41 @@ class TestDetImageIndex:
 
 class TestCertifyEigenform:
     def test_877_literature(self):
-        cert = certify_eigenform(12, 877, KnownInfiniteRegistry())
+        cert = certify_eigenform(12, 877)
         assert cert.certified
         assert cert.tower_evidence == "literature"
         assert cert.galois_group_full
         assert cert.rejection_reasons == ()
 
     def test_691_exceptional(self):
-        cert = certify_eigenform(12, 691, KnownInfiniteRegistry())
+        cert = certify_eigenform(12, 691)
         assert not cert.certified
         assert not cert.not_exceptional
         assert "exceptional" in cert.rejection_reasons
 
     def test_2659_weight_16_det_index(self):
-        registry = KnownInfiniteRegistry()
-        certify_cyclotomic(50, registry)
-        cert = certify_eigenform(16, 2659, registry)
+        cert = certify_eigenform(16, 2659, certify_cyclotomic(50))
         assert not cert.certified
         assert cert.det_index == 3
         assert "det_index" in cert.rejection_reasons
         assert cert.tower_evidence == "computed"  # evidence present, gate still fails
 
     def test_no_evidence(self):
-        cert = certify_eigenform(12, 2659, KnownInfiniteRegistry())
+        cert = certify_eigenform(12, 2659)
         assert not cert.certified
         assert cert.rejection_reasons == ("no_tower_evidence",)
 
     def test_monotone_in_registry(self):
-        registry = KnownInfiniteRegistry()
-        before = certify_eigenform(12, 2659, registry)
+        before = certify_eigenform(12, 2659)
         assert not before.certified
-        certify_cyclotomic(50, registry)
-        after = certify_eigenform(12, 2659, registry)
+        after = certify_eigenform(12, 2659, certify_cyclotomic(50))
         assert after.certified
         assert after.tower_evidence == "computed"
 
     def test_reasons_match_flags_below_3000(self):
-        registry = KnownInfiniteRegistry()
         for k in VALID_WEIGHTS:
             for ell in filter(trial_division_prime, range(3, 3000)):
-                cert = certify_eigenform(k, ell, registry)
+                cert = certify_eigenform(k, ell)
                 failed = (
                     ("exceptional", not cert.not_exceptional),
                     ("det_index", cert.det_index != 1),
@@ -197,11 +192,11 @@ class TestCertifyEigenform:
 
     def test_bad_weight_rejected(self):
         with pytest.raises(DomainError):
-            certify_eigenform(14, 877, KnownInfiniteRegistry())
+            certify_eigenform(14, 877)
 
     def test_composite_ell_rejected(self):
         with pytest.raises(DomainError):
-            certify_eigenform(12, 27, KnownInfiniteRegistry())
+            certify_eigenform(12, 27)
 
 
 class TestResidueClaim:

@@ -39,7 +39,7 @@ from towercert.records import (
     rejection_record,
     to_json_line,
 )
-from towercert.tower import KnownInfiniteRegistry, certify_cyclotomic
+from towercert.tower import certify_cyclotomic
 
 TS_A = "2026-01-01T00:00:00Z"
 TS_B = "2027-06-15T12:34:56Z"
@@ -48,11 +48,9 @@ TS_B = "2027-06-15T12:34:56Z"
 @functools.lru_cache(maxsize=1)
 def sample_objects():
     """One real result object per record kind, built from the library."""
-    registry = KnownInfiniteRegistry()
-    tower = certify_cyclotomic(50, registry=registry)
     return {
-        "cyclotomic_tower": tower,
-        "eigenform": certify_eigenform(12, 877, registry),
+        "cyclotomic_tower": certify_cyclotomic(50),
+        "eigenform": certify_eigenform(12, 877),
         "furuta": furuta_n(5, 30),
         "group_report": sl2_perfect(7),
         "hl_constant": hl_constant(100),
@@ -542,7 +540,7 @@ def golden_record(case):
             "certify cyclotomic", ("composite", "residue"), {"m": 3, "ell": 27}, timestamp=TS_A
         )
     if case == "eigenform_uncertified":
-        obj = certify_eigenform(12, 2659, KnownInfiniteRegistry())
+        obj = certify_eigenform(12, 2659)
     else:
         obj = sample_objects()[case]
     return record_for(obj, timestamp=TS_A)

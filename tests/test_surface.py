@@ -100,6 +100,8 @@ def test_cli_import_and_parser_load_no_library_module():
         ("hl constant --prime-bound 1000", {"hlsearch"}),
         ("certify cyclotomic --m 50", {"hlsearch", "cubic", "tower"}),
         ("verify residue-claim --weight 12", {"modforms"}),
+        ("certify eigenform --weight 12 --ell 877", {"modforms"}),
+        ("hl count --x 1000 --prime-bound 1000", {"hlsearch"}),
     ],
 )
 def test_command_loads_only_its_modules(argv, added):
@@ -108,6 +110,16 @@ def test_command_loads_only_its_modules(argv, added):
         f"assert cli.main({argv.split()!r} + ['--out', os.devnull]) == 0"
     )
     assert _loaded_in_fresh_process(code) == CLI_BASE | {f"towercert.{m}" for m in added}
+
+
+def test_eigenform_citing_a_tower_loads_tower(tmp_path):
+    # a registry file that cites --ell's tower record is checked by recomputing it
+    towers = tmp_path / "towers.jsonl"
+    assert main(["search", "--m-max", "60", "--certify", "--out", str(towers)]) == 0
+    argv = ["certify", "eigenform", "--weight", "12", "--ell", "2659", "--registry", str(towers)]
+    code = f"import os, towercert.cli as cli\nassert cli.main({argv!r} + ['--out', os.devnull]) == 0"
+    added = {"towercert.modforms", "towercert.tower", "towercert.cubic", "towercert.hlsearch"}
+    assert _loaded_in_fresh_process(code) == CLI_BASE | added
 
 
 def test_search_jobs_loads_tower_before_the_pool_forks():

@@ -4,11 +4,11 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from towercert import modforms
 from towercert.errors import CertificationRejected, DomainError
 from towercert.tower import (
     TORSION_ASSUMPTION,
     CyclotomicTowerCertificate,
-    KnownInfiniteRegistry,
     TowerProvenance,
     certify_cyclotomic,
     ramified_count,
@@ -16,6 +16,7 @@ from towercert.tower import (
     schoof_rhs,
 )
 from towercert.hlsearch import shanks_value
+from towercert.modforms import certify_eigenform
 
 
 def _synthetic_certificate(m: int, h: int, certified: bool, **changes) -> CyclotomicTowerCertificate:
@@ -88,7 +89,7 @@ class TestSchoofBound:
 
 class TestCertify:
     def test_m_50_certified(self):
-        cert = certify_cyclotomic(50, KnownInfiniteRegistry())
+        cert = certify_cyclotomic(50)
         assert cert.certified
         assert cert.ell == 2659
         assert cert.h == 19
@@ -102,69 +103,64 @@ class TestCertify:
         assert cert.provenance.ramified_finite_primes == 19
 
     def test_m_2_not_certified(self):
-        cert = certify_cyclotomic(2, KnownInfiniteRegistry())
+        cert = certify_cyclotomic(2)
         assert not cert.certified
         assert cert.h == 1
         assert cert.ell == 19
 
     def test_m_3_rejected_both_reasons(self):
         with pytest.raises(CertificationRejected) as info:
-            certify_cyclotomic(3, KnownInfiniteRegistry())
+            certify_cyclotomic(3)
         assert set(info.value.reasons) == {"composite", "residue"}
         assert info.value.context["ell"] == 27
 
     def test_m_1_rejected_residue_only(self):
         # ell = 13 is prime but 1 mod 12 is outside the filter
         with pytest.raises(CertificationRejected) as info:
-            certify_cyclotomic(1, KnownInfiniteRegistry())
+            certify_cyclotomic(1)
         assert info.value.reasons == ("residue",)
 
     def test_m_26_rejected_composite_only(self):
         # m = 26 passes the filter (26 mod 12 = 2) but 763 = 7*109
         with pytest.raises(CertificationRejected) as info:
-            certify_cyclotomic(26, KnownInfiniteRegistry())
+            certify_cyclotomic(26)
         assert info.value.reasons == ("composite",)
 
     def test_rho_is_4h(self):
         for m in (2, 11, 50):
-            cert = certify_cyclotomic(m, KnownInfiniteRegistry())
+            cert = certify_cyclotomic(m)
             assert cert.rho == 4 * cert.h
 
 
 class TestRegistry:
+    """Tower evidence in certify_eigenform: the literature set, else a certificate passed in."""
+
     def test_seeded_literature_entry(self):
-        registry = KnownInfiniteRegistry()
-        assert registry.known_infinite(877) == "literature"
+        assert certify_eigenform(12, 877).tower_evidence == "literature"
 
     def test_certification_registers_computed(self):
-        registry = KnownInfiniteRegistry()
-        certify_cyclotomic(50, registry)
-        assert registry.known_infinite(2659) == "computed"
+        assert certify_eigenform(12, 2659, certify_cyclotomic(50)).tower_evidence == "computed"
 
     def test_uncertified_not_registered(self):
-        registry = KnownInfiniteRegistry()
-        certify_cyclotomic(2, registry)
-        assert registry.known_infinite(19) is None
+        cert = certify_eigenform(12, 19, certify_cyclotomic(2))
+        assert cert.tower_evidence is None
+        assert cert.rejection_reasons == ("no_tower_evidence",)
 
     def test_unseeded_prime_missing(self):
-        assert KnownInfiniteRegistry().known_infinite(13) is None
+        assert certify_eigenform(12, 13).tower_evidence is None
 
-    def test_composite_key_rejected(self):
+    def test_uncertified_flag_is_no_evidence(self):
+        # the certified flag decides, not h: m = 50's conductor with the flag cleared
+        cert = certify_eigenform(12, 2659, _synthetic_certificate(50, 19, certified=False))
+        assert cert.rejection_reasons == ("no_tower_evidence",)
+
+    def test_certificate_for_another_ell_rejected(self):
         with pytest.raises(DomainError):
-            KnownInfiniteRegistry().known_infinite(27)
+            certify_eigenform(12, 19, certify_cyclotomic(50))
 
-    def test_record_rejects_uncertified(self):
-        registry = KnownInfiniteRegistry()
-        with pytest.raises(DomainError):
-            registry.record(_synthetic_certificate(2, 1, certified=False))
-
-    def test_seed_never_overwritten(self):
+    def test_seed_never_overwritten(self, monkeypatch):
         # 877 has m = 28, outside the residue filter, so it never carries a
-        # computed certificate; seed a registry with m = 50's conductor instead.
-        class Seeded(KnownInfiniteRegistry):
-            LITERATURE_CONDUCTORS = (2659,)
-
-        registry = Seeded()
-        registry.record(_synthetic_certificate(50, 19, certified=True))
-        assert registry.known_infinite(2659) == "literature"
-
+        # computed certificate; seed the literature with m = 50's conductor instead.
+        monkeypatch.setattr(modforms, "LITERATURE_CONDUCTORS", {2659})
+        cert = certify_eigenform(12, 2659, _synthetic_certificate(50, 19, certified=True))
+        assert cert.tower_evidence == "literature"
