@@ -55,8 +55,8 @@ L(1,chi); the integrality gate and class-group obstruction of class_number do.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from itertools import islice
+from typing import NamedTuple
 
 from .arith import factorize, is_prime, prime_flags, primes_between
 from .errors import DomainError, InputRangeError, IntegralityError, NumericError
@@ -105,8 +105,7 @@ _SHIFT = tuple(
 UNIT_INDEX_ASSUMPTION = "unit-index Q=1"
 
 
-@dataclass(frozen=True)
-class SimplestCubicField:
+class SimplestCubicField(NamedTuple):
     """What class_number(m) returns: h, the analytic value rounded to it, the regulator."""
 
     record_kind = None  # internal: the tower certificate is its record

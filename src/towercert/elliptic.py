@@ -32,9 +32,9 @@ So sl2_perfect closes no group: it reports sl2_order(n) and gcd(n, 12).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
-from .arith import check_natural, factorize, is_prime
+from .arith import MAX_NATURAL, check_natural, factorize, is_prime
 from .errors import DomainError, InputRangeError, ResourceLimitError
 
 __all__ = [
@@ -56,8 +56,7 @@ _MAX_PROGRESSION_STEPS = 10**6
 PERFECT_LIMIT = 1000
 
 
-@dataclass(frozen=True)
-class FurutaWitness:
+class FurutaWitness(NamedTuple):
     record_kind = "furuta"
 
     ell: int
@@ -66,8 +65,7 @@ class FurutaWitness:
     n: int
 
 
-@dataclass(frozen=True)
-class GroupReport:
+class GroupReport(NamedTuple):
     record_kind = "group_report"
 
     n: int
@@ -81,7 +79,9 @@ def furuta_n(ell: int, m_e: int, count: int = MIN_FURUTA_PRIMES) -> FurutaWitnes
 
     count < 9 is rejected: the tower argument needs nine or more primes.
     count > _MAX_PROGRESSION_STEPS is out of range (InputRangeError): each
-    progression step yields at most one prime.
+    progression step yields at most one prime.  So is an ell whose
+    candidates step*ell + 1 leave the 63-bit range before count primes are
+    found.
     The product n is exact (Python integers are unbounded; this is the only
     quantity allowed past the 63-bit width contract).
     """
@@ -102,6 +102,11 @@ def furuta_n(ell: int, m_e: int, count: int = MIN_FURUTA_PRIMES) -> FurutaWitnes
     primes = []
     for step in range(1, _MAX_PROGRESSION_STEPS + 1):
         candidate = step * ell + 1
+        if candidate > MAX_NATURAL:
+            raise InputRangeError(
+                f"ell={ell}, count={count}: the candidates step*ell + 1 leave the "
+                f"63-bit natural range after {step - 1} steps"
+            )
         if is_prime(candidate) and math.gcd(candidate, m_e) == 1:
             primes.append(candidate)
             if len(primes) == count:

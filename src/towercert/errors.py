@@ -18,7 +18,9 @@ class InputRangeError(DomainError):
 
     The ranges are the 63-bit width, cubic.MAX_CONDUCTOR, for
     hlsearch.hl_constant's prime bound hlsearch.MAX_PRIME_BOUND and, for
-    elliptic.furuta_n's count, its 10^6 progression steps.
+    elliptic.furuta_n's count, its 10^6 progression steps.  furuta_n also
+    raises it, naming ell and count, when its candidates step*ell + 1 would
+    pass the 63-bit width before count primes are found.
     """
 
 

@@ -25,9 +25,9 @@ from __future__ import annotations
 import math
 from array import array
 from collections.abc import Iterator
-from dataclasses import dataclass
 from itertools import chain, compress
 from math import isqrt, log1p
+from typing import NamedTuple
 
 from .arith import (
     MAX_NATURAL,
@@ -68,17 +68,12 @@ _SIEVE_CAP = 1 << 20
 MAX_PRIME_BOUND = 10**8
 
 
-@dataclass(frozen=True)
-class QuadraticIntPoly:
-    """Integer quadratic a*x^2 + b*x + c with a != 0."""
+class QuadraticIntPoly(NamedTuple):
+    """Integer quadratic a*x^2 + b*x + c; empirical_prime_count rejects a <= 0."""
 
     a: int
     b: int
     c: int
-
-    def __post_init__(self):
-        if self.a == 0:
-            raise DomainError("leading coefficient must be nonzero")
 
     def evaluate(self, k: int) -> int:
         return (self.a * k + self.b) * k + self.c
@@ -90,8 +85,7 @@ CONDUCTOR_POLY = QuadraticIntPoly(144, 84, 19)
 _FAMILY_POLY = QuadraticIntPoly(1, 3, 9)
 
 
-@dataclass(frozen=True)
-class ShanksCandidate:
+class ShanksCandidate(NamedTuple):
     """One m with its conductor value and primality flag."""
 
     record_kind = "shanks_candidate"
@@ -102,8 +96,7 @@ class ShanksCandidate:
     is_prime_ell: bool
 
 
-@dataclass(frozen=True)
-class HLConstantResult:
+class HLConstantResult(NamedTuple):
     record_kind = "hl_constant"
 
     prime_bound: int
@@ -112,8 +105,7 @@ class HLConstantResult:
     terms_used: int
 
 
-@dataclass(frozen=True)
-class PrimeCountReport:
+class PrimeCountReport(NamedTuple):
     record_kind = "prime_count"
 
     x: int

@@ -21,8 +21,7 @@ glossing over it; the gcd gate in certify_eigenform is the arbiter.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 from .arith import factorize, is_prime
 from .errors import DomainError
@@ -62,8 +61,7 @@ VALID_WEIGHTS = tuple(EXCEPTIONAL_PRIMES)
 LITERATURE_CONDUCTORS = frozenset({877})
 
 
-@dataclass(frozen=True)
-class EigenformCertificate:
+class EigenformCertificate(NamedTuple):
     """Verdict for the fixed field of the weight-k mod-ell representation."""
 
     record_kind = "eigenform"
@@ -78,8 +76,7 @@ class EigenformCertificate:
     rejection_reasons: tuple[str, ...]
 
 
-@dataclass(frozen=True)
-class ResidueQVerdict:
+class ResidueQVerdict(NamedTuple):
     """Scan of ell = m^2+3m+9 mod q over all residue classes of m.
 
     witnesses: classes with ell = 1 mod q.  zero_classes: classes with
@@ -97,8 +94,7 @@ class ResidueQVerdict:
     forced: bool
 
 
-@dataclass(frozen=True)
-class ResidueClaimReport:
+class ResidueClaimReport(NamedTuple):
     record_kind = "residue_claim"
 
     k: int

@@ -1,9 +1,9 @@
 """Line-delimited certificate records with byte-stable serialization.
 
-Every CLI emission is one JSON object per line.  A result object's payload
-keys are exactly its dataclass fields, in field order, with no derived
-properties added; nested result objects become objects the
-same way and tuples become arrays.  Each result class names its record
+Every CLI emission is one JSON object per line.  A result object is a
+NamedTuple, and its payload keys are exactly its _fields, in field order,
+with no derived properties added; nested result objects become objects the
+same way and other tuples become arrays.  Each result class names its record
 kind in record_kind, so this module imports no result module.  Adding,
 renaming or reordering a field of a result class therefore changes its
 records (and needs a SCHEMA_VERSION bump).  The serialization is
@@ -16,7 +16,7 @@ that one field.  canonical_json, the only payload walker, builds the
 payload's text once per record, and the record holds that text as
 payload_text: its line is the text framed by the schema version and kind
 in front and the hash and timestamp behind, and its payload is decoded
-from the text on first use, so writing a record decodes nothing and the
+from the text on each read, so writing a record decodes nothing and the
 payload is what the line decodes to.  canonical_json dispatches on the
 exact type of each value; subclasses of the JSON types and result objects
 take a slower path, which keeps a result class's encoder once it has met
@@ -29,11 +29,11 @@ import json
 import math
 import sys
 import time
-from dataclasses import dataclass, fields
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from hashlib import sha256
 from json.encoder import encode_basestring_ascii as _quote
-from operator import attrgetter, itemgetter
+from operator import itemgetter
+from typing import NamedTuple
 
 from .errors import DomainError
 
@@ -115,33 +115,35 @@ def canonical_json(obj) -> str:
 
 
 def _encode_other(obj) -> str:
-    """canonical_json of a subclass of a JSON type, or of a result object."""
+    """canonical_json of a result object, or of a subclass of a JSON type.
+
+    A result object is a tuple, so its encoder is sought first: the tuple
+    base would write it as an array.
+    """
+    encode = _result_encoder(type(obj))
+    if encode is not None:
+        return encode(obj)
     for base in (str, int, float, dict, list, tuple):
         if isinstance(obj, base):
             return _ENCODERS[base](obj)
-    encode = _result_encoder(type(obj))
-    if encode is None:
-        raise DomainError(f"unsupported record value of type {type(obj).__name__}")
-    return encode(obj)
+    raise DomainError(f"unsupported record value of type {type(obj).__name__}")
 
 
 def _result_encoder(cls: type):
     """The encoder of a result class, made once and kept in _ENCODERS; None for other classes.
 
-    A result class declares record_kind (None when it has no record of its
-    own, as for one nested in other records); its payload keys are its
-    dataclass fields, in order.  The encoder keeps each key quoted with its
-    colon, and reads the values with one attrgetter, which returns a tuple
-    because every result class has at least two fields.
+    A result class is a NamedTuple that declares record_kind (None when it
+    has no record of its own, as for one nested in other records); its
+    payload keys are its _fields, in order.  The encoder keeps each key
+    quoted with its colon and pairs the keys with the object's values, in
+    the same order.
     """
     if not hasattr(cls, "record_kind"):
         return None
-    names = [f.name for f in fields(cls)]
-    keys = [_quote(name) + ":" for name in names]
-    values = attrgetter(*names)
+    keys = [_quote(name) + ":" for name in cls._fields]
 
     def encode(obj) -> str:
-        return "{" + ",".join([k + canonical_json(v) for k, v in zip(keys, values(obj))]) + "}"
+        return "{" + ",".join([k + canonical_json(v) for k, v in zip(keys, obj)]) + "}"
 
     _ENCODERS[cls] = encode
     return encode
@@ -183,28 +185,31 @@ def _content_hash(kind: str, payload_text: str) -> str:
     return sha256((_HEAD_START[kind] + payload_text + "}").encode("ascii")).hexdigest()
 
 
-@dataclass(frozen=True)
-class CertificateRecord:
+class CertificateRecord(NamedTuple("CertificateRecord", [
+    ("schema_version", str),
+    ("kind", str),
+    ("payload_text", str),
+    ("content_hash", str),
+    ("timestamp", str),
+])):
     """One record: schema version, kind, payload text, content hash and timestamp.
 
     payload_text is the canonical JSON of the payload, exactly as hashed
-    and written; payload is decoded from it on first access.  The
-    constructor checks the schema version, the kind, the timestamp and that
-    payload_text is a JSON object's text; it does not recompute the hash.
+    and written; payload decodes it on each read.  The constructor checks
+    the schema version, the kind, the timestamp and that payload_text is a
+    JSON object's text; it does not recompute the hash.  make_record and
+    parse_record run that check themselves and build with _make, which
+    skips it.
     """
 
-    schema_version: str
-    kind: str
-    payload_text: str
-    content_hash: str
-    timestamp: str
+    __slots__ = ()
 
-    def __post_init__(self):
-        text = self.payload_text
-        is_object = isinstance(text, str) and text[:1] == "{"
-        _check(self.schema_version, self.kind, is_object, self.timestamp)
+    def __new__(cls, schema_version, kind, payload_text, content_hash, timestamp):
+        is_object = isinstance(payload_text, str) and payload_text[:1] == "{"
+        _check(schema_version, kind, is_object, timestamp)
+        return super().__new__(cls, schema_version, kind, payload_text, content_hash, timestamp)
 
-    @cached_property
+    @property
     def payload(self) -> dict:
         return json.loads(self.payload_text)
 
@@ -220,11 +225,9 @@ def make_record(kind: str, payload, timestamp: str | None = None) -> Certificate
     if timestamp is None:
         timestamp = _utc_stamp(int(time.time()))
     text = canonical_json(payload)
-    try:
-        content_hash = _content_hash(kind, text)
-    except (KeyError, TypeError):
-        content_hash = ""  # not a record kind: the constructor rejects it
-    return CertificateRecord(SCHEMA_VERSION, kind, text, content_hash, timestamp)
+    _check(SCHEMA_VERSION, kind, text[:1] == "{", timestamp)
+    content_hash = _content_hash(kind, text)
+    return CertificateRecord._make((SCHEMA_VERSION, kind, text, content_hash, timestamp))
 
 
 def record_for(obj, timestamp: str | None = None) -> CertificateRecord:
@@ -289,4 +292,4 @@ def parse_record(line: str) -> CertificateRecord:
     expected = _content_hash(kind, text)
     if content_hash != expected:
         raise DomainError(f"content hash mismatch: stored {content_hash}, recomputed {expected}")
-    return CertificateRecord(schema_version, kind, text, content_hash, timestamp)
+    return CertificateRecord._make((schema_version, kind, text, content_hash, timestamp))

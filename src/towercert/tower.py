@@ -24,7 +24,7 @@ from it are data.  Nothing in this module constructs a tower.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .arith import MR_WITNESSES, is_prime
 from .cubic import UNIT_INDEX_ASSUMPTION, class_number
@@ -46,8 +46,7 @@ __all__ = [
 TORSION_ASSUMPTION = "torsion-units=+/-1"
 
 
-@dataclass(frozen=True)
-class TowerProvenance:
+class TowerProvenance(NamedTuple):
     """Construction trace attached to every certificate."""
 
     record_kind = None  # nested in cyclotomic_tower records only
@@ -62,8 +61,7 @@ class TowerProvenance:
     ramified_finite_primes: int
 
 
-@dataclass(frozen=True)
-class CyclotomicTowerCertificate:
+class CyclotomicTowerCertificate(NamedTuple):
     """Audited verdict that Q(zeta_ell) has an infinite class field tower.
 
     The verdict for a single ell is unconditional (modulo the named

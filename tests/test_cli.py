@@ -27,6 +27,7 @@ from towercert.hlsearch import MAX_PRIME_BOUND, shanks_value
 from towercert.modforms import VALID_WEIGHTS
 from towercert.records import (
     SCHEMA_VERSION,
+    CertificateRecord,
     canonical_json,
     make_record,
     parse_record,
@@ -252,13 +253,20 @@ class TestCertifyEigenform:
     def test_registry_decodes_only_tower_payloads(self, capsys, tmp_path, monkeypatch):
         registry_file = tmp_path / "towers.jsonl"
         run(capsys, "search", "--m-max", "60", "--certify", "--out", str(registry_file))
-        read = []
+        read, decoded = [], []
 
         def keep(line):
             read.append(parse_record(line))
             return read[-1]
 
+        decode = CertificateRecord.payload.fget
+
+        def payload(record):
+            decoded.append(record)
+            return decode(record)
+
         monkeypatch.setattr(cli, "parse_record", keep)
+        monkeypatch.setattr(CertificateRecord, "payload", property(payload))
         code, out, err = run(
             capsys,
             "certify",
@@ -272,9 +280,8 @@ class TestCertifyEigenform:
         )
         assert code == EXIT_OK
         assert {record.kind for record in read} == {"shanks_candidate", "cyclotomic_tower"}
-        # a decoded payload is cached in the instance dict
-        for record in read:
-            assert ("payload" in vars(record)) == (record.kind == "cyclotomic_tower")
+        # each tower record's payload is decoded once, and no other payload
+        assert decoded == [record for record in read if record.kind == "cyclotomic_tower"]
 
     def test_det_index_blocks_weight_16(self, capsys, tmp_path):
         registry_file = tmp_path / "towers.jsonl"
@@ -1091,12 +1098,14 @@ class TestOutFile:
             ("furuta", "--ell", "5", "--m-e", "30", "--count", str(10**29)),
             # within 63 bits, but more primes than the progression has steps
             ("furuta", "--ell", "5", "--m-e", "30", "--count", "2000000"),
+            # a prime near 2^62: the candidates step*ell + 1 pass 63 bits at step 3
+            ("furuta", "--ell", "4611686018427387847", "--m-e", "30"),
         ],
         ids=[
             "bound-1", "bound-above-max", "m-max-0", "bad-residues", "missing-registry",
             "m-0", "ell-12", "n-1001", "count-bound-4", "negative-residue", "furuta-n-digits",
             "furuta-m-e-past-63-bits", "ell-past-63-bits", "furuta-count-past-63-bits",
-            "furuta-count-past-step-budget",
+            "furuta-count-past-step-budget", "furuta-candidates-past-63-bits",
         ],
     )
     def test_usage_error_leaves_existing_file(self, capsys, tmp_path, argv):

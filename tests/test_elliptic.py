@@ -68,6 +68,12 @@ class TestFurutaN:
         with pytest.raises(InputRangeError, match="progression steps"):
             furuta_n(5, 30, count=_MAX_PROGRESSION_STEPS + 1)
 
+    def test_candidates_past_63_bits_rejected(self):
+        # a prime near 2^62: the candidate 3*ell + 1 would pass the 63-bit width
+        ell = 4611686018427387847
+        with pytest.raises(InputRangeError, match=f"ell={ell}, count=9: .* after 2 steps"):
+            furuta_n(ell, 30)
+
     def test_m_e_past_63_bits_rejected(self):
         # only the product n may pass the 63-bit width contract, not M_E
         with pytest.raises(InputRangeError):

@@ -35,9 +35,10 @@ SEGMENT_EDGES = [k * arith._SEGMENT + d for k in (1, 2, 3) for d in (-1, 0, 1)]
 
 
 class TestDiscriminant:
+    # QuadraticIntPoly itself accepts a = 0; its consumer empirical_prime_count rejects it
     def test_zero_leading_coefficient_rejected(self):
-        with pytest.raises(DomainError):
-            QuadraticIntPoly(0, 1, 1)
+        with pytest.raises(DomainError, match="positive leading coefficient"):
+            empirical_prime_count(QuadraticIntPoly(0, 1, 19), 100, 0.28)
 
 
 class TestShanksValue:

@@ -71,11 +71,16 @@ def test_package_import_loads_no_submodule():
 CLI_BASE = {f"towercert{m}" for m in ("", ".cli", ".arith", ".errors", ".records")}
 
 
+# The standard modules the probe reports: the process pool's, and dataclasses
+# and inspect (which imports ast, dis and tokenize), which no command loads.
+REPORTED = ("multiprocessing", "dataclasses", "inspect")
+
+
 def _loaded_in_fresh_process(code):
-    """The towercert modules, and multiprocessing if loaded, once code has run."""
+    """The towercert modules, and those of REPORTED, once code has run."""
     probe = code + (
         "\nimport sys\nprint(sorted(m for m in sys.modules"
-        " if m.startswith('towercert') or m == 'multiprocessing'))"
+        f" if m.startswith('towercert') or m in {REPORTED!r}))"
     )
     src = str(pathlib.Path(towercert.__file__).resolve().parent.parent)
     proc = subprocess.run(
