@@ -9,7 +9,13 @@ once, by sieving over the roots of f mod p (Jacobson and Williams, Math.
 Comp. 72 (2003) 499-519).  The range is sieved by the primes p <= P, where
 P = min(isqrt(its largest value), 2^20): each k = r (mod p) with
 f(r) = 0 (mod p) is crossed off.  The roots are found once per range and
-the k are crossed off in blocks of 2^20.  The decision is exact.  A
+the k are crossed off in blocks of 2^20.  Every quadratic the program
+sieves has discriminant d = -3s^2 (a its leading coefficient).  For a
+prime p not dividing 6sa, d is a square mod p only when p = 1 (mod 3),
+and then sqrt(d) = s(2w + 1) for the cube root of unity
+w = g^((p-1)/3) != 1, g the least non-cube mod p.  Any other quadratic,
+and the primes dividing 6sa, go through the general root finder and its
+square roots by Tonelli-Shanks.  The decision is exact.  A
 survivor below (P + 1)^2 is prime, because a composite value below
 (P + 1)^2 has a prime factor <= P; only a survivor above that, which needs
 P at the cap, goes to is_prime.  A value f(k) <= P is read from the prime
@@ -200,6 +206,46 @@ def _roots_mod(poly: QuadraticIntPoly, d: int, p: int) -> tuple[int, ...] | None
     return ((t - b) * inverse % p, (-t - b) * inverse % p)
 
 
+def _root_table(
+    poly: QuadraticIntPoly, sieve: bytearray, bound: int
+) -> tuple[array, array, bool]:
+    """(moduli, roots, divides_all): each root r of poly mod a prime p <= bound, as p and r.
+
+    sieve is prime_flags(B) for some B >= bound.  divides_all says that an
+    odd prime divides all three coefficients; such a prime has no entry.
+    When the discriminant is d = -3s^2, a prime p not dividing 6sa has
+    roots only for p = 1 (mod 3): then w = g^((p-1)/3) != 1, for the least
+    g >= 2 that is no cube mod p, is a cube root of unity, and
+    (2w + 1)^2 = -3 gives sqrt(d) = s(2w + 1).  Every other prime, and every
+    quadratic of another shape, goes through _roots_mod.
+    """
+    a, b = poly.a, poly.b
+    d = b * b - 4 * a * poly.c
+    s = exact_sqrt(-d // 3) if d < 0 and d % 3 == 0 else None
+    # the primes dividing 6sa go to _roots_mod, and all of them when d has another shape
+    exceptional = 6 * s * a if s is not None else 0
+    moduli, roots = array("I"), array("I")
+    divides_all = False
+    for p in primes_between(sieve, 2, bound):
+        if exceptional % p:
+            if p % 3 == 1:
+                e, g = (p - 1) // 3, 2
+                while (w := pow(g, e, p)) == 1:
+                    g += 1
+                t, inverse = s * (2 * w + 1), pow(2 * a, -1, p)
+                moduli.extend((p, p))
+                roots.extend(((t - b) * inverse % p, (-t - b) * inverse % p))
+            continue
+        rs = _roots_mod(poly, d, p)
+        if rs is None:
+            divides_all = True
+            continue
+        for r in rs:
+            moduli.append(p)
+            roots.append(r)
+    return moduli, roots, divides_all
+
+
 def _below(poly: QuadraticIntPoly, bound: int) -> range:
     """The k >= 0 with poly(k) < bound, for a > 0: an interval, as poly is convex.
 
@@ -233,20 +279,10 @@ def _prime_value_blocks(
     if start >= stop:
         return
     f = poly.evaluate
-    d = poly.b * poly.b - 4 * poly.a * poly.c
     # poly is convex, so the range's largest value is at one of its ends
     bound = min(isqrt(max(f(start), f(stop - 1), 0)), _SIEVE_CAP)
     sieve = prime_flags(bound)
-    moduli, roots = array("I"), array("I")
-    divides_all = False
-    for p in primes_between(sieve, 2, bound):
-        rs = _roots_mod(poly, d, p)
-        if rs is None:
-            divides_all = True
-            continue
-        for r in rs:
-            moduli.append(p)
-            roots.append(r)
+    moduli, roots, divides_all = _root_table(poly, sieve, bound)
     exact = _below(poly, (bound + 1) ** 2)
     small = _below(poly, bound + 1)
     for k0 in range(start, stop, _SIEVE_CAP):

@@ -34,6 +34,22 @@ FROZEN_CONSTANT_1E6 = 0.28015118850435017
 SEGMENT_EDGES = [k * arith._SEGMENT + d for k in (1, 2, 3) for d in (-1, 0, 1)]
 
 
+class TestSqrtMod:
+    # p = 1, 3, 5, 7 mod 8; 97, 257 and 7681 have 2^5, 2^8 and 2^9 in p - 1,
+    # so Tonelli-Shanks runs its loop several times
+    @pytest.mark.parametrize(
+        "p", [17, 41, 97, 257, 7681] + [3, 11, 19] + [5, 13, 29] + [7, 23, 31, 8191]
+    )
+    def test_against_brute_force(self, p):
+        squares = {x * x % p for x in range(1, p)}
+        for n in range(1, p):
+            x = hlsearch._sqrt_mod(n, p)
+            if n in squares:
+                assert x is not None and x * x % p == n, n
+            else:
+                assert x is None, n
+
+
 class TestDiscriminant:
     # QuadraticIntPoly itself accepts a = 0; its consumer empirical_prime_count rejects it
     def test_zero_leading_coefficient_rejected(self):
@@ -277,6 +293,10 @@ class TestEmpiricalCount:
 # Odd |D| (-27, -163), a value 1 at k = 0, p | 2a, and a = 6.
 SIEVE_POLYS = [(1, 3, 9), (1, 1, 41), (1, 0, 1), (2, 0, 1), (6, 5, 7)]
 
+# m^2 + 3m + 9 at m = 35k + 2 and m = 36k + 5, with D = -3 * 105^2 and -3 * 108^2:
+# 3 divides s but not a = 35^2, 5 and 7 divide a, and 2 and 3 divide a = 36^2
+RESTRICTIONS = [(1225, 245, 19), (1296, 468, 49)]
+
 
 def _counting_is_prime(monkeypatch):
     calls = []
@@ -294,6 +314,12 @@ class TestPrimeValueSieve:
     def test_conductor_poly_equals_miller_rabin_loop(self, x):
         report = empirical_prime_count(CONDUCTOR_POLY, x, 0.28)
         assert report.count == prime_count_mr(CONDUCTOR_POLY, x)
+
+    @pytest.mark.parametrize("x", [10**6, 10**10, 10**12])
+    @pytest.mark.parametrize("coefficients", RESTRICTIONS, ids=str)
+    def test_restrictions_equal_miller_rabin_loop(self, coefficients, x):
+        poly = QuadraticIntPoly(*coefficients)
+        assert empirical_prime_count(poly, x, 0.28).count == prime_count_mr(poly, x)
 
     def test_survey_band_count_pinned(self):
         assert empirical_prime_count(CONDUCTOR_POLY, 1004000000000, 0.28).count == 10956
@@ -317,7 +343,7 @@ class TestPrimeValueSieve:
         report = empirical_prime_count(QuadraticIntPoly(a, b, c), x, 0.3)
         assert report.count == brute_quadratic_prime_count(a, b, c, x)
 
-    @pytest.mark.parametrize("coefficients", SIEVE_POLYS + [(144, 84, 19)], ids=str)
+    @pytest.mark.parametrize("coefficients", SIEVE_POLYS + [(144, 84, 19)] + RESTRICTIONS, ids=str)
     def test_cutoff_at_and_just_above_a_value(self, coefficients):
         poly = QuadraticIntPoly(*coefficients)
         for k in (0, 1, 2, 3, 10, 37, 1023, 1024, 1025, 4000):
@@ -374,7 +400,7 @@ class TestPrimeValueSieve:
             assert cand.is_prime_ell == is_prime(cand.ell), cand
         assert calls and min(calls) > 31**2
         # k^2 has the survivor 31^2, the least value that needs the test
-        for coefficients in SIEVE_POLYS + [(144, 84, 19), (1, 0, 0)]:
+        for coefficients in SIEVE_POLYS + RESTRICTIONS + [(144, 84, 19), (1, 0, 0)]:
             poly = QuadraticIntPoly(*coefficients)
             assert empirical_prime_count(poly, 10**7, 0.3).count == prime_count_mr(poly, 10**7)
 
@@ -416,6 +442,40 @@ class TestPrimeValueSieve:
         for _ in search_shanks_candidates(100_300):
             pass
         assert calls == []
+
+    def test_survey_commands_reach_no_tonelli_shanks(self, monkeypatch):
+        # D = -3s^2 for both, so only the primes dividing 6sa may reach _sqrt_mod;
+        # those are 2 and 3, and _roots_mod settles both without a square root
+        calls = []
+        sqrt_mod = hlsearch._sqrt_mod
+
+        def counted(n, p):
+            calls.append(p)
+            return sqrt_mod(n, p)
+
+        monkeypatch.setattr(hlsearch, "_sqrt_mod", counted)
+        empirical_prime_count(CONDUCTOR_POLY, 1004000000000, 0.28)
+        for _ in search_shanks_candidates(100_300):
+            pass
+        assert calls == []
+
+    # D = -3s^2 for each; p = 5 divides s = 5 but not 6a, and p = 7 divides a = 7 but not 6s
+    @pytest.mark.parametrize(
+        "coefficients",
+        [(144, 84, 19), (1, 3, 9)] + RESTRICTIONS + [(1, 5, 25), (7, 1, 1)],
+        ids=str,
+    )
+    def test_cube_root_table_equals_roots_mod(self, coefficients):
+        poly = QuadraticIntPoly(*coefficients)
+        bound = 1 << 20
+        sieve = arith.prime_flags(bound)
+        d = poly.b * poly.b - 4 * poly.a * poly.c
+        expected = []
+        for p in arith.primes_between(sieve, 2, bound):
+            expected += [(p, r) for r in hlsearch._roots_mod(poly, d, p)]
+        moduli, roots, divides_all = hlsearch._root_table(poly, sieve, bound)
+        assert not divides_all
+        assert sorted(zip(moduli, roots)) == sorted(expected)
 
     def test_value_near_63_bits(self):
         # the last k below 2^63 - 1 comes from the integer square root
