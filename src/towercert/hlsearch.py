@@ -10,12 +10,16 @@ Comp. 72 (2003) 499-519).  The range is sieved by the primes p <= P, where
 P = min(isqrt(its largest value), 2^20): each k = r (mod p) with
 f(r) = 0 (mod p) is crossed off.  The roots are found once per range and
 the k are crossed off in blocks of 2^20.  Every quadratic the program
-sieves has discriminant d = -3s^2 (a its leading coefficient).  For a
-prime p not dividing 6sa, d is a square mod p only when p = 1 (mod 3),
-and then sqrt(d) = s(2w + 1) for the cube root of unity
-w = g^((p-1)/3) != 1, g the least non-cube mod p.  Any other quadratic,
-and the primes dividing 6sa, go through the general root finder and its
-square roots by Tonelli-Shanks.  The decision is exact.  A
+sieves has discriminant d = -3s^2 (a its leading coefficient), so a prime
+p not dividing 6sa has roots only if -3 is a square mod p, i.e. p = 1
+(mod 3).  Such a p is x^2 + 3y^2 with x, y >= 1 in exactly one way (Cox,
+Primes of the Form x^2 + ny^2, Sec. 1): the form is the only reduced one
+of discriminant -12, so p has 2(1 + (-3/p)) = 4 representations by it,
+(+-x, +-y).  Then x^2 = -3y^2 (mod p) gives sqrt(d) = sx/y, so the roots
+come from walking the form over x, y of opposite parity with 3 not
+dividing x, where the prime sieve flags its prime values.  Any other
+quadratic, and the primes dividing 6sa, go through the general root
+finder and its square roots by Tonelli-Shanks.  The decision is exact.  A
 survivor below (P + 1)^2 is prime, because a composite value below
 (P + 1)^2 has a prime factor <= P; only a survivor above that, which needs
 P at the cap, goes to is_prime.  A value f(k) <= P is read from the prime
@@ -30,9 +34,11 @@ from __future__ import annotations
 
 import math
 from array import array
+from bisect import bisect_right
 from collections.abc import Iterator
-from itertools import chain, compress
+from itertools import chain, compress, cycle, filterfalse, islice, repeat
 from math import isqrt, log1p
+from operator import add, getitem, mod, mul, sub, truediv
 from typing import NamedTuple
 
 from .arith import (
@@ -149,39 +155,28 @@ def m_from_prime(ell: int) -> int | None:
 def _sqrt_mod(n: int, p: int) -> int | None:
     """A square root of n mod the odd prime p, n != 0 mod p, or None for a non-residue.
 
-    One power for p = 3 mod 4, and Atkin's one power for p = 5 mod 8;
-    Tonelli-Shanks (Cohen, GTM 138, Alg. 1.5.1) for p = 1 mod 8.  The
-    result is checked by squaring, which also detects a non-residue.
+    Euler's criterion detects a non-residue; Tonelli-Shanks (Cohen, GTM 138,
+    Alg. 1.5.1) finds the root, with no loop pass for p = 3 mod 4.  Only a
+    quadratic whose discriminant is not -3s^2 needs it (see _root_table).
     """
-    if p % 4 == 3:
-        x = pow(n, (p + 1) // 4, p)
-    elif p % 8 == 5:
-        v = pow(2 * n, (p - 5) // 8, p)
-        x = n * v * (2 * n * v * v - 1) % p
-    else:
-        if pow(n, (p - 1) // 2, p) != 1:
-            return None
-        q, e = p - 1, 0
-        while q % 2 == 0:
-            q //= 2
-            e += 1
-        z = 3  # 2 is a square mod p = 1 mod 8
-        while pow(z, (p - 1) // 2, p) == 1:
-            z += 1
-        w = pow(n, q // 2, p)
-        y, x = pow(z, q, p), w * n % p
-        b = x * w % p
-        while b != 1:
-            m, t = 1, b * b % p
-            while t != 1:
-                t = t * t % p
-                m += 1
-            t = pow(y, 1 << (e - m - 1), p)
-            y = t * t % p
-            e = m
-            x = x * t % p
-            b = b * y % p
-    return x if x * x % p == n else None
+    if pow(n, (p - 1) // 2, p) != 1:
+        return None
+    q, e = p - 1, 0
+    while q % 2 == 0:
+        q //= 2
+        e += 1
+    z = 2
+    while pow(z, (p - 1) // 2, p) == 1:
+        z += 1
+    y, x, b = pow(z, q, p), pow(n, (q + 1) // 2, p), pow(n, q, p)
+    while b != 1:
+        m, t = 1, b * b % p
+        while t != 1:
+            t = t * t % p
+            m += 1
+        t = pow(y, 1 << (e - m - 1), p)
+        y, e, x, b = t * t % p, m, x * t % p, b * t * t % p
+    return x
 
 
 def _roots_mod(poly: QuadraticIntPoly, d: int, p: int) -> tuple[int, ...] | None:
@@ -214,28 +209,23 @@ def _root_table(
     sieve is prime_flags(B) for some B >= bound.  divides_all says that an
     odd prime divides all three coefficients; such a prime has no entry.
     When the discriminant is d = -3s^2, a prime p not dividing 6sa has
-    roots only for p = 1 (mod 3): then w = g^((p-1)/3) != 1, for the least
-    g >= 2 that is no cube mod p, is a cube root of unity, and
-    (2w + 1)^2 = -3 gives sqrt(d) = s(2w + 1).  Every other prime, and every
-    quadratic of another shape, goes through _roots_mod.
+    roots only if p = x^2 + 3y^2 (see the module docstring), and they are
+    (+-sx - by) / (2ay) mod p.  The form is walked row by row in y: sieve
+    says which of a row's values are prime, and maps of C functions make
+    their roots, with one pow(., -1, p) a prime and no Python code per
+    prime.  Every other prime, and every quadratic of another shape, goes
+    through _roots_mod.
     """
     a, b = poly.a, poly.b
     d = b * b - 4 * a * poly.c
     s = exact_sqrt(-d // 3) if d < 0 and d % 3 == 0 else None
-    # the primes dividing 6sa go to _roots_mod, and all of them when d has another shape
-    exceptional = 6 * s * a if s is not None else 0
     moduli, roots = array("I"), array("I")
     divides_all = False
-    for p in primes_between(sieve, 2, bound):
-        if exceptional % p:
-            if p % 3 == 1:
-                e, g = (p - 1) // 3, 2
-                while (w := pow(g, e, p)) == 1:
-                    g += 1
-                t, inverse = s * (2 * w + 1), pow(2 * a, -1, p)
-                moduli.extend((p, p))
-                roots.extend(((t - b) * inverse % p, (-t - b) * inverse % p))
-            continue
+    primes = primes_between(sieve, 2, bound)
+    if s is not None:
+        e = abs(6 * s * a)  # only the primes dividing 6sa go to _roots_mod
+        primes = list(filterfalse(e.__mod__, primes_between(sieve, 2, min(bound, e))))
+    for p in primes:
         rs = _roots_mod(poly, d, p)
         if rs is None:
             divides_all = True
@@ -243,6 +233,27 @@ def _root_table(
         for r in rs:
             moduli.append(p)
             roots.append(r)
+    if s is None:
+        return moduli, roots, divides_all
+    if skip := [p for p in primes if p % 3 == 1]:
+        sieve = bytearray(sieve)  # a copy without the primes _roots_mod took
+        for p in skip:
+            sieve[p] = 0
+    # x = +-1 (mod 6) for even y, x = +-2 (mod 6) for odd y: their squares and sx
+    rows = []
+    for mask in (b"\0\1\0\0\0\1", b"\0\0\1\0\1\0"):
+        xs = list(compress(range(isqrt(bound) + 1), cycle(mask)))
+        rows.append((list(map(mul, xs, xs)), list(map(mul, repeat(s), xs))))
+    for y in range(1, isqrt(bound // 3) + 1):
+        squares, sxs = rows[y & 1]
+        t = 3 * y * y
+        values = list(map(add, repeat(t), islice(squares, bisect_right(squares, bound - t))))
+        flags = bytes(map(getitem, repeat(sieve), values))
+        ps, sx, by = list(compress(values, flags)), list(compress(sxs, flags)), repeat(b * y)
+        inverse = list(map(pow, repeat(-2 * a * y), repeat(-1), ps))
+        moduli.extend(ps * 2)
+        for op in (sub, add):  # the roots (by -+ sx) * -1/(2ay)
+            roots.extend(map(mod, map(mul, map(op, by, sx), inverse), ps))
     return moduli, roots, divides_all
 
 
@@ -274,7 +285,8 @@ def _prime_value_blocks(
     poly needs a > 0 and start >= 0; the module docstring gives the method.
     One prime sieve and one root table serve the whole range; each block
     holds _SIEVE_CAP k, the last one fewer.  So the first block waits for
-    the whole table, which at P = 2^20 holds the roots mod 82,025 primes.
+    the whole table, which at P = 2^20 holds the two roots mod each prime
+    p = 1 (mod 3): 81,970 entries for CONDUCTOR_POLY.
     """
     if start >= stop:
         return
@@ -309,11 +321,10 @@ def _prime_value_blocks(
 
 
 def _candidates(m_max: int, residues: frozenset[int]) -> Iterator[ShanksCandidate]:
+    mask = [r in residues for r in range(12)]
     for m0, flags in _prime_value_blocks(_FAMILY_POLY, 1, m_max + 1):
-        for m, prime in zip(range(m0, m0 + len(flags)), flags):
-            residue = m % 12
-            if residue in residues:
-                yield ShanksCandidate(m, (m + 3) * m + 9, residue, prime == 1)
+        for m, prime in compress(enumerate(flags, m0), islice(cycle(mask), m0 % 12, None)):
+            yield ShanksCandidate(m, (m + 3) * m + 9, m % 12, prime == 1)
 
 
 def search_shanks_candidates(
@@ -366,8 +377,8 @@ def hl_constant(prime_bound: int) -> HLConstantResult:
             primes += flags.count(1)
             end = lo + len(flags)
             # p - 1 of the primes p = lo + 1 + 6j, then of the p = lo + 5 + 6j (lo = 0 mod 6)
-            yield map(log1p, map((-1.0).__truediv__, compress(range(lo, end, 6), flags[1::6])))
-            yield map(log1p, map((1.0).__truediv__, compress(range(lo + 4, end, 6), flags[5::6])))
+            yield map(log1p, map(truediv, repeat(-1.0), compress(range(lo, end, 6), flags[1::6])))
+            yield map(log1p, map(truediv, repeat(1.0), compress(range(lo + 4, end, 6), flags[5::6])))
 
     partial = math.exp(math.fsum(chain.from_iterable(log_terms())))
     # every prime but 2 and 3 gives a term

@@ -19,6 +19,7 @@ from towercert.arith import is_prime
 from towercert.errors import DomainError, InputRangeError
 from towercert.hlsearch import (
     CONDUCTOR_POLY,
+    DEFAULT_RESIDUES,
     MAX_PRIME_BOUND,
     QuadraticIntPoly,
     empirical_prime_count,
@@ -132,6 +133,16 @@ class TestSearch:
     def test_out_of_range_residues_rejected(self):
         with pytest.raises(DomainError):
             search_shanks_candidates(10, frozenset({2, 12}))
+
+    @pytest.mark.parametrize(
+        "residues", [DEFAULT_RESIDUES, frozenset({0}), frozenset({5, 11}), frozenset(range(12))]
+    )
+    def test_residue_filter_in_every_block_phase(self, monkeypatch, residues):
+        # blocks of 7 m start at m = 1, 8, 15, ...: at every residue mod 12
+        monkeypatch.setattr(hlsearch, "_SIEVE_CAP", 7)
+        got = [tuple(c) for c in search_shanks_candidates(600, residues)]
+        ms = [m for m in range(1, 601) if m % 12 in residues]
+        assert got == [(m, shanks_value(m), m % 12, is_prime(shanks_value(m))) for m in ms]
 
     def test_filtered_prime_conductors_are_7_mod_12(self):
         for cand in search_shanks_candidates(10**4):
@@ -296,6 +307,9 @@ SIEVE_POLYS = [(1, 3, 9), (1, 1, 41), (1, 0, 1), (2, 0, 1), (6, 5, 7)]
 # m^2 + 3m + 9 at m = 35k + 2 and m = 36k + 5, with D = -3 * 105^2 and -3 * 108^2:
 # 3 divides s but not a = 35^2, 5 and 7 divide a, and 2 and 3 divide a = 36^2
 RESTRICTIONS = [(1225, 245, 19), (1296, 468, 49)]
+
+# the quadratics of test_cube_root_table_equals_roots_mod
+TABLE_POLYS = [(144, 84, 19), (1, 3, 9)] + RESTRICTIONS + [(1, 5, 25), (7, 1, 1)]
 
 
 def _counting_is_prime(monkeypatch):
@@ -476,6 +490,64 @@ class TestPrimeValueSieve:
         moduli, roots, divides_all = hlsearch._root_table(poly, sieve, bound)
         assert not divides_all
         assert sorted(zip(moduli, roots)) == sorted(expected)
+
+    # D = -3s^2 for the first seven, and 7 = 2^2 + 3 * 1^2 divides all of (7, 7, 7);
+    # D = -163 for (1, 1, 41), so every prime goes through _roots_mod
+    @pytest.mark.parametrize("coefficients", TABLE_POLYS + [(7, 7, 7), (1, 1, 41)], ids=str)
+    def test_table_equals_roots_mod_at_small_bounds(self, coefficients):
+        # small bounds leave the rows of x^2 + 3y^2 empty or partial
+        poly = QuadraticIntPoly(*coefficients)
+        d = poly.b * poly.b - 4 * poly.a * poly.c
+        for bound in range(2, 501):
+            sieve = arith.prime_flags(bound)
+            expected, divides = [], False
+            for p in arith.primes_between(sieve, 2, bound):
+                rs = hlsearch._roots_mod(poly, d, p)
+                divides = divides or rs is None
+                expected += [(p, r) for r in rs or ()]
+            moduli, roots, divides_all = hlsearch._root_table(poly, sieve, bound)
+            assert divides_all == divides, bound
+            assert sorted(zip(moduli, roots)) == sorted(expected), bound
+
+    def test_conductor_table_takes_one_inverse_a_prime(self, monkeypatch):
+        exponents, fallbacks = [], []
+        roots_mod = hlsearch._roots_mod
+
+        def counted_pow(base, exponent, modulus):
+            exponents.append(exponent)
+            return pow(base, exponent, modulus)
+
+        def counted_roots_mod(poly, d, p):
+            fallbacks.append(p)
+            return roots_mod(poly, d, p)
+
+        monkeypatch.setattr(hlsearch, "pow", counted_pow, raising=False)
+        monkeypatch.setattr(hlsearch, "_roots_mod", counted_roots_mod)
+        sieve = arith.prime_flags(10**6)
+        hlsearch._root_table(CONDUCTOR_POLY, sieve, 10**6)
+        ones = sum(p % 3 == 1 for p in arith.primes_between(sieve, 2, 10**6))
+        # no cube root and no square root: only inverses pow(., -1, p)
+        assert all(e < 0 for e in exponents)
+        assert len(exponents) <= ones + len(fallbacks)
+        assert fallbacks == [2, 3]
+
+    @pytest.mark.parametrize("x", [1004000000000, 12 * 10**11], ids=str)
+    def test_count_memory_budget(self, x):
+        # one block of flags, the prime sieve, 4 + 4 bytes a root of a prime
+        # p = 1 (mod 3) and slack; no table-sized list of ints
+        ks = hlsearch._below(CONDUCTOR_POLY, x)
+        bound = min(isqrt(CONDUCTOR_POLY.evaluate(ks.stop - 1)), hlsearch._SIEVE_CAP)
+        sieve = arith.prime_flags(bound)
+        entries = 2 * sum(p % 3 == 1 for p in arith.primes_between(sieve, 2, bound))
+        assert entries == (81970 if bound == 1 << 20 else 78616)
+        tracemalloc.start()
+        try:
+            empirical_prime_count(CONDUCTOR_POLY, x, 0.28)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        block = min(len(ks), hlsearch._SIEVE_CAP)
+        assert peak <= block + len(sieve) + 8 * entries + 2**17
 
     def test_value_near_63_bits(self):
         # the last k below 2^63 - 1 comes from the integer square root
