@@ -37,7 +37,7 @@ from array import array
 from bisect import bisect_right
 from collections.abc import Iterator
 from itertools import chain, compress, cycle, filterfalse, islice, repeat
-from math import isqrt, log1p
+from math import gcd, isqrt, log1p
 from operator import add, getitem, mod, mul, sub, truediv
 from typing import NamedTuple
 
@@ -74,6 +74,9 @@ DEFAULT_RESIDUES = frozenset({2, 7, 10, 11})
 # Largest sieving prime of the prime-value sieve, and the most k in one of
 # its blocks.
 _SIEVE_CAP = 1 << 20
+
+# Integers in one chunk of hl_constant's mod-30 wheel: 512 in each class.
+_WHEEL_CHUNK = 30 * 512
 
 # Largest hl_constant bound.  Its memory is two sieve blocks (under 1 MB) at
 # any bound; the cap bounds its time, about 2 s at 10**8.
@@ -358,29 +361,46 @@ def hl_constant(prime_bound: int) -> HLConstantResult:
     exactly when p = 1 (mod 6), -1 when p = 5 (mod 6).  The primes stream
     from the blocks of arith.prime_segments, so memory is under 1 MB (the
     block being read and the next one being sieved) whatever the bound.
-    Each residue class is read from its strided slice of a block's flags:
-    p - 1 comes straight from a range, and the term log1p(-/+1.0/(p - 1))
-    from maps of C functions, so no Python code runs per prime.  The terms
-    are summed by one math.fsum, so the log-sum is correctly rounded (the
-    exact sum of the terms, rounded once, in any order), then
-    exponentiated; recomputation at the same bound is bit-identical.
+    The primes above 5 are read on the mod-30 wheel (Pritchard, Acta Inf.
+    17 (1982) 477-485): a block is cut into chunks of _WHEEL_CHUNK
+    integers, and in each chunk the flags of each of the 8 classes prime
+    to 30 are one strided slice of 512.  p - 1 is the class's first p - 1,
+    as a float, plus the multiple of 30 that compress picks from one list
+    of 512 float offsets, so no int is made for a non-prime and the 6k+-1
+    that are multiples of 5 are not read; the term log1p(-/+1.0/(p - 1))
+    comes from maps of C functions, so no Python code runs per prime.  The
+    offsets add 16 KB to the memory.  p = 5 gives its term, log1p(0.25),
+    once.  Every p - 1 is below 2^53, so each term has the bits of the
+    exact p - 1.  The terms are summed by one math.fsum, so the log-sum is
+    correctly rounded (the exact sum of the terms, rounded once, in any
+    order), then exponentiated; recomputation at the same bound is
+    bit-identical.
     """
     if prime_bound < 5:
         raise DomainError(f"prime bound must be at least 5, got {prime_bound}")
     if prime_bound > MAX_PRIME_BOUND:
         raise InputRangeError(f"prime bound {prime_bound} exceeds {MAX_PRIME_BOUND}")
     primes = 0
+    offsets = [30.0 * j for j in range(_WHEEL_CHUNK // 30)]
 
     def log_terms() -> Iterator[Iterator[float]]:
         nonlocal primes
         for lo, flags in prime_segments(prime_bound):
             primes += flags.count(1)
-            end = lo + len(flags)
-            # p - 1 of the primes p = lo + 1 + 6j, then of the p = lo + 5 + 6j (lo = 0 mod 6)
-            yield map(log1p, map(truediv, repeat(-1.0), compress(range(lo, end, 6), flags[1::6])))
-            yield map(log1p, map(truediv, repeat(1.0), compress(range(lo + 4, end, 6), flags[5::6])))
+            # each i < 30 with lo + i prime to 30, and the sign of the terms of its class
+            wheel = [
+                (i, -1.0 if (lo + i) % 6 == 1 else 1.0) for i in range(30) if gcd(lo + i, 30) == 1
+            ]
+            for chunk in range(0, len(flags), _WHEEL_CHUNK):
+                for i, sign in wheel:
+                    j = chunk + i
+                    # p - 1 of the primes p = lo + j + 30t, t < 512
+                    steps = compress(offsets, flags[j : j + _WHEEL_CHUNK : 30])
+                    p_minus_1 = map(add, repeat(float(lo + j - 1)), steps)
+                    yield map(log1p, map(truediv, repeat(sign), p_minus_1))
 
-    partial = math.exp(math.fsum(chain.from_iterable(log_terms())))
+    terms = chain((log1p(0.25),), chain.from_iterable(log_terms()))
+    partial = math.exp(math.fsum(terms))
     # every prime but 2 and 3 gives a term
     return HLConstantResult(prime_bound, partial, partial / 4.0, primes - 2)
 

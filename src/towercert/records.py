@@ -20,13 +20,20 @@ from the text on each read, so writing a record decodes nothing and the
 payload is what the line decodes to.  canonical_json dispatches on the
 exact type of each value; subclasses of the JSON types and result objects
 take a slower path, which keeps a result class's encoder once it has met
-the class.
+the class.  Reading checks every line's hash.  A line in the exact form
+to_json_line writes, whose payload is a flat object of integers of at most
+640 digits, booleans and nulls (a search --out registry), is checked in
+place: one regular-expression match, a check that its keys are distinct,
+and one sha256 over a slice of the line; its payload text is canonical by
+its grammar, so nothing is decoded or re-encoded.  Every other line is
+decoded with json.loads and its payload re-encoded with canonical_json.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import re
 import sys
 import time
 from functools import lru_cache
@@ -262,9 +269,59 @@ def to_json_line(record: CertificateRecord) -> str:
 _LINE_FIELDS = ("schema_version", "kind", "payload", "content_hash", "timestamp")
 _line_fields = itemgetter(*_LINE_FIELDS)
 
+# A payload value the fast path reads in place: an integer of at most 640
+# digits (the least int-string digit limit an interpreter can set), with no
+# leading zero and no "-0", or a JSON literal.
+_SCALAR = r"(?:0|-?[1-9][0-9]{0,639}|true|false|null)"
+_MEMBER = r'"[a-z0-9_]+":' + _SCALAR
+
+# A record line of canonical form whose payload holds only such values: its
+# groups are the kind, the payload text, the content hash and the timestamp
+# (printable ASCII but '"' and backslash).
+_RECORD_LINE = (
+    re.escape('{"schema_version":' + _quote(SCHEMA_VERSION) + ',"kind":')
+    + r'"([a-z_]+)","payload":(\{(?:' + _MEMBER + "(?:," + _MEMBER + r")*)?\})"
+    + r',"content_hash":"([0-9a-f]{64})","timestamp":"([ !#-\[\]-~]*)"\}'
+)
+
+# _RECORD_LINE's fullmatch, compiled on the first parse_record: importing
+# the module compiles nothing.
+_record_line = None
+
 
 def parse_record(line: str) -> CertificateRecord:
     """Parse one record line and check its content hash.
+
+    A line that fullmatches _RECORD_LINE, with a known kind and pairwise
+    distinct payload keys, is read in place.  Its payload text is already
+    canonical: json.loads gives each key back as written, each integer of
+    at most 640 digits as an int whose repr is its text, and each literal as
+    the object canonical_json writes back as that literal; distinct keys
+    keep their order in the decoded dict.  So canonical_json of the decoded
+    payload is the text itself, the hash over the line's head and payload
+    text is the one the general path computes, and the record is the one it
+    builds.  Any other line, and a line whose hash does not match, goes to
+    the general path, which decodes the line and gives its errors.
+    """
+    global _record_line
+    if _record_line is None:
+        _record_line = re.compile(_RECORD_LINE).fullmatch
+    # bytes, and str subclasses, go to json.loads as before
+    match = _record_line(line) if type(line) is str else None
+    if match is not None:
+        kind, text, content_hash, timestamp = match.groups()
+        keys = text.split('"')[1::2]
+        if (
+            kind in RECORD_KINDS
+            and len(set(keys)) == len(keys)
+            and sha256((line[: match.end(2)] + "}").encode("ascii")).hexdigest() == content_hash
+        ):
+            return CertificateRecord._make((SCHEMA_VERSION, kind, text, content_hash, timestamp))
+    return _parse_decoded(line)
+
+
+def _parse_decoded(line) -> CertificateRecord:
+    """parse_record's general path: decode the line, re-encode its payload, check the hash.
 
     json.loads yields only JSON-shaped values, and the hash check encodes
     the whole payload, so a value that cannot be serialized (NaN,

@@ -223,10 +223,18 @@ class TestHLConstant:
         assert result.terms_used == 664577
 
     # as at 10**7, on both sides of the first three prime_segments block
-    # boundaries (k * 393216); 786433 and 1179649 are primes, each first in its block
+    # boundaries (k * 393216); 786433 and 1179649 are primes, each first in its block.
+    # Also on both sides of the first mod-30 wheel turn and of the first wheel
+    # chunk boundary (15360); 31 and 15361 are primes
     @pytest.mark.parametrize(
         "bound, partial_hex, terms",
         [
+            (29, "0x1.24296764af2e8p+0", 8),
+            (30, "0x1.24296764af2e8p+0", 8),
+            (31, "0x1.1a6c4a58cb79cp+0", 9),
+            (15359, "0x1.1ecd622a96dc1p+0", 1792),
+            (15360, "0x1.1ecd622a96dc1p+0", 1792),
+            (15361, "0x1.1ec89a7a05154p+0", 1793),
             (393215, "0x1.1ee3b1e8cb814p+0", 33333),
             (393216, "0x1.1ee3b1e8cb814p+0", 33333),
             (393217, "0x1.1ee3b1e8cb814p+0", 33333),

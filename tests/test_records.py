@@ -5,6 +5,7 @@ import importlib
 import json
 import pickle
 import pkgutil
+import random
 import re
 import sys
 import time
@@ -640,3 +641,131 @@ class TestRecordValue:
                 assert clone == record
                 assert clone.payload == payload
                 assert to_json_line(clone) == GOLDEN_LINES["rejection"]
+
+
+def _outcome(parse, line):
+    """What parse makes of line: the record, or the text of its DomainError."""
+    try:
+        return parse(line)
+    except DomainError as exc:
+        return f"DomainError: {exc}"
+
+
+def _resigned(line):
+    """line with its content hash replaced by the sha256 of its text up to the hash field.
+
+    That is the hash the fast path checks, so a line that still fits its
+    grammar is read in place and must give what decoding it gives.
+    """
+    at = line.rfind(',"content_hash":"')
+    if at < 0:
+        return line
+    digest = hashlib.sha256((line[:at] + "}").encode("utf-8")).hexdigest()
+    start = at + len(',"content_hash":"')
+    return line[:start] + digest + line[start + 64 :]
+
+
+_MUTATION_ALPHABET = '0123456789abcdefxyzABCDEF_-+.eE"{}[],: \\\r\ntrunlfsé'
+
+
+def _mutated(line, rng):
+    """line with 1 to 3 characters replaced, inserted or deleted."""
+    chars = list(line)
+    for _ in range(rng.randint(1, 3)):
+        i = rng.randrange(len(chars) + 1)
+        op = rng.randrange(3)
+        if op == 0 and i < len(chars):
+            chars[i] = rng.choice(_MUTATION_ALPHABET)
+        elif op == 1:
+            chars.insert(i, rng.choice(_MUTATION_ALPHABET))
+        elif i < len(chars):
+            del chars[i]
+    return "".join(chars)
+
+
+@pytest.fixture(scope="module")
+def search_lines(tmp_path_factory):
+    """Every line of search --m-max 600 --certify: candidate and tower records."""
+    from towercert.cli import EXIT_OK, main
+
+    path = tmp_path_factory.mktemp("search") / "search.jsonl"
+    assert main(["search", "--m-max", "600", "--certify", "--out", str(path)]) == EXIT_OK
+    return path.read_text(encoding="ascii").splitlines()
+
+
+def _head(kind):
+    return '{"schema_version":"1","kind":"' + kind + '","payload":'
+
+
+def _signed_line(kind, payload_text, timestamp=TS_A):
+    """A record line whose hash is over payload_text exactly as written."""
+    digest = hashlib.sha256((_head(kind) + payload_text + "}").encode("utf-8")).hexdigest()
+    return _head(kind) + payload_text + f',"content_hash":"{digest}","timestamp":"{timestamp}"}}'
+
+
+class TestFastPathAgreesWithDecoding:
+    """parse_record reads scalar-payload lines in place; records._parse_decoded
+    decodes every line.  Both must give the same record or the same error."""
+
+    def test_scalar_line_decodes_nothing(self, monkeypatch):
+        line = GOLDEN_LINES["shanks_candidate"]
+        expected = records._parse_decoded(line)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("the fast path decoded the line")
+
+        monkeypatch.setattr(records.json, "loads", refuse)
+        monkeypatch.setattr(records, "canonical_json", refuse)
+        assert parse_record(line) == expected
+
+    @pytest.mark.parametrize("case", sorted(GOLDEN_LINES))
+    def test_golden_lines(self, case):
+        line = GOLDEN_LINES[case]
+        assert _outcome(parse_record, line) == _outcome(records._parse_decoded, line)
+
+    def test_search_lines(self, search_lines):
+        kinds = {json.loads(line)["kind"] for line in search_lines}
+        assert kinds == {"shanks_candidate", "cyclotomic_tower"}
+        for line in search_lines:
+            assert parse_record(line) == records._parse_decoded(line), line
+
+    def test_seeded_mutations(self, search_lines):
+        rng = random.Random(20260101)
+        sources = list(GOLDEN_LINES.values()) + search_lines
+        accepted = 0
+        for n in range(24000):
+            line = _mutated(rng.choice(sources), rng)
+            if n % 2:
+                line = _resigned(line)
+            expected = _outcome(records._parse_decoded, line)
+            assert _outcome(parse_record, line) == expected, line
+            accepted += isinstance(expected, CertificateRecord)
+        # the re-signed mutations that still decode exercise the accepting side
+        assert accepted > 1000
+
+    @pytest.mark.parametrize(
+        "line",
+        [
+            _signed_line("shanks_candidate", '{"m":2,"ell":19,"m":3,"is_prime_ell":true}'),
+            _signed_line("shanks_candidate", '{"m":-0,"ell":19}'),
+            _signed_line("shanks_candidate", '{"m":01,"ell":19}'),
+            _signed_line("shanks_candidate", '{"m":' + "9" * 640 + "}"),
+            _signed_line("shanks_candidate", '{"m":-' + "9" * 641 + "}"),
+            _signed_line("shanks_candidate", '{"\\u0061m":2}'),
+            _signed_line("shanks_candidate", '{"m":2}', timestamp='2026\\"01'),
+            _signed_line("shanks_candidate", "{}"),
+            _signed_line("mystery", '{"m":2}'),
+            GOLDEN_LINES["shanks_candidate"].replace("05d07a004b", "05D07A004B"),
+            GOLDEN_LINES["shanks_candidate"] + " ",
+            GOLDEN_LINES["shanks_candidate"] + "\r\n",
+            GOLDEN_LINES["shanks_candidate"] + "\r",
+            GOLDEN_LINES["shanks_candidate"].encode("ascii"),
+        ],
+        ids=[
+            "duplicate-key", "minus-zero", "leading-zero", "640-digits", "641-digits",
+            "escaped-key", "escaped-quote-in-timestamp", "empty-payload", "unknown-kind",
+            "uppercase-hash", "trailing-space", "crlf", "cr", "bytes",
+        ],
+    )
+    def test_named_cases(self, line):
+        assert _outcome(parse_record, line) == _outcome(records._parse_decoded, line)

@@ -96,6 +96,25 @@ def test_cli_import_and_parser_load_no_library_module():
     assert _loaded_in_fresh_process(code) == CLI_BASE
 
 
+def test_cli_import_and_parser_compile_no_record_pattern():
+    # parse_record compiles its line pattern on its first call, so setup pays nothing for it
+    code = (
+        "import towercert.cli as cli\n"
+        "cli.build_parser()\n"
+        "from towercert import records\n"
+        "print(records._record_line is None)\n"
+        "records.parse_record(records.to_json_line(records.make_record('rejection', {})))\n"
+        "print(records._record_line is None)"
+    )
+    src = str(pathlib.Path(towercert.__file__).resolve().parent.parent)
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True,
+        env={**os.environ, "PYTHONPATH": src}, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "True\nFalse\n"
+
+
 @pytest.mark.parametrize(
     "argv, added",
     [
