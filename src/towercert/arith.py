@@ -79,8 +79,8 @@ def exact_sqrt(n: int) -> int | None:
 
 
 # Integers in one block of prime_segments, about 384 KB of flags: a multiple
-# of 6, so every block starts at a multiple of 6 and its 6k+1 and 6k+5
-# flags are the strided slices flags[1::6] and flags[5::6].
+# of 6, so every block starts at a multiple of 6 and the 6-periodic 6k+1,
+# 6k+5 pattern each block is filled from lines up with its integers.
 _SEGMENT = 6 << 16
 
 

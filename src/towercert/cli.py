@@ -261,15 +261,16 @@ def _certify_record(m: int):
     return rejection_record("certify cyclotomic", reasons, context), failed
 
 
-def _search_records(certify: bool, cand):
-    """The records for one search candidate, and whether it failed numerically.
+def _search_lines(certify: bool, cand):
+    """The lines for one search candidate, as one text, and its m if it failed numerically.
 
-    Serial and parallel sweeps both call this, so they emit the same records.
+    Serial and parallel sweeps both call this, so they emit the same lines;
+    a pool's workers send back strings, not records.
     """
     if not (certify and cand.is_prime_ell):
-        return [record_for(cand)], False
+        return to_json_line(cand), None
     record, failed = _certify_record(cand.m)
-    return [record_for(cand), record], failed
+    return to_json_line(cand) + "\n" + to_json_line(record), cand.m if failed else None
 
 
 def _cmd_search(args, emitter) -> int:
@@ -283,7 +284,7 @@ def _cmd_search(args, emitter) -> int:
             raise InputRangeError(
                 f"--m-max {args.m_max} reaches conductors above MAX_CONDUCTOR = {MAX_CONDUCTOR}"
             )
-    work = partial(_search_records, args.certify)
+    work = partial(_search_lines, args.certify)
     # A pool forks all its workers at once; the output does not depend on how many.
     workers = min(args.jobs, os.cpu_count() or 1) if args.certify else 1
     if workers > 1:
@@ -291,11 +292,10 @@ def _cmd_search(args, emitter) -> int:
     failures = []
     with Pool(workers) if workers > 1 else nullcontext() as pool:
         outcomes = pool.imap(work, candidates) if pool else map(work, candidates)
-        for records, failed in outcomes:
-            for record in records:
-                emitter.record(record)
-            if failed:
-                failures.append(records[0].payload["m"])
+        for text, failed in outcomes:
+            emitter.line(text)
+            if failed is not None:
+                failures.append(failed)
     if failures:
         raise NumericError(f"class number computation failed for m in {failures}")
     return EXIT_OK

@@ -13,32 +13,35 @@ would otherwise look integral), strings escape to ASCII.  The content
 hash is sha256 over the canonical bytes of (schema_version, kind,
 payload); the timestamp is excluded so reruns are byte-identical modulo
 that one field.  canonical_json, the only payload walker, builds the
-payload's text once per record, and the record holds that text as
-payload_text: its line is the text framed by the schema version and kind
-in front and the hash and timestamp behind, and its payload is decoded
-from the text on each read, so writing a record decodes nothing and the
-payload is what the line decodes to.  canonical_json dispatches on the
-exact type of each value; subclasses of the JSON types and result objects
-take a slower path, which keeps a result class's encoder once it has met
-the class.  Reading checks every line's hash.  A line in the exact form
-to_json_line writes, whose payload is a flat object of integers of at most
-640 digits, booleans and nulls (a search --out registry), is checked in
-place: one regular-expression match, a check that its keys are distinct,
-and one sha256 over a slice of the line; its payload text is canonical by
-its grammar, so nothing is decoded or re-encoded.  Every other line is
-decoded with json.loads and its payload re-encoded with canonical_json.
+payload's text once per record, and _framed puts the schema version and
+kind in front of it: that one string is both the hashed text (with its
+closing brace) and the start of the line, which the hash and timestamp
+end.  A record holds the payload text as payload_text, and its payload is
+decoded from the text on each read, so writing a record decodes nothing
+and the payload is what the line decodes to.  to_json_line also takes a
+result object and writes its line in that one pass, with no record built
+in between: the line, and every error, are those of its record.
+canonical_json dispatches on the exact type of each value; subclasses of
+the JSON types and result objects take a slower path, which keeps a result
+class's encoder once it has met the class.  Reading checks every line's
+hash.  A line in the exact form to_json_line writes, whose payload is a
+flat object of integers of at most 640 digits, booleans and nulls (a
+search --out registry), is checked in place: one regular-expression match,
+a check that its keys are distinct, and one sha256 over a slice of the
+line; its payload text is canonical by its grammar, so nothing is decoded
+or re-encoded, and json is not even imported.  Every other line is decoded
+with json.loads and its payload re-encoded with canonical_json.
 """
 
 from __future__ import annotations
 
-import json
 import math
 import re
 import sys
 import time
+from _json import encode_basestring_ascii as _quote  # json.encoder's, without json
 from functools import lru_cache
 from hashlib import sha256
-from json.encoder import encode_basestring_ascii as _quote
 from operator import itemgetter
 from typing import NamedTuple
 
@@ -143,14 +146,18 @@ def _result_encoder(cls: type):
     has no record of its own, as for one nested in other records); its
     payload keys are its _fields, in order.  The encoder keeps each key
     quoted with its colon and pairs the keys with the object's values, in
-    the same order.
+    the same order; it does canonical_json's dispatch for each value
+    itself, which saves a call per field.
     """
     if not hasattr(cls, "record_kind"):
         return None
     keys = [_quote(name) + ":" for name in cls._fields]
+    encoder_of = _ENCODERS.get
 
     def encode(obj) -> str:
-        return "{" + ",".join([k + canonical_json(v) for k, v in zip(keys, obj)]) + "}"
+        return "{" + ",".join(
+            [k + (encoder_of(type(v)) or _encode_other)(v) for k, v in zip(keys, obj)]
+        ) + "}"
 
     _ENCODERS[cls] = encode
     return encode
@@ -187,9 +194,22 @@ def _check(schema_version, kind, payload_is_object: bool, timestamp) -> None:
         raise DomainError("record timestamp must be a string")
 
 
-def _content_hash(kind: str, payload_text: str) -> str:
-    """The sha256 of a record's hashed text: its schema version, kind and payload."""
-    return sha256((_HEAD_START[kind] + payload_text + "}").encode("ascii")).hexdigest()
+def _framed(kind, payload, timestamp):
+    """A record's payload text, its hashed text up to the closing brace, and its content hash.
+
+    The one framing of every record made here: make_record and to_json_line
+    both take it, and _parse_decoded hashes by it.  It encodes the payload,
+    then checks the kind, the payload and the timestamp as the record's
+    constructor would; the full check runs only when the quick one fails,
+    and then raises its error.
+    """
+    text = canonical_json(payload)
+    if not (
+        type(kind) is str and kind in _HEAD_START and text[:1] == "{" and type(timestamp) is str
+    ):
+        _check(SCHEMA_VERSION, kind, text[:1] == "{", timestamp)
+    head = _HEAD_START[kind] + text
+    return text, head, sha256((head + "}").encode("ascii")).hexdigest()
 
 
 class CertificateRecord(NamedTuple("CertificateRecord", [
@@ -218,6 +238,8 @@ class CertificateRecord(NamedTuple("CertificateRecord", [
 
     @property
     def payload(self) -> dict:
+        import json
+
         return json.loads(self.payload_text)
 
 
@@ -231,21 +253,24 @@ def make_record(kind: str, payload, timestamp: str | None = None) -> Certificate
     """The record of a payload dict or result object; encoding validates its values."""
     if timestamp is None:
         timestamp = _utc_stamp(int(time.time()))
-    text = canonical_json(payload)
-    _check(SCHEMA_VERSION, kind, text[:1] == "{", timestamp)
-    content_hash = _content_hash(kind, text)
+    text, _, content_hash = _framed(kind, payload, timestamp)
     return CertificateRecord._make((SCHEMA_VERSION, kind, text, content_hash, timestamp))
+
+
+def _kind_of(obj) -> str:
+    """The record kind of a module result object."""
+    cls = type(obj)
+    kind = getattr(cls, "record_kind", None)
+    if kind is not None:
+        return kind
+    if hasattr(cls, "record_kind"):
+        raise DomainError(f"{cls.__name__} is internal: it has no record of its own")
+    raise DomainError(f"no record kind for {cls.__name__}")
 
 
 def record_for(obj, timestamp: str | None = None) -> CertificateRecord:
     """Wrap a module result object in its CertificateRecord."""
-    cls = type(obj)
-    kind = getattr(cls, "record_kind", None)
-    if kind is not None:
-        return make_record(kind, obj, timestamp)
-    if hasattr(cls, "record_kind"):
-        raise DomainError(f"{cls.__name__} is internal: it has no record of its own")
-    raise DomainError(f"no record kind for {cls.__name__}")
+    return make_record(_kind_of(obj), obj, timestamp)
 
 
 def rejection_record(
@@ -257,12 +282,25 @@ def rejection_record(
     return make_record("rejection", payload, timestamp)
 
 
-def to_json_line(record: CertificateRecord) -> str:
-    return (
-        _HEAD_START[record.kind] + record.payload_text
-        + ',"content_hash":' + _quote(record.content_hash)
-        + ',"timestamp":' + _quote(record.timestamp) + "}"
-    )
+def to_json_line(obj) -> str:
+    """The line of a CertificateRecord, or of a result object stamped now.
+
+    A record's line is its framed payload text, its hash and its timestamp;
+    nothing is encoded again.  A result object's line is built in one pass,
+    with no record in between: one canonical_json walk, one string that is
+    both the hashed text and the start of the line, and one sha256.  It is
+    the line of record_for(obj), and raises what record_for(obj) raises.
+    """
+    if isinstance(obj, CertificateRecord):
+        return (
+            _HEAD_START[obj.kind] + obj.payload_text
+            + ',"content_hash":' + _quote(obj.content_hash)
+            + ',"timestamp":' + _quote(obj.timestamp) + "}"
+        )
+    timestamp = _utc_stamp(int(time.time()))
+    _, head, content_hash = _framed(_kind_of(obj), obj, timestamp)
+    # a hex digest and a stamp of digits, "-", ":", "T" and "Z" need no escaping
+    return head + ',"content_hash":"' + content_hash + '","timestamp":"' + timestamp + '"}'
 
 
 # The five fields of a record line.
@@ -327,6 +365,8 @@ def _parse_decoded(line) -> CertificateRecord:
     the whole payload, so a value that cannot be serialized (NaN,
     Infinity) fails there with the encoder's DomainError.
     """
+    import json
+
     try:
         raw = json.loads(line)
     except json.JSONDecodeError as exc:
@@ -343,10 +383,9 @@ def _parse_decoded(line) -> CertificateRecord:
         raise DomainError(f"record line missing fields {sorted(missing)}") from None
     _check(schema_version, kind, isinstance(payload, dict), timestamp)
     try:
-        text = canonical_json(payload)
+        text, _, expected = _framed(kind, payload, timestamp)
     except RecursionError as exc:
         raise DomainError("record payload nests too deeply to encode") from exc
-    expected = _content_hash(kind, text)
     if content_hash != expected:
         raise DomainError(f"content hash mismatch: stored {content_hash}, recomputed {expected}")
     return CertificateRecord._make((schema_version, kind, text, content_hash, timestamp))

@@ -8,6 +8,7 @@ import re
 import select
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -767,6 +768,21 @@ class TestSearch:
             proc.wait(timeout=10)
         assert line, "no record within 5 s"
         assert parse_record(line.decode("utf-8").rstrip("\n")).payload["m"] == 2
+
+    def test_out_file_streams_in_bounded_memory(self, tmp_path):
+        # each line is written as it is made: the 33,433 lines (about 7 MB of
+        # text) are never held at once; the sieve block is most of the peak
+        target = tmp_path / "registry.jsonl"
+        assert main(["search", "--m-max", "1000", "--out", str(target)]) == EXIT_OK  # imports
+        tracemalloc.start()
+        try:
+            assert main(["search", "--m-max", "100300", "--out", str(target)]) == EXIT_OK
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        with target.open(encoding="utf-8") as handle:
+            assert sum(1 for _ in handle) == 33433
+        assert peak < 2**20
 
     def test_bad_residues(self, capsys):
         for bad in ("13", "", "2,x", "-1"):

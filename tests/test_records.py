@@ -9,6 +9,7 @@ import random
 import re
 import sys
 import time
+from typing import NamedTuple
 
 import pytest
 from hypothesis import given, settings
@@ -587,7 +588,7 @@ class TestSingleEncoding:
         def refuse(*args, **kwargs):
             raise AssertionError("the write path decoded its own text")
 
-        monkeypatch.setattr(records.json, "loads", refuse)
+        monkeypatch.setattr(json, "loads", refuse)
         made = golden_record(case)
         assert to_json_line(made) == GOLDEN_LINES[case]
         monkeypatch.undo()
@@ -598,7 +599,7 @@ class TestSingleEncoding:
     def test_constructed_record_writes_its_text(self, monkeypatch):
         built = built_record("furuta")
         monkeypatch.setattr(records, "canonical_json", None)
-        monkeypatch.setattr(records.json, "loads", None)
+        monkeypatch.setattr(json, "loads", None)
         assert to_json_line(built) == GOLDEN_LINES["furuta"]
 
     @pytest.mark.parametrize(
@@ -610,6 +611,87 @@ class TestSingleEncoding:
         made = golden_record("furuta")
         with pytest.raises(DomainError, match="payload must be a JSON object"):
             CertificateRecord(made.schema_version, made.kind, text, made.content_hash, made.timestamp)
+
+
+def _line_or_error(line_of, obj):
+    """line_of(obj) up to its timestamp, which must be a UTC second, or what it raises."""
+    try:
+        line = line_of(obj)
+    except Exception as exc:
+        return type(exc), str(exc)
+    stamp = r':"\d{4}-\d\d-\d\dT\d\d:\d\d:\d\dZ"\}'
+    return re.fullmatch(r'(\{.*,"timestamp")' + stamp, line, re.DOTALL).group(1)
+
+
+def _via_record(obj):
+    return to_json_line(record_for(obj))
+
+
+class _Mystery(NamedTuple):
+    record_kind = "mystery"
+
+    x: int
+
+
+def _line_objects():
+    """Result objects of every kind the CLI writes, with the codec's edge values in them.
+
+    The tower's provenance is a nested result object, and the uncertified
+    eigenform's tower_evidence is None.
+    """
+    samples = sample_objects()
+    without_evidence = certify_eigenform(12, 2659)
+    assert without_evidence.tower_evidence is None
+    tower = samples["cyclotomic_tower"]
+    hl = samples["hl_constant"]
+    return {
+        **samples,
+        "tower_uncertified": certify_cyclotomic(2),
+        "eigenform_with_evidence": certify_eigenform(12, 2659, certify_cyclotomic(50)),
+        "eigenform_without_evidence": without_evidence,
+        "nested_float_edges": tower._replace(
+            provenance=tower.provenance._replace(class_number_float=5e-324, integrality_gap=-0.0)
+        ),
+        "float_edges": hl._replace(partial_product=1e22, constant=2.2250738585072009e-308),
+        "int_4300_digits": samples["shanks_candidate"]._replace(m=10**4299, ell=-(10**4300 - 1)),
+    }
+
+
+def _failing_objects():
+    samples = sample_objects()
+    return {
+        "not_a_result": object(),
+        "internal": class_number(2),
+        "nested_internal_class": samples["cyclotomic_tower"].provenance,
+        "unknown_kind": _Mystery(1),
+        "nan": samples["hl_constant"]._replace(constant=float("nan")),
+        "nested_nan": samples["cyclotomic_tower"]._replace(
+            provenance=samples["cyclotomic_tower"].provenance._replace(integrality_gap=float("nan"))
+        ),
+        "int_4301_digits": samples["shanks_candidate"]._replace(m=10**4300),
+    }
+
+
+class TestLineOfResultObject:
+    """to_json_line(obj) writes in one pass the line of record_for(obj)."""
+
+    @pytest.mark.parametrize("case", sorted(_line_objects()))
+    def test_same_line_as_its_record(self, case):
+        obj = _line_objects()[case]
+        line = _line_or_error(to_json_line, obj)
+        assert isinstance(line, str)
+        assert line == _line_or_error(_via_record, obj)
+
+    @pytest.mark.parametrize("case", sorted(_failing_objects()))
+    def test_same_error_as_its_record(self, case):
+        obj = _failing_objects()[case]
+        error = _line_or_error(to_json_line, obj)
+        assert isinstance(error, tuple) and error[0] is DomainError
+        assert error == _line_or_error(_via_record, obj)
+
+    def test_candidate_lines_of_a_search(self):
+        for cand in search_shanks_candidates(3000):
+            assert _line_or_error(to_json_line, cand) == _line_or_error(_via_record, cand)
 
 
 class TestRecordValue:
@@ -714,7 +796,7 @@ class TestFastPathAgreesWithDecoding:
         def refuse(*args, **kwargs):
             raise AssertionError("the fast path decoded the line")
 
-        monkeypatch.setattr(records.json, "loads", refuse)
+        monkeypatch.setattr(json, "loads", refuse)
         monkeypatch.setattr(records, "canonical_json", refuse)
         assert parse_record(line) == expected
 

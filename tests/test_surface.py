@@ -71,9 +71,10 @@ def test_package_import_loads_no_submodule():
 CLI_BASE = {f"towercert{m}" for m in ("", ".cli", ".arith", ".errors", ".records")}
 
 
-# The standard modules the probe reports: the process pool's, and dataclasses
-# and inspect (which imports ast, dis and tokenize), which no command loads.
-REPORTED = ("multiprocessing", "dataclasses", "inspect")
+# The standard modules the probe reports: the process pool's; dataclasses
+# and inspect (which imports ast, dis and tokenize), which no command loads;
+# and json, which only a command that decodes a record loads.
+REPORTED = ("multiprocessing", "dataclasses", "inspect", "json")
 
 
 def _loaded_in_fresh_process(code):
@@ -115,6 +116,11 @@ def test_cli_import_and_parser_compile_no_record_pattern():
     assert proc.stdout == "True\nFalse\n"
 
 
+def _with(added):
+    """CLI_BASE and added: towercert submodules, and modules of REPORTED by name."""
+    return CLI_BASE | {m if m in REPORTED else f"towercert.{m}" for m in added}
+
+
 @pytest.mark.parametrize(
     "argv, added",
     [
@@ -122,7 +128,8 @@ def test_cli_import_and_parser_compile_no_record_pattern():
         ("furuta --ell 5 --m-e 30", {"elliptic"}),
         ("search --m-max 20", {"hlsearch"}),
         ("hl constant --prime-bound 1000", {"hlsearch"}),
-        ("certify cyclotomic --m 50", {"hlsearch", "cubic", "tower"}),
+        # its exit code is read from its record's payload
+        ("certify cyclotomic --m 50", {"hlsearch", "cubic", "tower", "json"}),
         ("verify residue-claim --weight 12", {"modforms"}),
         ("certify eigenform --weight 12 --ell 877", {"modforms"}),
         ("hl count --x 1000 --prime-bound 1000", {"hlsearch"}),
@@ -133,7 +140,16 @@ def test_command_loads_only_its_modules(argv, added):
         "import os, towercert.cli as cli\n"
         f"assert cli.main({argv.split()!r} + ['--out', os.devnull]) == 0"
     )
-    assert _loaded_in_fresh_process(code) == CLI_BASE | {f"towercert.{m}" for m in added}
+    assert _loaded_in_fresh_process(code) == _with(added)
+
+
+def test_eigenform_reading_a_search_registry_loads_no_json(tmp_path):
+    # every line of a search --out file is checked in place, with nothing decoded
+    registry = tmp_path / "registry.jsonl"
+    assert main(["search", "--m-max", "600", "--out", str(registry)]) == 0
+    argv = ["certify", "eigenform", "--weight", "12", "--ell", "877", "--registry", str(registry)]
+    code = f"import os, towercert.cli as cli\nassert cli.main({argv!r} + ['--out', os.devnull]) == 0"
+    assert _loaded_in_fresh_process(code) == _with({"modforms"})
 
 
 def test_eigenform_citing_a_tower_loads_tower(tmp_path):
@@ -142,8 +158,9 @@ def test_eigenform_citing_a_tower_loads_tower(tmp_path):
     assert main(["search", "--m-max", "60", "--certify", "--out", str(towers)]) == 0
     argv = ["certify", "eigenform", "--weight", "12", "--ell", "2659", "--registry", str(towers)]
     code = f"import os, towercert.cli as cli\nassert cli.main({argv!r} + ['--out', os.devnull]) == 0"
-    added = {"towercert.modforms", "towercert.tower", "towercert.cubic", "towercert.hlsearch"}
-    assert _loaded_in_fresh_process(code) == CLI_BASE | added
+    # the cited tower record's payload is decoded
+    added = {"modforms", "tower", "cubic", "hlsearch", "json"}
+    assert _loaded_in_fresh_process(code) == _with(added)
 
 
 def test_search_jobs_loads_tower_before_the_pool_forks():
@@ -158,8 +175,8 @@ def test_search_jobs_loads_tower_before_the_pool_forks():
         "argv = ['search', '--m-max', '30', '--certify', '--jobs', '2', '--out', os.devnull]\n"
         "assert cli.main(argv) == 0"
     )
-    added = {"towercert.hlsearch", "towercert.cubic", "towercert.tower", "multiprocessing"}
-    assert _loaded_in_fresh_process(code) == CLI_BASE | added
+    added = {"hlsearch", "cubic", "tower", "multiprocessing"}
+    assert _loaded_in_fresh_process(code) == _with(added)
 
 
 def test_readme_library_snippet_runs():
