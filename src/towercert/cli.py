@@ -44,7 +44,6 @@ from .errors import (
 )
 from .records import (
     _MAX_INT_DIGITS,
-    format_float,
     parse_record,
     record_for,
     rejection_record,
@@ -210,7 +209,6 @@ def build_parser() -> argparse.ArgumentParser:
     hcount = hl_sub.add_parser("count", parents=[common])
     hcount.add_argument("--x", type=int, required=True)
     hcount.add_argument("--prime-bound", type=int, default=10**6, metavar="B")
-    hcount.add_argument("--format", choices=("jsonl", "csv"), default="jsonl")
     hcount.set_defaults(handler=_cmd_hl_count)
 
     fur = sub.add_parser("furuta", parents=[common], help="Furuta witness construction")
@@ -242,14 +240,15 @@ def _parse_residues(text: str) -> frozenset[int]:
 
 
 def _certify_record(m: int):
-    """The record certify_cyclotomic(m) yields, and whether it failed numerically.
+    """certify_cyclotomic(m)'s record, whether it certifies, and whether it failed numerically.
 
     A rejection, or a numeric failure with its diagnostics, becomes a
     rejection record, so a sweep emits it in place and carries on.
     """
     context = {"m": m, "ell": shanks_value(m)}
     try:
-        return record_for(certify_cyclotomic(m)), False
+        certificate = certify_cyclotomic(m)
+        return record_for(certificate), certificate.certified, False
     except CertificationRejected as exc:
         reasons, context, failed = exc.reasons, exc.context, False
     except IntegralityError as exc:
@@ -258,7 +257,7 @@ def _certify_record(m: int):
     except NumericError as exc:
         reasons, failed = ["numeric"], True
         context["message"] = str(exc)
-    return rejection_record("certify cyclotomic", reasons, context), failed
+    return rejection_record("certify cyclotomic", reasons, context), False, failed
 
 
 def _search_lines(certify: bool, cand):
@@ -269,7 +268,7 @@ def _search_lines(certify: bool, cand):
     """
     if not (certify and cand.is_prime_ell):
         return to_json_line(cand), None
-    record, failed = _certify_record(cand.m)
+    record, _, failed = _certify_record(cand.m)
     return to_json_line(cand) + "\n" + to_json_line(record), cand.m if failed else None
 
 
@@ -305,11 +304,11 @@ def _cmd_certify_cyclotomic(args, emitter) -> int:
     m = args.m if args.m is not None else m_from_prime(args.ell)
     if m is None:
         raise CertificationRejected(["not_shanks_form"], ell=args.ell)
-    record, failed = _certify_record(m)
+    record, certified, failed = _certify_record(m)
     emitter.record(record)
     if failed:
         raise NumericError(f"class number computation failed for m in {[m]}")
-    return EXIT_OK if record.payload.get("certified") else EXIT_REJECTED
+    return EXIT_OK if certified else EXIT_REJECTED
 
 
 def _cited_tower(path: str, ell: int):
@@ -377,15 +376,8 @@ def _cmd_hl_count(args, emitter) -> int:
 
     constant_result = hl_constant(args.prime_bound)
     report = empirical_prime_count(CONDUCTOR_POLY, args.x, constant_result.constant)
-    if args.format == "csv":
-        emitter.line("x,count,estimate,ratio")
-        emitter.line(
-            f"{report.x},{report.count},"
-            f"{format_float(report.estimate)},{format_float(report.ratio)}"
-        )
-    else:
-        emitter.record(record_for(constant_result))
-        emitter.record(record_for(report))
+    emitter.record(record_for(constant_result))
+    emitter.record(record_for(report))
     return EXIT_OK
 
 

@@ -9,17 +9,20 @@ once, by sieving over the roots of f mod p (Jacobson and Williams, Math.
 Comp. 72 (2003) 499-519).  The range is sieved by the primes p <= P, where
 P = min(isqrt(its largest value), 2^20): each k = r (mod p) with
 f(r) = 0 (mod p) is crossed off.  The roots are found once per range and
-the k are crossed off in blocks of 2^20.  Every quadratic the program
-sieves has discriminant d = -3s^2 (a its leading coefficient), so a prime
-p not dividing 6sa has roots only if -3 is a square mod p, i.e. p = 1
-(mod 3).  Such a p is x^2 + 3y^2 with x, y >= 1 in exactly one way (Cox,
-Primes of the Form x^2 + ny^2, Sec. 1): the form is the only reduced one
-of discriminant -12, so p has 2(1 + (-3/p)) = 4 representations by it,
-(+-x, +-y).  Then x^2 = -3y^2 (mod p) gives sqrt(d) = sx/y, so the roots
-come from walking the form over x, y of opposite parity with 3 not
-dividing x, where the prime sieve flags its prime values.  Any other
-quadratic, and the primes dividing 6sa, go through the general root
-finder and its square roots by Tonelli-Shanks.  The decision is exact.  A
+the k are crossed off in blocks of 2^20.  The sieve takes only a quadratic
+with a > 0 and discriminant d = -3s^2, s >= 1 (a its leading coefficient):
+both of the paper's, and each restriction m = ck + r of m^2 + 3m + 9
+(d = -27c^2).  Any other quadratic raises DomainError before any sieving.
+The primes dividing 6sa have their roots by hand: p = 2 by trying 0 and 1,
+an odd p | a by the linear case, and any other such p divides d, so
+-b/(2a) is the one root.  Every other p has roots only if -3 is a square
+mod p, i.e. p = 1 (mod 3).  Such a p is x^2 + 3y^2 with x, y >= 1 in
+exactly one way (Cox, Primes of the Form x^2 + ny^2, Sec. 1): the form is
+the only reduced one of discriminant -12, so p has 2(1 + (-3/p)) = 4
+representations by it, (+-x, +-y).  Then x^2 = -3y^2 (mod p) gives
+sqrt(d) = sx/y, so the roots come from walking the form over x, y of
+opposite parity with 3 not dividing x, where the prime sieve flags its
+prime values.  No square root mod p is taken.  The decision is exact.  A
 survivor below (P + 1)^2 is prime, because a composite value below
 (P + 1)^2 has a prime factor <= P; only a survivor above that, which needs
 P at the cap, goes to is_prime.  A value f(k) <= P is read from the prime
@@ -84,7 +87,7 @@ MAX_PRIME_BOUND = 10**8
 
 
 class QuadraticIntPoly(NamedTuple):
-    """Integer quadratic a*x^2 + b*x + c; empirical_prime_count rejects a <= 0."""
+    """Integer quadratic a*x^2 + b*x + c; the prime-value sieve takes a > 0, discriminant -3s^2."""
 
     a: int
     b: int
@@ -155,89 +158,62 @@ def m_from_prime(ell: int) -> int | None:
     return m if m >= 1 else None
 
 
-def _sqrt_mod(n: int, p: int) -> int | None:
-    """A square root of n mod the odd prime p, n != 0 mod p, or None for a non-residue.
-
-    Euler's criterion detects a non-residue; Tonelli-Shanks (Cohen, GTM 138,
-    Alg. 1.5.1) finds the root, with no loop pass for p = 3 mod 4.  Only a
-    quadratic whose discriminant is not -3s^2 needs it (see _root_table).
-    """
-    if pow(n, (p - 1) // 2, p) != 1:
-        return None
-    q, e = p - 1, 0
-    while q % 2 == 0:
-        q //= 2
-        e += 1
-    z = 2
-    while pow(z, (p - 1) // 2, p) == 1:
-        z += 1
-    y, x, b = pow(z, q, p), pow(n, (q + 1) // 2, p), pow(n, q, p)
-    while b != 1:
-        m, t = 1, b * b % p
-        while t != 1:
-            t = t * t % p
-            m += 1
-        t = pow(y, 1 << (e - m - 1), p)
-        y, e, x, b = t * t % p, m, x * t % p, b * t * t % p
-    return x
+def _sieved_s(poly: QuadraticIntPoly) -> int:
+    """s >= 1 with poly's discriminant -3s^2; DomainError unless a > 0 and there is one."""
+    if poly.a <= 0:
+        raise DomainError("polynomial must have positive leading coefficient")
+    d = poly.b * poly.b - 4 * poly.a * poly.c
+    s = exact_sqrt(-d // 3) if d < 0 and d % 3 == 0 else None
+    if s is None:
+        raise DomainError(f"the prime-value sieve needs discriminant -3s^2 with s >= 1, got {d}")
+    return s
 
 
-def _roots_mod(poly: QuadraticIntPoly, d: int, p: int) -> tuple[int, ...] | None:
-    """The roots of poly mod the prime p (d its discriminant), or None.
+def _roots_mod(poly: QuadraticIntPoly, p: int) -> tuple[int, ...] | None:
+    """The roots of poly mod a prime p dividing 6sa (discriminant -3s^2), or None.
 
     None means the odd p divides all three coefficients, so every value; for
-    p = 2 that case is the two roots 0 and 1.
+    p = 2 that case is the two roots 0 and 1.  An odd p that does not divide
+    a divides 3s, so the discriminant, and -b/(2a) is the one root.
     """
-    a, b, c = poly.a, poly.b, poly.c
+    a, b, c = poly
     if p == 2:
         return tuple(k for k in (0, 1) if poly.evaluate(k) % 2 == 0)
     if a % p == 0:
         if b % p:
             return (-c * pow(b, -1, p) % p,)
         return None if c % p == 0 else ()
-    if d % p == 0:
-        return (-b * pow(2 * a, -1, p) % p,)
-    t = _sqrt_mod(d % p, p)
-    if t is None:
-        return ()
-    inverse = pow(2 * a, -1, p)
-    return ((t - b) * inverse % p, (-t - b) * inverse % p)
+    return (-b * pow(2 * a, -1, p) % p,)
 
 
 def _root_table(
-    poly: QuadraticIntPoly, sieve: bytearray, bound: int
+    poly: QuadraticIntPoly, s: int, sieve: bytearray, bound: int
 ) -> tuple[array, array, bool]:
     """(moduli, roots, divides_all): each root r of poly mod a prime p <= bound, as p and r.
 
-    sieve is prime_flags(B) for some B >= bound.  divides_all says that an
-    odd prime divides all three coefficients; such a prime has no entry.
-    When the discriminant is d = -3s^2, a prime p not dividing 6sa has
-    roots only if p = x^2 + 3y^2 (see the module docstring), and they are
+    poly has a > 0 and discriminant -3s^2, s >= 1, and sieve is
+    prime_flags(B) for some B >= bound.  divides_all says that an odd prime
+    divides all three coefficients; such a prime has no entry.  The primes
+    dividing 6sa go to _roots_mod.  Any other p has roots only if
+    p = x^2 + 3y^2 (see the module docstring), and they are
     (+-sx - by) / (2ay) mod p.  The form is walked row by row in y: sieve
     says which of a row's values are prime, and maps of C functions make
     their roots, with one pow(., -1, p) a prime and no Python code per
-    prime.  Every other prime, and every quadratic of another shape, goes
-    through _roots_mod.
+    prime.
     """
     a, b = poly.a, poly.b
-    d = b * b - 4 * a * poly.c
-    s = exact_sqrt(-d // 3) if d < 0 and d % 3 == 0 else None
     moduli, roots = array("I"), array("I")
     divides_all = False
-    primes = primes_between(sieve, 2, bound)
-    if s is not None:
-        e = abs(6 * s * a)  # only the primes dividing 6sa go to _roots_mod
-        primes = list(filterfalse(e.__mod__, primes_between(sieve, 2, min(bound, e))))
+    e = 6 * s * a
+    primes = list(filterfalse(e.__mod__, primes_between(sieve, 2, min(bound, e))))
     for p in primes:
-        rs = _roots_mod(poly, d, p)
+        rs = _roots_mod(poly, p)
         if rs is None:
             divides_all = True
             continue
         for r in rs:
             moduli.append(p)
             roots.append(r)
-    if s is None:
-        return moduli, roots, divides_all
     if skip := [p for p in primes if p % 3 == 1]:
         sieve = bytearray(sieve)  # a copy without the primes _roots_mod took
         for p in skip:
@@ -285,19 +261,22 @@ def _prime_value_blocks(
 ) -> Iterator[tuple[int, bytearray]]:
     """Blocks (k0, flags) covering start <= k < stop: flags[k - k0] is 1 iff poly(k) is prime.
 
-    poly needs a > 0 and start >= 0; the module docstring gives the method.
-    One prime sieve and one root table serve the whole range; each block
-    holds _SIEVE_CAP k, the last one fewer.  So the first block waits for
-    the whole table, which at P = 2^20 holds the two roots mod each prime
-    p = 1 (mod 3): 81,970 entries for CONDUCTOR_POLY.
+    start >= 0, and poly needs a > 0 and discriminant -3s^2, s >= 1: for any
+    other the first next() raises DomainError, before any sieving.  The
+    module docstring gives the method.  One prime sieve and one root table
+    serve the whole range; each block holds _SIEVE_CAP k, the last one
+    fewer.  So the first block waits for the whole table, which at P = 2^20
+    holds the two roots mod each prime p = 1 (mod 3): 81,970 entries for
+    CONDUCTOR_POLY.
     """
+    s = _sieved_s(poly)
     if start >= stop:
         return
     f = poly.evaluate
     # poly is convex, so the range's largest value is at one of its ends
-    bound = min(isqrt(max(f(start), f(stop - 1), 0)), _SIEVE_CAP)
+    bound = min(isqrt(max(f(start), f(stop - 1))), _SIEVE_CAP)
     sieve = prime_flags(bound)
-    moduli, roots, divides_all = _root_table(poly, sieve, bound)
+    moduli, roots, divides_all = _root_table(poly, s, sieve, bound)
     exact = _below(poly, (bound + 1) ** 2)
     small = _below(poly, bound + 1)
     for k0 in range(start, stop, _SIEVE_CAP):
@@ -317,9 +296,7 @@ def _prime_value_blocks(
                 if not is_prime(f(k)):
                     flags[k - k0] = 0
         for k in range(max(k0, small.start), min(k1, small.stop)):
-            v = f(k)
-            # v >= 2 first: a negative v would index the sieve from its end
-            flags[k - k0] = v >= 2 and sieve[v]
+            flags[k - k0] = sieve[f(k)]  # every value is positive, and sieve[1] is 0
         yield k0, flags
 
 
@@ -414,15 +391,15 @@ def empirical_prime_count(
     logarithm.  The inequality is strict: only values below x count.  The
     k with poly(k) < x form one interval, found with the integer square
     root, and the count is exact: the sum of the prime-value sieve's flags
-    over that interval (see the module docstring).  Memory is bounded for
-    any x up to 2^63.
+    over that interval (see the module docstring), so poly must have a > 0
+    and discriminant -3s^2, s >= 1.  Memory is bounded for any x up to
+    2^63.
     """
     if x < 19:
         raise DomainError(f"cutoff x must be at least 19, got {x}")
     if x > MAX_NATURAL:
         raise InputRangeError(f"cutoff x={x} outside the 63-bit range")
-    if poly.a <= 0:
-        raise DomainError("polynomial must have positive leading coefficient")
+    _sieved_s(poly)  # before any sieving
     if constant <= 0:
         raise DomainError(f"constant must be positive, got {constant}")
     ks = _below(poly, x)

@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+from collections import defaultdict
 from itertools import islice
 from math import isqrt
 
@@ -35,27 +36,29 @@ FROZEN_CONSTANT_1E6 = 0.28015118850435017
 SEGMENT_EDGES = [k * arith._SEGMENT + d for k in (1, 2, 3) for d in (-1, 0, 1)]
 
 
-class TestSqrtMod:
-    # p = 1, 3, 5, 7 mod 8; 97, 257 and 7681 have 2^5, 2^8 and 2^9 in p - 1,
-    # so Tonelli-Shanks runs its loop several times
-    @pytest.mark.parametrize(
-        "p", [17, 41, 97, 257, 7681] + [3, 11, 19] + [5, 13, 29] + [7, 23, 31, 8191]
-    )
-    def test_against_brute_force(self, p):
-        squares = {x * x % p for x in range(1, p)}
-        for n in range(1, p):
-            x = hlsearch._sqrt_mod(n, p)
-            if n in squares:
-                assert x is not None and x * x % p == n, n
-            else:
-                assert x is None, n
-
-
 class TestDiscriminant:
     # QuadraticIntPoly itself accepts a = 0; its consumer empirical_prime_count rejects it
     def test_zero_leading_coefficient_rejected(self):
         with pytest.raises(DomainError, match="positive leading coefficient"):
             empirical_prime_count(QuadraticIntPoly(0, 1, 19), 100, 0.28)
+
+    # the sieve takes a > 0 and D = -3s^2, s >= 1 only: not D = -163, -3 * 8,
+    # 0 (k^2), 8 or 5, nor a = 0 or a < 0 (D = -3 for (-1, -1, -1))
+    @pytest.mark.parametrize(
+        "coefficients",
+        [(1, 1, 41), (1, 0, 6), (1, 0, 0), (1, 0, -2), (1, 3, 1), (0, 1, 19), (-1, -1, -1)],
+        ids=str,
+    )
+    def test_other_quadratics_rejected_before_sieving(self, monkeypatch, coefficients):
+        def no_sieve(bound):
+            raise AssertionError(f"prime_flags({bound}) called")
+
+        monkeypatch.setattr(hlsearch, "prime_flags", no_sieve)
+        poly = QuadraticIntPoly(*coefficients)
+        with pytest.raises(DomainError):
+            empirical_prime_count(poly, 10**6, 0.3)
+        with pytest.raises(DomainError):
+            next(hlsearch._prime_value_blocks(poly, 0, 100))
 
 
 class TestShanksValue:
@@ -309,15 +312,35 @@ class TestEmpiricalCount:
             empirical_prime_count(CONDUCTOR_POLY, 100, 0.0)
 
 
-# Odd |D| (-27, -163), a value 1 at k = 0, p | 2a, and a = 6.
-SIEVE_POLYS = [(1, 3, 9), (1, 1, 41), (1, 0, 1), (2, 0, 1), (6, 5, 7)]
+# D = -3s^2 for each: odd |D| (-27, -3), a value 1 at k = 0, p | 2a, 3 | a and 7 | a.
+SIEVE_POLYS = [(1, 3, 9), (1, 1, 1), (4, 2, 1), (3, 3, 1), (7, 1, 1)]
 
 # m^2 + 3m + 9 at m = 35k + 2 and m = 36k + 5, with D = -3 * 105^2 and -3 * 108^2:
 # 3 divides s but not a = 35^2, 5 and 7 divide a, and 2 and 3 divide a = 36^2
 RESTRICTIONS = [(1225, 245, 19), (1296, 468, 49)]
 
-# the quadratics of test_cube_root_table_equals_roots_mod
-TABLE_POLYS = [(144, 84, 19), (1, 3, 9)] + RESTRICTIONS + [(1, 5, 25), (7, 1, 1)]
+# D = -3s^2 for each; p = 5 divides s = 5 but not 6a for (1, 5, 25), p = 7
+# divides a = 7 but not 6s for (7, 1, 1), 2 divides a = 4 for (4, 2, 1), and
+# 7 = 2^2 + 3 * 1^2 divides all of (7, 7, 7)
+TABLE_POLYS = [(144, 84, 19), (1, 3, 9)] + RESTRICTIONS + [
+    (1, 5, 25),
+    (7, 1, 1),
+    (4, 2, 1),
+    (7, 7, 7),
+]
+
+
+@st.composite
+def sieved_quadratics(draw):
+    """(a, b, c) with a > 0 and discriminant -3s^2, s >= 1: 4a divides b^2 + 3s^2."""
+    a = draw(st.integers(min_value=1, max_value=12))
+    m = 4 * a
+    pairs = [(b, s) for b in range(m) for s in range(1, m + 1) if (b * b + 3 * s * s) % m == 0]
+    b, s = draw(st.sampled_from(pairs))
+    # shifts by 4a keep b^2 + 3s^2 mod 4a; a negative b puts the vertex right of 0
+    b += m * draw(st.integers(min_value=-2, max_value=2))
+    s += m * draw(st.integers(min_value=0, max_value=1))
+    return a, b, (b * b + 3 * s * s) // m
 
 
 def _counting_is_prime(monkeypatch):
@@ -354,16 +377,11 @@ class TestPrimeValueSieve:
         assert report.count == brute_quadratic_prime_count(*coefficients, x)
 
     @settings(max_examples=60, deadline=None)
-    @given(
-        st.integers(min_value=1, max_value=12),
-        st.integers(min_value=-60, max_value=60),
-        st.integers(min_value=-60, max_value=60),
-        st.integers(min_value=19, max_value=10**5),
-    )
-    def test_any_positive_quadratic_against_trial_division(self, a, b, c, x):
-        # negative and small values, a vertex right of 0, a common factor of all coefficients
-        report = empirical_prime_count(QuadraticIntPoly(a, b, c), x, 0.3)
-        assert report.count == brute_quadratic_prime_count(a, b, c, x)
+    @given(sieved_quadratics(), st.integers(min_value=19, max_value=10**5))
+    def test_any_sieved_quadratic_against_trial_division(self, coefficients, x):
+        # small values, a vertex right of 0, a common factor of all coefficients
+        report = empirical_prime_count(QuadraticIntPoly(*coefficients), x, 0.3)
+        assert report.count == brute_quadratic_prime_count(*coefficients, x)
 
     @pytest.mark.parametrize("coefficients", SIEVE_POLYS + [(144, 84, 19)] + RESTRICTIONS, ids=str)
     def test_cutoff_at_and_just_above_a_value(self, coefficients):
@@ -376,11 +394,11 @@ class TestPrimeValueSieve:
 
     @pytest.mark.parametrize(
         "coefficients",
-        [(2, 2, 2), (3, 3, 3), (5, 0, 5), (7, 7, 7), (13, 0, 13), (19, 0, 19), (23, 23, 23)],
+        [(c, c, c) for c in (2, 3, 5, 7, 13, 19, 23)],
         ids=str,
     )
     def test_content_prime_has_its_one_prime_value(self, coefficients):
-        # the content c = f(0) divides every value, so f(0) is the one prime value
+        # D = -3c^2; the content c = f(0) divides every value, so f(0) is the one prime value
         poly = QuadraticIntPoly(*coefficients)
         c = poly.evaluate(0)
         k0, flags = next(hlsearch._prime_value_blocks(poly, 0, 5000))
@@ -394,10 +412,11 @@ class TestPrimeValueSieve:
 
     @pytest.mark.parametrize(
         "coefficients, k, p",
-        [((1, 1, 41), 0, 41), ((1, 0, 1), 1, 2), ((1, 3, 9), 1, 13), ((6, 5, 7), 0, 7)],
+        [((1, 1, 1), 1, 3), ((1, 1, 1), 2, 7), ((1, 3, 9), 1, 13), ((4, 2, 1), 1, 7)],
     )
     def test_value_equal_to_a_sieving_prime_is_kept(self, coefficients, k, p):
-        # p divides its own value f(k) = p, and the first block sieves by p
+        # p divides its own value f(k) = p, and the first block sieves by p:
+        # 3 divides 6sa, and 7 and 13 are x^2 + 3y^2
         poly = QuadraticIntPoly(*coefficients)
         assert poly.evaluate(k) == p
         k0, flags = next(hlsearch._prime_value_blocks(poly, 0, 5000))
@@ -421,10 +440,14 @@ class TestPrimeValueSieve:
         for cand in search_shanks_candidates(3000, frozenset(range(12))):
             assert cand.is_prime_ell == is_prime(cand.ell), cand
         assert calls and min(calls) > 31**2
-        # k^2 has the survivor 31^2, the least value that needs the test
-        for coefficients in SIEVE_POLYS + RESTRICTIONS + [(144, 84, 19), (1, 0, 0)]:
+        # k^2 + 432 (D = -3 * 24^2) has the survivor 31^2 at k = 23, the least
+        # value that needs the test
+        assert QuadraticIntPoly(1, 0, 432).evaluate(23) == 31**2
+        for coefficients in SIEVE_POLYS + RESTRICTIONS + [(144, 84, 19), (1, 0, 432)]:
+            calls.clear()
             poly = QuadraticIntPoly(*coefficients)
             assert empirical_prime_count(poly, 10**7, 0.3).count == prime_count_mr(poly, 10**7)
+        assert min(calls) == 31**2
 
     @pytest.mark.parametrize(
         "run",
@@ -465,57 +488,52 @@ class TestPrimeValueSieve:
             pass
         assert calls == []
 
-    def test_survey_commands_reach_no_tonelli_shanks(self, monkeypatch):
-        # D = -3s^2 for both, so only the primes dividing 6sa may reach _sqrt_mod;
-        # those are 2 and 3, and _roots_mod settles both without a square root
-        calls = []
-        sqrt_mod = hlsearch._sqrt_mod
-
-        def counted(n, p):
-            calls.append(p)
-            return sqrt_mod(n, p)
-
-        monkeypatch.setattr(hlsearch, "_sqrt_mod", counted)
-        empirical_prime_count(CONDUCTOR_POLY, 1004000000000, 0.28)
-        for _ in search_shanks_candidates(100_300):
-            pass
-        assert calls == []
-
-    # D = -3s^2 for each; p = 5 divides s = 5 but not 6a, and p = 7 divides a = 7 but not 6s
-    @pytest.mark.parametrize(
-        "coefficients",
-        [(144, 84, 19), (1, 3, 9)] + RESTRICTIONS + [(1, 5, 25), (7, 1, 1)],
-        ids=str,
-    )
-    def test_cube_root_table_equals_roots_mod(self, coefficients):
+    @pytest.mark.parametrize("coefficients", TABLE_POLYS, ids=str)
+    def test_table_against_root_counts(self, coefficients):
+        # an oracle with no square root mod p: every entry is a root, none twice;
+        # p not dividing 6sa has 1 + (-3/p) roots, (-3/p) by Euler's criterion;
+        # p dividing 6sa has the roots a search over range(p) finds
         poly = QuadraticIntPoly(*coefficients)
-        bound = 1 << 20
+        f, s, bound = poly.evaluate, hlsearch._sieved_s(poly), 1 << 20
         sieve = arith.prime_flags(bound)
-        d = poly.b * poly.b - 4 * poly.a * poly.c
-        expected = []
-        for p in arith.primes_between(sieve, 2, bound):
-            expected += [(p, r) for r in hlsearch._roots_mod(poly, d, p)]
-        moduli, roots, divides_all = hlsearch._root_table(poly, sieve, bound)
-        assert not divides_all
-        assert sorted(zip(moduli, roots)) == sorted(expected)
+        moduli, roots, divides_all = hlsearch._root_table(poly, s, sieve, bound)
+        table = defaultdict(list)
+        for p, r in zip(moduli, roots):
+            assert r < p and f(r) % p == 0, (p, r)
+            table[p].append(r)
+        primes = list(arith.primes_between(sieve, 2, bound))
+        assert set(table) <= set(primes)
+        assert len(set(zip(moduli, roots))) == len(moduli)
+        divides = False
+        for p in primes:
+            if (6 * s * poly.a) % p:
+                assert len(table[p]) == (2 if pow(-3, (p - 1) // 2, p) == 1 else 0), p
+            elif p > 2 and f(0) % p == f(1) % p == f(-1) % p == 0:
+                divides = True  # p divides all three coefficients: no entry
+                assert table[p] == [], p
+            else:
+                assert sorted(table[p]) == [r for r in range(p) if f(r) % p == 0], p
+        assert divides_all == divides == (coefficients == (7, 7, 7))
 
-    # D = -3s^2 for the first seven, and 7 = 2^2 + 3 * 1^2 divides all of (7, 7, 7);
-    # D = -163 for (1, 1, 41), so every prime goes through _roots_mod
-    @pytest.mark.parametrize("coefficients", TABLE_POLYS + [(7, 7, 7), (1, 1, 41)], ids=str)
-    def test_table_equals_roots_mod_at_small_bounds(self, coefficients):
+    @pytest.mark.parametrize("coefficients", TABLE_POLYS, ids=str)
+    def test_table_equals_brute_force_at_small_bounds(self, coefficients):
         # small bounds leave the rows of x^2 + 3y^2 empty or partial
         poly = QuadraticIntPoly(*coefficients)
-        d = poly.b * poly.b - 4 * poly.a * poly.c
+        f, s = poly.evaluate, hlsearch._sieved_s(poly)
+        content = [p for p in range(3, 501) if is_prime(p) and math.gcd(*coefficients) % p == 0]
+        expected = [
+            (p, r)
+            for p in range(2, 501)
+            if is_prime(p) and p not in content
+            for r in range(p)
+            if f(r) % p == 0
+        ]
         for bound in range(2, 501):
-            sieve = arith.prime_flags(bound)
-            expected, divides = [], False
-            for p in arith.primes_between(sieve, 2, bound):
-                rs = hlsearch._roots_mod(poly, d, p)
-                divides = divides or rs is None
-                expected += [(p, r) for r in rs or ()]
-            moduli, roots, divides_all = hlsearch._root_table(poly, sieve, bound)
-            assert divides_all == divides, bound
-            assert sorted(zip(moduli, roots)) == sorted(expected), bound
+            moduli, roots, divides_all = hlsearch._root_table(
+                poly, s, arith.prime_flags(bound), bound
+            )
+            assert divides_all == any(p <= bound for p in content), bound
+            assert sorted(zip(moduli, roots)) == [e for e in expected if e[0] <= bound], bound
 
     def test_conductor_table_takes_one_inverse_a_prime(self, monkeypatch):
         exponents, fallbacks = [], []
@@ -525,14 +543,14 @@ class TestPrimeValueSieve:
             exponents.append(exponent)
             return pow(base, exponent, modulus)
 
-        def counted_roots_mod(poly, d, p):
+        def counted_roots_mod(poly, p):
             fallbacks.append(p)
-            return roots_mod(poly, d, p)
+            return roots_mod(poly, p)
 
         monkeypatch.setattr(hlsearch, "pow", counted_pow, raising=False)
         monkeypatch.setattr(hlsearch, "_roots_mod", counted_roots_mod)
         sieve = arith.prime_flags(10**6)
-        hlsearch._root_table(CONDUCTOR_POLY, sieve, 10**6)
+        hlsearch._root_table(CONDUCTOR_POLY, 36, sieve, 10**6)
         ones = sum(p % 3 == 1 for p in arith.primes_between(sieve, 2, 10**6))
         # no cube root and no square root: only inverses pow(., -1, p)
         assert all(e < 0 for e in exponents)
