@@ -36,6 +36,26 @@ FROZEN_CONSTANT_1E6 = 0.28015118850435017
 SEGMENT_EDGES = [k * arith._SEGMENT + d for k in (1, 2, 3) for d in (-1, 0, 1)]
 
 
+class TestSqrtMod:
+    # the square roots mod p the sieve makes: those of -3t^2, as the roots of
+    # k^2 + 3t^2 (d = -3(2t)^2) in the root table; p = 1 (mod 3) from the form
+    # x^2 + 3y^2, none for p = 2 (mod 3), and p | 6s (t = p among them) by hand
+    @pytest.mark.parametrize(
+        "p", [17, 41, 97, 257, 7681] + [3, 11, 19] + [5, 13, 29] + [7, 23, 31, 8191]
+    )
+    def test_against_brute_force(self, p):
+        sieve = arith.prime_flags(p)
+        square_roots = defaultdict(list)
+        for x in range(p):
+            square_roots[x * x % p].append(x)
+        for t in [*range(1, min(p, 40)), p]:
+            poly = QuadraticIntPoly(1, 0, 3 * t * t)
+            moduli, roots, divides_all = hlsearch._root_table(poly, 2 * t, sieve, p)
+            assert not divides_all, t
+            table = sorted(r for q, r in zip(moduli, roots) if q == p)
+            assert table == square_roots[-3 * t * t % p], t
+
+
 class TestDiscriminant:
     # QuadraticIntPoly itself accepts a = 0; its consumer empirical_prime_count rejects it
     def test_zero_leading_coefficient_rejected(self):
@@ -412,11 +432,18 @@ class TestPrimeValueSieve:
 
     @pytest.mark.parametrize(
         "coefficients, k, p",
-        [((1, 1, 1), 1, 3), ((1, 1, 1), 2, 7), ((1, 3, 9), 1, 13), ((4, 2, 1), 1, 7)],
+        [
+            ((1, 1, 7), 0, 7),
+            ((1, 1, 1), 1, 3),
+            ((1, 3, 9), 1, 13),
+            ((7, 13, 7), 0, 7),
+            ((1, 1, 1), 2, 7),
+            ((4, 2, 1), 1, 7),
+        ],
     )
     def test_value_equal_to_a_sieving_prime_is_kept(self, coefficients, k, p):
         # p divides its own value f(k) = p, and the first block sieves by p:
-        # 3 divides 6sa, and 7 and 13 are x^2 + 3y^2
+        # 7 and 13 are x^2 + 3y^2, 3 divides 6sa, and 7 divides a = 7 but not b
         poly = QuadraticIntPoly(*coefficients)
         assert poly.evaluate(k) == p
         k0, flags = next(hlsearch._prime_value_blocks(poly, 0, 5000))
@@ -488,8 +515,22 @@ class TestPrimeValueSieve:
             pass
         assert calls == []
 
+    def test_survey_commands_reach_no_tonelli_shanks(self, monkeypatch):
+        # no square root mod p on the survey commands' path: every pow is an inverse
+        exponents = []
+
+        def counted_pow(base, exponent, modulus):
+            exponents.append(exponent)
+            return pow(base, exponent, modulus)
+
+        monkeypatch.setattr(hlsearch, "pow", counted_pow, raising=False)
+        empirical_prime_count(CONDUCTOR_POLY, 1004000000000, 0.28)
+        for _ in search_shanks_candidates(100_300):
+            pass
+        assert exponents and set(exponents) == {-1}
+
     @pytest.mark.parametrize("coefficients", TABLE_POLYS, ids=str)
-    def test_table_against_root_counts(self, coefficients):
+    def test_cube_root_table_equals_roots_mod(self, coefficients):
         # an oracle with no square root mod p: every entry is a root, none twice;
         # p not dividing 6sa has 1 + (-3/p) roots, (-3/p) by Euler's criterion;
         # p dividing 6sa has the roots a search over range(p) finds
@@ -516,7 +557,7 @@ class TestPrimeValueSieve:
         assert divides_all == divides == (coefficients == (7, 7, 7))
 
     @pytest.mark.parametrize("coefficients", TABLE_POLYS, ids=str)
-    def test_table_equals_brute_force_at_small_bounds(self, coefficients):
+    def test_table_equals_roots_mod_at_small_bounds(self, coefficients):
         # small bounds leave the rows of x^2 + 3y^2 empty or partial
         poly = QuadraticIntPoly(*coefficients)
         f, s = poly.evaluate, hlsearch._sieved_s(poly)
