@@ -10,7 +10,7 @@ NumericError or ResourceLimitError is exit 3, as is output that cannot be
 written (a closed pipe, a full disk).  A composite `certify eigenform
 --ell` is rejected (exit 1) before its --registry file is opened.  Nothing
 is randomized and no environment variables are read; identical arguments
-reproduce identical records modulo the timestamp field.
+reproduce identical bytes.
 
 A command loads only the modules it runs.  Importing this module and
 building the parser load arith, errors and records; every other library
@@ -368,7 +368,7 @@ def _cmd_hl_constant(args, emitter) -> int:
 
 
 def _cmd_hl_count(args, emitter) -> int:
-    # empirical_prime_count checks x too, but only after the sieve has run
+    # empirical_prime_count checks x too, but hl_constant runs before it
     if args.x < 19:
         raise DomainError("--x must be at least 19 (the least conductor value)")
     check_natural(args.x, "--x")

@@ -11,16 +11,17 @@ canonical: keys keep their insertion order, floats print with 17
 significant digits (lowercase exponent, trailing ".0" when the mantissa
 would otherwise look integral), strings escape to ASCII.  The content
 hash is sha256 over the canonical bytes of (schema_version, kind,
-payload); the timestamp is excluded so reruns are byte-identical modulo
-that one field.  canonical_json, the only payload walker, builds the
-payload's text once per record, and _framed puts the schema version and
-kind in front of it: that one string is both the hashed text (with its
-closing brace) and the start of the line, which the hash and timestamp
-end.  A record holds the payload text as payload_text, and its payload is
-decoded from the text on each read, so writing a record decodes nothing
-and the payload is what the line decodes to.  to_json_line also takes a
-result object and writes its line in that one pass, with no record built
-in between: the line, and every error, are those of its record.
+payload), and a line is that text with the hash before its closing brace:
+nothing in it depends on when it was written, so a rerun writes identical
+bytes.  canonical_json, the only payload walker, builds the payload's
+text once per record, and _framed puts the schema version and kind in
+front of it: that one string is both the hashed text (with its closing
+brace) and the start of the line, which the hash ends.  A record holds
+the payload text as payload_text, and its payload is decoded from the
+text on each read, so writing a record decodes nothing and the payload is
+what the line decodes to.  to_json_line also takes a result object and
+writes its line in that one pass, with no record built in between: the
+line, and every error, are those of its record.
 canonical_json dispatches on the exact type of each value; subclasses of
 the JSON types and result objects take a slower path, which keeps a result
 class's encoder once it has met the class.  Reading checks every line's
@@ -38,9 +39,7 @@ from __future__ import annotations
 import math
 import re
 import sys
-import time
 from _json import encode_basestring_ascii as _quote  # json.encoder's, without json
-from functools import lru_cache
 from hashlib import sha256
 from operator import itemgetter
 from typing import NamedTuple
@@ -176,65 +175,57 @@ RECORD_KINDS = frozenset({
 })
 
 # The hashed text of a record of each kind, up to its payload.  Every
-# record's schema version is SCHEMA_VERSION: _check sees to it.
+# record's schema version is SCHEMA_VERSION: the reader rejects any other.
 _HEAD_START = {
     kind: '{"schema_version":' + _quote(SCHEMA_VERSION) + ',"kind":' + _quote(kind) + ',"payload":'
     for kind in RECORD_KINDS
 }
 
 
-def _check(schema_version, kind, payload_is_object: bool, timestamp) -> None:
-    if schema_version != SCHEMA_VERSION:
-        raise DomainError(f"unsupported schema version {schema_version!r}")
+def _check(kind, payload_is_object: bool) -> None:
     if not isinstance(kind, str) or kind not in RECORD_KINDS:
         raise DomainError(f"unknown record kind {kind!r}")
     if not payload_is_object:
         raise DomainError("record payload must be a JSON object")
-    if not isinstance(timestamp, str):
-        raise DomainError("record timestamp must be a string")
 
 
-def _framed(kind, payload, timestamp):
+def _framed(kind, payload):
     """A record's payload text, its hashed text up to the closing brace, and its content hash.
 
     The one framing of every record made here: make_record and to_json_line
     both take it, and _parse_decoded hashes by it.  It encodes the payload,
-    then checks the kind, the payload and the timestamp as the record's
-    constructor would; the full check runs only when the quick one fails,
-    and then raises its error.
+    then checks the kind and the payload as the record's constructor would;
+    the full check runs only when the quick one fails, and then raises its
+    error.
     """
     text = canonical_json(payload)
-    if not (
-        type(kind) is str and kind in _HEAD_START and text[:1] == "{" and type(timestamp) is str
-    ):
-        _check(SCHEMA_VERSION, kind, text[:1] == "{", timestamp)
+    if not (type(kind) is str and kind in _HEAD_START and text[:1] == "{"):
+        _check(kind, text[:1] == "{")
     head = _HEAD_START[kind] + text
     return text, head, sha256((head + "}").encode("ascii")).hexdigest()
 
 
 class CertificateRecord(NamedTuple("CertificateRecord", [
-    ("schema_version", str),
     ("kind", str),
     ("payload_text", str),
     ("content_hash", str),
-    ("timestamp", str),
 ])):
-    """One record: schema version, kind, payload text, content hash and timestamp.
+    """One record: kind, payload text and content hash.
 
+    Its schema version is SCHEMA_VERSION, the only one read or written, so
+    the line and the hashed text carry it and the record does not.
     payload_text is the canonical JSON of the payload, exactly as hashed
     and written; payload decodes it on each read.  The constructor checks
-    the schema version, the kind, the timestamp and that payload_text is a
-    JSON object's text; it does not recompute the hash.  make_record and
-    parse_record run that check themselves and build with _make, which
-    skips it.
+    the kind and that payload_text is a JSON object's text; it does not
+    recompute the hash.  make_record and parse_record run that check
+    themselves and build with _make, which skips it.
     """
 
     __slots__ = ()
 
-    def __new__(cls, schema_version, kind, payload_text, content_hash, timestamp):
-        is_object = isinstance(payload_text, str) and payload_text[:1] == "{"
-        _check(schema_version, kind, is_object, timestamp)
-        return super().__new__(cls, schema_version, kind, payload_text, content_hash, timestamp)
+    def __new__(cls, kind, payload_text, content_hash):
+        _check(kind, isinstance(payload_text, str) and payload_text[:1] == "{")
+        return super().__new__(cls, kind, payload_text, content_hash)
 
     @property
     def payload(self) -> dict:
@@ -243,18 +234,10 @@ class CertificateRecord(NamedTuple("CertificateRecord", [
         return json.loads(self.payload_text)
 
 
-@lru_cache(maxsize=1)
-def _utc_stamp(second: int) -> str:
-    """The timestamp of a wall-clock second, formatted once for all its records."""
-    return time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime(second))
-
-
-def make_record(kind: str, payload, timestamp: str | None = None) -> CertificateRecord:
+def make_record(kind: str, payload) -> CertificateRecord:
     """The record of a payload dict or result object; encoding validates its values."""
-    if timestamp is None:
-        timestamp = _utc_stamp(int(time.time()))
-    text, _, content_hash = _framed(kind, payload, timestamp)
-    return CertificateRecord._make((SCHEMA_VERSION, kind, text, content_hash, timestamp))
+    text, _, content_hash = _framed(kind, payload)
+    return CertificateRecord._make((kind, text, content_hash))
 
 
 def _kind_of(obj) -> str:
@@ -268,43 +251,40 @@ def _kind_of(obj) -> str:
     raise DomainError(f"no record kind for {cls.__name__}")
 
 
-def record_for(obj, timestamp: str | None = None) -> CertificateRecord:
+def record_for(obj) -> CertificateRecord:
     """Wrap a module result object in its CertificateRecord."""
-    return make_record(_kind_of(obj), obj, timestamp)
+    return make_record(_kind_of(obj), obj)
 
 
-def rejection_record(
-    command: str, reasons, context: dict | None = None, timestamp: str | None = None
-) -> CertificateRecord:
+def rejection_record(command: str, reasons, context: dict | None = None) -> CertificateRecord:
     payload = {"command": command, "reasons": list(reasons)}
     if context:
         payload.update(context)
-    return make_record("rejection", payload, timestamp)
+    return make_record("rejection", payload)
 
 
 def to_json_line(obj) -> str:
-    """The line of a CertificateRecord, or of a result object stamped now.
+    """The line of a CertificateRecord or of a result object.
 
-    A record's line is its framed payload text, its hash and its timestamp;
-    nothing is encoded again.  A result object's line is built in one pass,
-    with no record in between: one canonical_json walk, one string that is
-    both the hashed text and the start of the line, and one sha256.  It is
-    the line of record_for(obj), and raises what record_for(obj) raises.
+    A record's line is its framed payload text and its hash; nothing is
+    encoded again.  A result object's line is built in one pass, with no
+    record in between: one canonical_json walk, one string that is both the
+    hashed text and the start of the line, and one sha256.  It is the line
+    of record_for(obj), and raises what record_for(obj) raises.
     """
     if isinstance(obj, CertificateRecord):
         return (
             _HEAD_START[obj.kind] + obj.payload_text
-            + ',"content_hash":' + _quote(obj.content_hash)
-            + ',"timestamp":' + _quote(obj.timestamp) + "}"
+            + ',"content_hash":' + _quote(obj.content_hash) + "}"
         )
-    timestamp = _utc_stamp(int(time.time()))
-    _, head, content_hash = _framed(_kind_of(obj), obj, timestamp)
-    # a hex digest and a stamp of digits, "-", ":", "T" and "Z" need no escaping
-    return head + ',"content_hash":"' + content_hash + '","timestamp":"' + timestamp + '"}'
+    _, head, content_hash = _framed(_kind_of(obj), obj)
+    # a hex digest needs no escaping
+    return head + ',"content_hash":"' + content_hash + '"}'
 
 
-# The five fields of a record line.
-_LINE_FIELDS = ("schema_version", "kind", "payload", "content_hash", "timestamp")
+# The four fields of a record line.  A line may hold other members, as older
+# lines hold the time they were written; they are not read.
+_LINE_FIELDS = ("schema_version", "kind", "payload", "content_hash")
 _line_fields = itemgetter(*_LINE_FIELDS)
 
 # A payload value the fast path reads in place: an integer of at most 640
@@ -314,12 +294,11 @@ _SCALAR = r"(?:0|-?[1-9][0-9]{0,639}|true|false|null)"
 _MEMBER = r'"[a-z0-9_]+":' + _SCALAR
 
 # A record line of canonical form whose payload holds only such values: its
-# groups are the kind, the payload text, the content hash and the timestamp
-# (printable ASCII but '"' and backslash).
+# groups are the kind, the payload text and the content hash.
 _RECORD_LINE = (
     re.escape('{"schema_version":' + _quote(SCHEMA_VERSION) + ',"kind":')
     + r'"([a-z_]+)","payload":(\{(?:' + _MEMBER + "(?:," + _MEMBER + r")*)?\})"
-    + r',"content_hash":"([0-9a-f]{64})","timestamp":"([ !#-\[\]-~]*)"\}'
+    + r',"content_hash":"([0-9a-f]{64})"\}'
 )
 
 # _RECORD_LINE's fullmatch, compiled on the first parse_record: importing
@@ -339,7 +318,10 @@ def parse_record(line: str) -> CertificateRecord:
     payload is the text itself, the hash over the line's head and payload
     text is the one the general path computes, and the record is the one it
     builds.  Any other line, and a line whose hash does not match, goes to
-    the general path, which decodes the line and gives its errors.
+    the general path, which decodes the line and gives its errors.  That
+    path reads only the four members of _LINE_FIELDS, so a line that also
+    holds the time it was written, as older files do, gives the record of
+    the same line without it.
     """
     global _record_line
     if _record_line is None:
@@ -347,14 +329,14 @@ def parse_record(line: str) -> CertificateRecord:
     # bytes, and str subclasses, go to json.loads as before
     match = _record_line(line) if type(line) is str else None
     if match is not None:
-        kind, text, content_hash, timestamp = match.groups()
+        kind, text, content_hash = match.groups()
         keys = text.split('"')[1::2]
         if (
             kind in RECORD_KINDS
             and len(set(keys)) == len(keys)
             and sha256((line[: match.end(2)] + "}").encode("ascii")).hexdigest() == content_hash
         ):
-            return CertificateRecord._make((SCHEMA_VERSION, kind, text, content_hash, timestamp))
+            return CertificateRecord._make((kind, text, content_hash))
     return _parse_decoded(line)
 
 
@@ -377,15 +359,17 @@ def _parse_decoded(line) -> CertificateRecord:
     if not isinstance(raw, dict):
         raise DomainError("record line must be a JSON object")
     try:
-        schema_version, kind, payload, content_hash, timestamp = _line_fields(raw)
+        schema_version, kind, payload, content_hash = _line_fields(raw)
     except KeyError:
         missing = set(_LINE_FIELDS) - set(raw)
         raise DomainError(f"record line missing fields {sorted(missing)}") from None
-    _check(schema_version, kind, isinstance(payload, dict), timestamp)
+    if schema_version != SCHEMA_VERSION:
+        raise DomainError(f"unsupported schema version {schema_version!r}")
+    _check(kind, isinstance(payload, dict))
     try:
-        text, _, expected = _framed(kind, payload, timestamp)
+        text, _, expected = _framed(kind, payload)
     except RecursionError as exc:
         raise DomainError("record payload nests too deeply to encode") from exc
     if content_hash != expected:
         raise DomainError(f"content hash mismatch: stored {content_hash}, recomputed {expected}")
-    return CertificateRecord._make((schema_version, kind, text, content_hash, timestamp))
+    return CertificateRecord._make((kind, text, content_hash))

@@ -1,10 +1,8 @@
 import hashlib
 import importlib.util
-import json
 import math
 import multiprocessing
 import os
-import re
 import select
 import subprocess
 import sys
@@ -44,17 +42,6 @@ def run(capsys, *argv):
 
 def records_of(text):
     return [parse_record(line) for line in text.splitlines() if line.strip()]
-
-
-def strip_timestamps(text):
-    out = []
-    for line in text.splitlines():
-        if not line.strip():
-            continue
-        raw = json.loads(line)
-        raw.pop("timestamp", None)
-        out.append(raw)
-    return out
 
 
 class TestCertifyCyclotomic:
@@ -138,12 +125,12 @@ class TestCertifyCyclotomic:
         code, out, err = run(capsys, "certify", "cyclotomic", "--m", "50")
         assert code == EXIT_NUMERIC
         assert "class number computation failed for m in [50]" in err
-        (single,) = strip_timestamps(out)
+        (single,) = records_of(out)
         _, sweep, _ = run(capsys, "search", "--m-max", "60", "--certify", "--jobs", "1")
-        (swept,) = [r for r in strip_timestamps(sweep) if r["payload"].get("m") == 50
-                    and r["kind"] == "rejection"]
+        (swept,) = [r for r in records_of(sweep) if r.payload.get("m") == 50
+                    and r.kind == "rejection"]
         assert single == swept
-        assert single["payload"]["reasons"] == ["integrality"]
+        assert single.payload["reasons"] == ["integrality"]
 
     def test_m_and_ell_exclusive(self, capsys):
         code, out, err = run(capsys, "certify", "cyclotomic", "--m", "2", "--ell", "19")
@@ -250,6 +237,24 @@ class TestCertifyEigenform:
         (record,) = records_of(out)
         assert record.payload["certified"] is True
         assert record.payload["tower_evidence"] == "computed"
+
+    def test_registry_with_write_times_gives_the_same_output(self, capsys, tmp_path):
+        # a file written when every line ended in the time it was written
+        registry_file = tmp_path / "towers.jsonl"
+        code, _, _ = run(
+            capsys, "search", "--m-max", "60", "--certify", "--out", str(registry_file)
+        )
+        assert code == EXIT_OK
+        stamped_file = tmp_path / "stamped.jsonl"
+        stamped_file.write_text(
+            "".join(line[:-1] + ',"timestamp":"2026-01-01T00:00:00Z"}\n'
+                    for line in registry_file.read_text(encoding="ascii").splitlines()),
+            encoding="ascii",
+        )
+        argv = ("certify", "eigenform", "--weight", "12", "--ell", "2659", "--registry")
+        code, out, err = run(capsys, *argv, str(registry_file))
+        assert code == EXIT_OK and out
+        assert run(capsys, *argv, str(stamped_file)) == (code, out, err)
 
     def test_registry_decodes_only_tower_payloads(self, capsys, tmp_path, monkeypatch):
         registry_file = tmp_path / "towers.jsonl"
@@ -390,7 +395,7 @@ class TestCertifyEigenform:
         # a correct content hash over a payload that is not a JSON object
         body = {"schema_version": SCHEMA_VERSION, "kind": "cyclotomic_tower", "payload": payload}
         digest = hashlib.sha256(canonical_json(body).encode("ascii")).hexdigest()
-        line = canonical_json(dict(body, content_hash=digest, timestamp="2026-01-01T00:00:00Z"))
+        line = canonical_json(dict(body, content_hash=digest))
         registry_file = tmp_path / "bad.jsonl"
         registry_file.write_text(line + "\n", encoding="utf-8")
         code, out, err = run(
@@ -523,7 +528,7 @@ class TestCertifyEigenform:
         digest = hashlib.sha256((head + "}").encode("ascii")).hexdigest()
         registry_file = tmp_path / "bad.jsonl"
         registry_file.write_text(
-            f'{head},"content_hash":"{digest}","timestamp":"2026-01-01T00:00:00Z"}}\n',
+            f'{head},"content_hash":"{digest}"}}\n',
             encoding="ascii",
         )
         code, out, err = run(
@@ -595,9 +600,7 @@ class TestSearch:
             capsys, "search", "--m-max", "60", "--certify", "--jobs", "2", "--out", str(parallel)
         )
         assert code == EXIT_OK
-        a = strip_timestamps(serial.read_text(encoding="utf-8"))
-        b = strip_timestamps(parallel.read_text(encoding="utf-8"))
-        assert a == b
+        assert serial.read_bytes() == parallel.read_bytes()
 
     def test_integrality_failure_keeps_sweep_and_diagnostics(self, capsys, monkeypatch):
         real_class_number = tower.class_number
@@ -711,7 +714,7 @@ class TestSearch:
                 "towercert: numeric/resource failure: "
                 "class number computation failed for m in [50]"
             ]
-            outputs.append(strip_timestamps(out))
+            outputs.append(out)
         assert outputs[0] == outputs[1]
 
     @pytest.mark.parametrize(
@@ -743,7 +746,7 @@ class TestSearch:
         code, out, err = run(capsys, *argv, "--jobs", str(jobs))
         assert code == EXIT_OK
         assert sizes == pool_sizes
-        assert strip_timestamps(out) == strip_timestamps(serial)
+        assert out == serial
 
     @pytest.mark.parametrize("jobs", ["0", "-1"])
     @pytest.mark.parametrize("certify", [(), ("--certify",)], ids=["plain", "certify"])
@@ -997,10 +1000,8 @@ class TestPlumbing:
         second = tmp_path / "b.jsonl"
         run(capsys, "certify", "cyclotomic", "--m", "50", "--out", str(first))
         run(capsys, "certify", "cyclotomic", "--m", "50", "--out", str(second))
-        a = strip_timestamps(first.read_text(encoding="utf-8"))
-        b = strip_timestamps(second.read_text(encoding="utf-8"))
-        assert a == b
-        assert a[0]["content_hash"] == b[0]["content_hash"]
+        data = first.read_bytes()
+        assert data and data == second.read_bytes()
 
     def test_unopenable_out_file_is_usage(self, capsys, tmp_path):
         target = tmp_path / "absent" / "records.jsonl"
@@ -1158,23 +1159,16 @@ class TestOutFile:
                 capture_output=True, cwd=tmp_path, env=env, timeout=60,
             )
 
-        def blank_timestamps(stdout):
-            # bytes, not json.loads: this process may run under a digit limit below 1185 too
-            lines, stamp = stdout.splitlines(), re.compile(rb',"timestamp":"[^"]*"}$')
-            blanked = [stamp.sub(b',"timestamp":""}', line) for line in lines]
-            assert lines and all(line.endswith(b',"timestamp":""}') for line in blanked)
-            return blanked
-
         furuta = ["furuta", "--ell", "877", "--m-e", "30", "--count", "200"]
         default, lowered = towercert_cli(None, *furuta), towercert_cli("640", *furuta)
         assert default.returncode == lowered.returncode == EXIT_OK, lowered.stderr
-        assert blank_timestamps(lowered.stdout) == blank_timestamps(default.stdout)
+        assert default.stdout and lowered.stdout == default.stdout
         registry = tmp_path / "registry.jsonl"
         registry.write_bytes(default.stdout)
         eigenform = ["certify", "eigenform", "--weight", "12", "--ell", "877", "--registry", str(registry)]
         default, lowered = towercert_cli(None, *eigenform), towercert_cli("640", *eigenform)
         assert default.returncode == lowered.returncode == EXIT_OK, lowered.stderr
-        assert blank_timestamps(lowered.stdout) == blank_timestamps(default.stdout)
+        assert default.stdout and lowered.stdout == default.stdout
 
     def test_out_directory_is_usage_without_traceback(self, capsys, tmp_path):
         code, out, err = run(capsys, "hl", "constant", "--prime-bound", "100", "--out", str(tmp_path))
@@ -1220,7 +1214,7 @@ class TestOutFile:
         assert records[0].payload["m"] == 2 and records[-1].payload["m"] == 59
 
 
-# Fixed command set whose timestamp-stripped output and exit codes are pinned
+# Fixed command set whose output and exit codes are pinned
 # by one sha256: a refactor that keeps this digest keeps the CLI's bytes.
 # "{registry}" is the --out file the first command writes.
 COMMAND_SET = (
@@ -1250,10 +1244,6 @@ COMMAND_SET = (
 COMMAND_SET_SHA256 = "3aa0af37dfc0a8a6f6b68ebb02cc60603bf38314d957ea2a6bebb911ef441868"
 
 
-def _without_timestamp(text):
-    return re.sub(r',"timestamp":"[^"]*"', "", text)
-
-
 class TestCommandSetDigest:
     def test_command_set_bytes_pinned(self, capsys, tmp_path):
         registry = str(tmp_path / "registry.jsonl")
@@ -1264,7 +1254,6 @@ class TestCommandSetDigest:
             if "--out" in argv:
                 with open(registry, encoding="utf-8", newline="") as handle:
                     out = handle.read()
-            out = _without_timestamp(out)
             assert '"timestamp"' not in out
             digest.update(f"{' '.join(template)} exit {code}\n{out}".encode("utf-8"))
         assert digest.hexdigest() == COMMAND_SET_SHA256
@@ -1292,7 +1281,6 @@ class TestSurveyDigest:
             if "--out" in argv:
                 with open(registry, encoding="utf-8", newline="") as handle:
                     out += handle.read()
-            out = _without_timestamp(out)
             assert '"timestamp"' not in out
             digest.update(f"{' '.join(template)} exit {code}\n{out}".encode("utf-8"))
         assert digest.hexdigest() == SURVEY_SET_SHA256
@@ -1323,7 +1311,7 @@ class TestEigenformRangeDigest:
                 argv = ("certify", "eigenform", "--weight", str(k), "--ell", ell)
                 code, out, _ = run(capsys, *argv, "--registry", registry)
                 codes.append(code)
-                digest.update(f"{' '.join(argv)} exit {code}\n{_without_timestamp(out)}".encode())
+                digest.update(f"{' '.join(argv)} exit {code}\n{out}".encode())
         assert EXIT_OK in codes and EXIT_REJECTED in codes
         assert digest.hexdigest() == EIGENFORM_SET_SHA256
 
@@ -1337,12 +1325,12 @@ class TestGroupPerfectDigest:
         digest = hashlib.sha256()
         for n in range(1, 1002):
             code, out, _ = run(capsys, "group", "perfect", "--n", str(n))
-            digest.update(f"group perfect --n {n} exit {code}\n{_without_timestamp(out)}".encode())
+            digest.update(f"group perfect --n {n} exit {code}\n{out}".encode())
         assert digest.hexdigest() == GROUP_PERFECT_SHA256
 
 
 # Edge arguments on either side of each bound the CLI or the library checks.
-# Their exit codes and timestamp-stripped stdout are pinned by one sha256;
+# Their exit codes and stdout are pinned by one sha256;
 # every exit-2 case must also leave an existing --out FILE as it was.
 USAGE_SET = (
     ("search", "--m-max", "0"),
@@ -1390,7 +1378,7 @@ class TestUsageDigest:
         for template in USAGE_SET:
             argv = [a.format(absent=absent) for a in template]
             code, out, _ = run(capsys, *argv)
-            digest.update(f"{' '.join(template)} exit {code}\n{_without_timestamp(out)}".encode())
+            digest.update(f"{' '.join(template)} exit {code}\n{out}".encode())
             if code == EXIT_USAGE:
                 target.write_bytes(b"one line that must survive\n")
                 assert run(capsys, *argv, "--out", str(target))[:2] == (EXIT_USAGE, ""), template

@@ -8,7 +8,6 @@ import pkgutil
 import random
 import re
 import sys
-import time
 from typing import NamedTuple
 
 import pytest
@@ -42,8 +41,9 @@ from towercert.records import (
 )
 from towercert.tower import certify_cyclotomic
 
-TS_A = "2026-01-01T00:00:00Z"
-TS_B = "2027-06-15T12:34:56Z"
+# The member every line carried before records dropped the time they were
+# written; parse_record still reads such lines.
+OLD_STAMP = ',"timestamp":"2026-01-01T00:00:00Z"'
 
 
 @functools.lru_cache(maxsize=1)
@@ -245,7 +245,7 @@ class TestCodecProperties:
     def test_encode_decode_and_parse_agree(self, payload, kind):
         text = canonical_json(payload)
         assert text == canonical_json_reference(payload)
-        record = make_record(kind, payload, timestamp=TS_A)
+        record = make_record(kind, payload)
         assert record.payload == json.loads(text)
         assert parse_record(to_json_line(record)) == record
 
@@ -260,7 +260,7 @@ class TestCodecProperties:
         payload = {"m": 7, "xs": [1.5, "π", (None, True)], "d": {"k": -0.0}}
         sub = _subclassed(payload)
         assert type(sub) is _Dict and type(sub["xs"]) is _List
-        assert make_record("rejection", sub, TS_A) == make_record("rejection", payload, TS_A)
+        assert make_record("rejection", sub) == make_record("rejection", payload)
 
 
 class TestMakeRecord:
@@ -269,7 +269,7 @@ class TestMakeRecord:
             make_record("mystery", {"a": 1})
 
     def test_tuples_normalized_to_lists(self):
-        record = make_record("rejection", {"reasons": ("composite",)}, timestamp=TS_A)
+        record = make_record("rejection", {"reasons": ("composite",)})
         assert record.payload["reasons"] == ["composite"]
 
     def test_non_finite_payload_rejected(self):
@@ -282,35 +282,14 @@ class TestMakeRecord:
 
     def test_payload_is_a_copy(self):
         context = {"m": 50, "reasons": ["integrality"], "nested": {"gap": 0.34}}
-        record = make_record("rejection", context, timestamp=TS_A)
+        record = make_record("rejection", context)
         context["reasons"].append("later")
         context["nested"]["gap"] = 0.5
         assert record.payload == {"m": 50, "reasons": ["integrality"], "nested": {"gap": 0.34}}
 
     def test_hash_is_sha256_hex(self):
-        record = make_record("rejection", {"command": "t", "reasons": []}, timestamp=TS_A)
-        assert re.fullmatch(r"[0-9a-f]{64}", record.content_hash)
-
-    def test_default_timestamp_shape(self):
         record = make_record("rejection", {"command": "t", "reasons": []})
-        assert re.fullmatch(r"\d{4}-\d{2}-\d{2}T\d{2}:\d{2}:\d{2}Z", record.timestamp)
-
-    def test_default_timestamp_is_the_current_second(self):
-        def now():
-            return time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime())
-
-        payload = {"command": "t", "reasons": []}
-        before = now()
-        stamps = [make_record("rejection", payload).timestamp for _ in range(3)]
-        after = now()
-        assert all(before <= stamp <= after for stamp in stamps)
-
-    def test_timestamp_excluded_from_hash(self):
-        payload = {"command": "t", "reasons": ["composite"]}
-        a = make_record("rejection", payload, timestamp=TS_A)
-        b = make_record("rejection", payload, timestamp=TS_B)
-        assert a.content_hash == b.content_hash
-        assert to_json_line(a) != to_json_line(b)
+        assert re.fullmatch(r"[0-9a-f]{64}", record.content_hash)
 
 
 class TestRoundTrip:
@@ -330,10 +309,10 @@ class TestRoundTrip:
 
     @pytest.mark.parametrize("kind", sorted(RECORD_KINDS - {"rejection"}))
     def test_every_kind_roundtrips(self, kind):
-        record = record_for(sample_objects()[kind], timestamp=TS_A)
+        record = record_for(sample_objects()[kind])
         assert record.kind == kind
-        assert record.schema_version == SCHEMA_VERSION
         line = to_json_line(record)
+        assert json.loads(line)["schema_version"] == SCHEMA_VERSION
         assert "\n" not in line
         parsed = parse_record(line)
         assert parsed == record
@@ -341,7 +320,7 @@ class TestRoundTrip:
 
     def test_rejection_roundtrips(self):
         record = rejection_record(
-            "certify cyclotomic", ("composite", "residue"), {"m": 3, "ell": 27}, timestamp=TS_A
+            "certify cyclotomic", ("composite", "residue"), {"m": 3, "ell": 27}
         )
         assert record.payload["command"] == "certify cyclotomic"
         assert record.payload["m"] == 3
@@ -350,22 +329,20 @@ class TestRoundTrip:
 
     def test_hash_independent_of_build_time(self):
         obj = sample_objects()["furuta"]
-        assert record_for(obj, timestamp=TS_A).content_hash == record_for(obj, timestamp=TS_B).content_hash
+        assert record_for(obj).content_hash == record_for(obj).content_hash
 
     def test_lines_are_deterministic(self):
         obj = sample_objects()["hl_constant"]
-        assert to_json_line(record_for(obj, timestamp=TS_A)) == to_json_line(
-            record_for(obj, timestamp=TS_A)
-        )
+        assert to_json_line(record_for(obj)) == to_json_line(record_for(obj))
 
     def test_rejection_line_roundtrips_byte_for_byte(self):
         # test_every_kind_roundtrips covers the other kinds
-        record = rejection_record("furuta", ["composite"], {"ell": 9}, timestamp=TS_A)
+        record = rejection_record("furuta", ["composite"], {"ell": 9})
         line = to_json_line(record)
         assert to_json_line(parse_record(line)) == line
 
     def test_line_is_plain_json(self):
-        record = record_for(sample_objects()["group_report"], timestamp=TS_A)
+        record = record_for(sample_objects()["group_report"])
         raw = json.loads(to_json_line(record))
         assert raw["kind"] == "group_report"
         assert raw["payload"]["perfect"] is True
@@ -384,19 +361,19 @@ class TestParseErrors:
     def test_non_object_payload(self, payload):
         body = {"schema_version": SCHEMA_VERSION, "kind": "cyclotomic_tower", "payload": payload}
         digest = hashlib.sha256(canonical_json(body).encode("ascii")).hexdigest()
-        line = canonical_json(dict(body, content_hash=digest, timestamp=TS_A))
+        line = canonical_json(dict(body, content_hash=digest))
         with pytest.raises(DomainError, match="payload must be a JSON object"):
             parse_record(line)
 
     def test_missing_field(self):
-        record = record_for(sample_objects()["furuta"], timestamp=TS_A)
+        record = record_for(sample_objects()["furuta"])
         raw = json.loads(to_json_line(record))
-        del raw["timestamp"]
-        with pytest.raises(DomainError, match="timestamp"):
+        del raw["content_hash"]
+        with pytest.raises(DomainError, match="content_hash"):
             parse_record(json.dumps(raw))
 
     def test_tampered_payload_fails_hash(self):
-        line = to_json_line(record_for(sample_objects()["furuta"], timestamp=TS_A))
+        line = to_json_line(record_for(sample_objects()["furuta"]))
         assert '"ell":5' in line
         with pytest.raises(DomainError, match="hash mismatch"):
             parse_record(line.replace('"ell":5', '"ell":7', 1))
@@ -405,7 +382,7 @@ class TestParseErrors:
     @pytest.mark.parametrize("where", ["top", "nested"])
     def test_non_finite_payload_value_rejected(self, token, where):
         # json.loads accepts these tokens; the hash check's encoder must not
-        line = to_json_line(record_for(sample_objects()["furuta"], timestamp=TS_A))
+        line = to_json_line(record_for(sample_objects()["furuta"]))
         value = token if where == "top" else '[1,{"x":%s}]' % token
         with pytest.raises(DomainError, match="non-finite float"):
             parse_record(line.replace('"ell":5', f'"ell":{value}', 1))
@@ -418,28 +395,23 @@ class TestParseErrors:
     def test_undecodable_value_rejected(self, value):
         # past the int-string digit limit, or nested past the stack in json.loads
         # or in the hash check's encoder: a DomainError, never ValueError/RecursionError
-        line = to_json_line(record_for(sample_objects()["furuta"], timestamp=TS_A))
+        line = to_json_line(record_for(sample_objects()["furuta"]))
         with pytest.raises(DomainError):
             parse_record(line.replace('"ell":5', f'"ell":{value}', 1))
 
     @pytest.mark.parametrize("kind", ['["furuta"]', '{"furuta":1}', "7"])
     def test_non_string_kind_rejected(self, kind):
-        line = to_json_line(record_for(sample_objects()["furuta"], timestamp=TS_A))
+        line = to_json_line(record_for(sample_objects()["furuta"]))
         with pytest.raises(DomainError, match="kind"):
             parse_record(line.replace('"kind":"furuta"', f'"kind":{kind}', 1))
 
-    def test_non_string_timestamp_rejected(self):
-        line = to_json_line(record_for(sample_objects()["furuta"], timestamp=TS_A))
-        with pytest.raises(DomainError, match="timestamp"):
-            parse_record(line.replace(f'"timestamp":"{TS_A}"', '"timestamp":5', 1))
-
     def test_wrong_schema_version(self):
-        line = to_json_line(record_for(sample_objects()["furuta"], timestamp=TS_A))
+        line = to_json_line(record_for(sample_objects()["furuta"]))
         with pytest.raises(DomainError, match="schema version"):
             parse_record(line.replace('"schema_version":"1"', '"schema_version":"2"', 1))
 
     def test_unknown_kind(self):
-        line = to_json_line(record_for(sample_objects()["furuta"], timestamp=TS_A))
+        line = to_json_line(record_for(sample_objects()["furuta"]))
         with pytest.raises(DomainError, match="kind"):
             parse_record(line.replace('"kind":"furuta"', '"kind":"mystery"', 1))
 
@@ -455,7 +427,7 @@ class TestRecordFor:
             record_for(field)
 
 
-# Full record lines under TS_A, pinned so that any change to record bytes is
+# Full record lines, pinned so that any change to record bytes is
 # deliberate.  The tower line changes whenever the class-number computation
 # changes class_number_float or integrality_gap.
 GOLDEN_LINES = {
@@ -469,69 +441,59 @@ GOLDEN_LINES = {
         '"class_number_float":18.999999999999936,'
         '"integrality_gap":6.3948846218409017e-14,"ramified_infinite_places":57,'
         '"ramified_finite_primes":19}},'
-        '"content_hash":"0414e2ca1afc2eaf88251d979db397d584bfd5b38f8dc35356ded24dbd24d4a4",'
-        '"timestamp":"2026-01-01T00:00:00Z"}'
+        '"content_hash":"0414e2ca1afc2eaf88251d979db397d584bfd5b38f8dc35356ded24dbd24d4a4"}'
     ),
     "eigenform": (
         '{"schema_version":"1","kind":"eigenform","payload":{"k":12,"ell":877,'
         '"not_exceptional":true,"det_index":1,"galois_group_full":true,'
         '"tower_evidence":"literature","certified":true,"rejection_reasons":[]},'
-        '"content_hash":"c0dd6c25d749665710182f5c24b7aaf05dc316067230ee7d14add6e52a8f8061",'
-        '"timestamp":"2026-01-01T00:00:00Z"}'
+        '"content_hash":"c0dd6c25d749665710182f5c24b7aaf05dc316067230ee7d14add6e52a8f8061"}'
     ),
     "eigenform_uncertified": (
         '{"schema_version":"1","kind":"eigenform","payload":{"k":12,"ell":2659,'
         '"not_exceptional":true,"det_index":1,"galois_group_full":true,'
         '"tower_evidence":null,"certified":false,'
         '"rejection_reasons":["no_tower_evidence"]},'
-        '"content_hash":"d082d8713377a68b79709c9ea33bef0bd4380ea3b2d9cb73ec99fae2d764ecad",'
-        '"timestamp":"2026-01-01T00:00:00Z"}'
+        '"content_hash":"d082d8713377a68b79709c9ea33bef0bd4380ea3b2d9cb73ec99fae2d764ecad"}'
     ),
     "furuta": (
         '{"schema_version":"1","kind":"furuta","payload":{"ell":5,"m_e":30,'
         '"primes":[11,31,41,61,71,101,131,151,181],"n":21896495439314771},'
-        '"content_hash":"c68985045e8c616cf24d940f8fed52c40ffcadff48684508104ace7a52fc90c6",'
-        '"timestamp":"2026-01-01T00:00:00Z"}'
+        '"content_hash":"c68985045e8c616cf24d940f8fed52c40ffcadff48684508104ace7a52fc90c6"}'
     ),
     "group_report": (
         '{"schema_version":"1","kind":"group_report","payload":{"n":7,'
         '"group_order":336,"abelianization_order":1,"perfect":true},'
-        '"content_hash":"33664995a27291d5e76934cc4dc4bec313ef5c1593c29d3e4d8b96bf25b2b2d2",'
-        '"timestamp":"2026-01-01T00:00:00Z"}'
+        '"content_hash":"33664995a27291d5e76934cc4dc4bec313ef5c1593c29d3e4d8b96bf25b2b2d2"}'
     ),
     "hl_constant": (
         '{"schema_version":"1","kind":"hl_constant","payload":{"prime_bound":100,'
         '"partial_product":1.101278268347188,"constant":0.275319567086797,'
         '"terms_used":23},'
-        '"content_hash":"06c916980fa53676ed428e3f93070c2a7c72b303730b7758c2404af8c6c6894f",'
-        '"timestamp":"2026-01-01T00:00:00Z"}'
+        '"content_hash":"06c916980fa53676ed428e3f93070c2a7c72b303730b7758c2404af8c6c6894f"}'
     ),
     "prime_count": (
         '{"schema_version":"1","kind":"prime_count","payload":{"x":1000,"count":1,'
         '"estimate":1.2603760284543499,"ratio":0.79341401091731367},'
-        '"content_hash":"245dda89bfbfaaab4cda03140d5550761d1f6f62a521f393050a617f7d9a0849",'
-        '"timestamp":"2026-01-01T00:00:00Z"}'
+        '"content_hash":"245dda89bfbfaaab4cda03140d5550761d1f6f62a521f393050a617f7d9a0849"}'
     ),
     "rejection": (
         '{"schema_version":"1","kind":"rejection",'
         '"payload":{"command":"certify cyclotomic","reasons":["composite","residue"],'
         '"m":3,"ell":27},'
-        '"content_hash":"aee68445037095888489364c10aaa9f69387f13b9fe434d4c4a087d95da4c843",'
-        '"timestamp":"2026-01-01T00:00:00Z"}'
+        '"content_hash":"aee68445037095888489364c10aaa9f69387f13b9fe434d4c4a087d95da4c843"}'
     ),
     "residue_claim": (
         '{"schema_version":"1","kind":"residue_claim","payload":{"k":16,'
         '"prime_divisors":[3,5],"verdicts":[{"q":3,"witnesses":[1,2],'
         '"zero_classes":[0],"never_one":false,"forced":true},{"q":5,"witnesses":[],'
         '"zero_classes":[],"never_one":true,"forced":false}],"claim_holds":false},'
-        '"content_hash":"8d9ba4150e005d18de8715b3359bbd6dce0c9b8cb1e3e77b6a65c57fc7e5ba26",'
-        '"timestamp":"2026-01-01T00:00:00Z"}'
+        '"content_hash":"8d9ba4150e005d18de8715b3359bbd6dce0c9b8cb1e3e77b6a65c57fc7e5ba26"}'
     ),
     "shanks_candidate": (
         '{"schema_version":"1","kind":"shanks_candidate","payload":{"m":2,"ell":19,'
         '"residue":2,"is_prime_ell":true},'
-        '"content_hash":"05d07a004b192021ee4dcf8249a2dbabd767b98c894c346e923dec7823ff0310",'
-        '"timestamp":"2026-01-01T00:00:00Z"}'
+        '"content_hash":"05d07a004b192021ee4dcf8249a2dbabd767b98c894c346e923dec7823ff0310"}'
     ),
 }
 
@@ -539,21 +501,19 @@ GOLDEN_LINES = {
 def golden_record(case):
     if case == "rejection":
         return rejection_record(
-            "certify cyclotomic", ("composite", "residue"), {"m": 3, "ell": 27}, timestamp=TS_A
+            "certify cyclotomic", ("composite", "residue"), {"m": 3, "ell": 27}
         )
     if case == "eigenform_uncertified":
         obj = certify_eigenform(12, 2659)
     else:
         obj = sample_objects()[case]
-    return record_for(obj, timestamp=TS_A)
+    return record_for(obj)
 
 
 def built_record(case):
     """The golden record of case, built by the constructor from its payload text."""
     made = golden_record(case)
-    return CertificateRecord(
-        made.schema_version, made.kind, made.payload_text, made.content_hash, made.timestamp
-    )
+    return CertificateRecord(made.kind, made.payload_text, made.content_hash)
 
 
 class TestGoldenRecords:
@@ -568,6 +528,14 @@ class TestGoldenRecords:
     @pytest.mark.parametrize("case", sorted(GOLDEN_LINES))
     def test_line_pinned(self, case):
         assert to_json_line(golden_record(case)) == GOLDEN_LINES[case]
+
+    @pytest.mark.parametrize("case", sorted(GOLDEN_LINES))
+    def test_line_with_a_write_time_reads_as_without(self, case):
+        # lines written before records dropped their write time still read
+        line = GOLDEN_LINES[case]
+        old = line[:-1] + OLD_STAMP + "}"
+        assert parse_record(old) == parse_record(line) == golden_record(case)
+        assert to_json_line(parse_record(old)) == line
 
 
 class TestSingleEncoding:
@@ -610,17 +578,15 @@ class TestSingleEncoding:
     def test_payload_text_must_be_an_object_text(self, text):
         made = golden_record("furuta")
         with pytest.raises(DomainError, match="payload must be a JSON object"):
-            CertificateRecord(made.schema_version, made.kind, text, made.content_hash, made.timestamp)
+            CertificateRecord(made.kind, text, made.content_hash)
 
 
 def _line_or_error(line_of, obj):
-    """line_of(obj) up to its timestamp, which must be a UTC second, or what it raises."""
+    """line_of(obj), or what it raises."""
     try:
-        line = line_of(obj)
+        return line_of(obj)
     except Exception as exc:
         return type(exc), str(exc)
-    stamp = r':"\d{4}-\d\d-\d\dT\d\d:\d\d:\d\dZ"\}'
-    return re.fullmatch(r'(\{.*,"timestamp")' + stamp, line, re.DOTALL).group(1)
 
 
 def _via_record(obj):
@@ -695,7 +661,7 @@ class TestLineOfResultObject:
 
 
 class TestRecordValue:
-    # a record is its five strings; its payload, once decoded, is not part of its value
+    # a record is its three strings; its payload, once decoded, is not part of its value
 
     def test_equal_records_hash_alike_whatever_their_payload_object(self):
         made = golden_record("furuta")
@@ -705,7 +671,7 @@ class TestRecordValue:
         assert made == parsed == built
         assert hash(made) == hash(parsed) == hash(built)
         assert len({made, parsed, built}) == 1
-        assert made != record_for(sample_objects()["furuta"], timestamp=TS_B)
+        assert made != golden_record("group_report")
         assert golden_record("furuta") == parsed
 
     @pytest.mark.parametrize("case", ["furuta", "rejection"])
@@ -779,10 +745,10 @@ def _head(kind):
     return '{"schema_version":"1","kind":"' + kind + '","payload":'
 
 
-def _signed_line(kind, payload_text, timestamp=TS_A):
+def _signed_line(kind, payload_text):
     """A record line whose hash is over payload_text exactly as written."""
     digest = hashlib.sha256((_head(kind) + payload_text + "}").encode("utf-8")).hexdigest()
-    return _head(kind) + payload_text + f',"content_hash":"{digest}","timestamp":"{timestamp}"}}'
+    return _head(kind) + payload_text + f',"content_hash":"{digest}"}}'
 
 
 class TestFastPathAgreesWithDecoding:
@@ -834,7 +800,6 @@ class TestFastPathAgreesWithDecoding:
             _signed_line("shanks_candidate", '{"m":' + "9" * 640 + "}"),
             _signed_line("shanks_candidate", '{"m":-' + "9" * 641 + "}"),
             _signed_line("shanks_candidate", '{"\\u0061m":2}'),
-            _signed_line("shanks_candidate", '{"m":2}', timestamp='2026\\"01'),
             _signed_line("shanks_candidate", "{}"),
             _signed_line("mystery", '{"m":2}'),
             GOLDEN_LINES["shanks_candidate"].replace("05d07a004b", "05D07A004B"),
@@ -842,11 +807,12 @@ class TestFastPathAgreesWithDecoding:
             GOLDEN_LINES["shanks_candidate"] + "\r\n",
             GOLDEN_LINES["shanks_candidate"] + "\r",
             GOLDEN_LINES["shanks_candidate"].encode("ascii"),
+            GOLDEN_LINES["shanks_candidate"][:-1] + OLD_STAMP + "}",
         ],
         ids=[
             "duplicate-key", "minus-zero", "leading-zero", "640-digits", "641-digits",
-            "escaped-key", "escaped-quote-in-timestamp", "empty-payload", "unknown-kind",
-            "uppercase-hash", "trailing-space", "crlf", "cr", "bytes",
+            "escaped-key", "empty-payload", "unknown-kind",
+            "uppercase-hash", "trailing-space", "crlf", "cr", "bytes", "write-time",
         ],
     )
     def test_named_cases(self, line):
