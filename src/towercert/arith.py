@@ -4,6 +4,12 @@ All inputs are checked against a 63-bit width so that results are
 reproducible bit-for-bit on any platform; the one place wider integers are
 genuinely needed (the product in :mod:`towercert.elliptic`) handles that
 locally.  Primality is deterministic, never probabilistic.
+
+The conductor family ell = m^2 + 3m + 9 is defined here: shanks_value and
+DEFAULT_RESIDUES, which every command that names a conductor by m uses.
+hlsearch re-exports both and keeps the rest of the family's code (its
+inverse m_from_prime, the candidate search and the prime-value sieve), so
+certify cyclotomic --m compiles no prime-value sieve.
 """
 
 from __future__ import annotations
@@ -17,9 +23,11 @@ from .errors import DomainError, InputRangeError
 __all__ = [
     "MAX_NATURAL",
     "MR_WITNESSES",
+    "DEFAULT_RESIDUES",
     "is_prime",
     "exact_sqrt",
     "factorize",
+    "shanks_value",
 ]
 
 MAX_NATURAL = 2**63 - 1
@@ -29,6 +37,10 @@ MAX_NATURAL = 2**63 - 1
 MR_WITNESSES = (2, 325, 9375, 28178, 450775, 9780504, 1795265022)
 
 _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+
+# Residues of m mod 12 with ell = m^2+3m+9 = 7 mod 12, prime or not; for a
+# prime ell that makes the sextic subfield of Q(zeta_ell) totally imaginary.
+DEFAULT_RESIDUES = frozenset({2, 7, 10, 11})
 
 
 def check_natural(n: int, what: str = "value") -> int:
@@ -68,6 +80,16 @@ def is_prime(n: int) -> bool:
         else:
             return False
     return True
+
+
+def shanks_value(m: int) -> int:
+    """The conductor m^2 + 3m + 9 attached to m >= 1."""
+    if m < 1:
+        raise DomainError(f"m must be positive, got {m}")
+    ell = m * m + 3 * m + 9
+    if ell > MAX_NATURAL:
+        raise InputRangeError(f"m={m} overflows the 63-bit conductor range")
+    return ell
 
 
 def exact_sqrt(n: int) -> int | None:

@@ -58,9 +58,8 @@ import math
 from itertools import islice
 from typing import NamedTuple
 
-from .arith import factorize, is_prime, prime_flags, primes_between
+from .arith import factorize, is_prime, prime_flags, primes_between, shanks_value
 from .errors import DomainError, InputRangeError, IntegralityError, NumericError
-from .hlsearch import shanks_value
 
 __all__ = [
     "SimplestCubicField",

@@ -2,7 +2,10 @@
 
 Covers the candidate search with the mod-12 congruence filter, the
 singular-series constant for the restriction 144k^2 + 84k + 19
-(m = 12k + 2), and empirical counts of prime values below a cutoff.
+(m = 12k + 2), and empirical counts of prime values below a cutoff.  The
+family's two definitions, shanks_value and DEFAULT_RESIDUES, live in arith,
+where certify cyclotomic reads them without loading this module's sieve;
+they are re-exported here, and their inverse m_from_prime stays here.
 
 Both the search and the counts decide "f(k) is prime" for a range of k at
 once, by sieving over the roots of f mod p (Jacobson and Williams, Math.
@@ -45,6 +48,7 @@ from operator import add, getitem, mod, mul, sub, truediv
 from typing import NamedTuple
 
 from .arith import (
+    DEFAULT_RESIDUES,
     MAX_NATURAL,
     check_natural,
     exact_sqrt,
@@ -52,6 +56,7 @@ from .arith import (
     prime_flags,
     prime_segments,
     primes_between,
+    shanks_value,
 )
 from .errors import DomainError, InputRangeError
 
@@ -69,10 +74,6 @@ __all__ = [
     "hl_constant",
     "empirical_prime_count",
 ]
-
-# Residues of m mod 12 with ell = m^2+3m+9 = 7 mod 12, prime or not; for a
-# prime ell that makes the sextic subfield of Q(zeta_ell) totally imaginary.
-DEFAULT_RESIDUES = frozenset({2, 7, 10, 11})
 
 # Largest sieving prime of the prime-value sieve, and the most k in one of
 # its blocks.
@@ -130,16 +131,6 @@ class PrimeCountReport(NamedTuple):
     count: int
     estimate: float
     ratio: float
-
-
-def shanks_value(m: int) -> int:
-    """The conductor m^2 + 3m + 9 attached to m >= 1."""
-    if m < 1:
-        raise DomainError(f"m must be positive, got {m}")
-    ell = m * m + 3 * m + 9
-    if ell > MAX_NATURAL:
-        raise InputRangeError(f"m={m} overflows the 63-bit conductor range")
-    return ell
 
 
 def m_from_prime(ell: int) -> int | None:

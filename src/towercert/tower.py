@@ -26,10 +26,9 @@ from __future__ import annotations
 import math
 from typing import NamedTuple
 
-from .arith import MR_WITNESSES, is_prime
+from .arith import DEFAULT_RESIDUES, MR_WITNESSES, is_prime, shanks_value
 from .cubic import UNIT_INDEX_ASSUMPTION, class_number
 from .errors import CertificationRejected, DomainError
-from .hlsearch import DEFAULT_RESIDUES, shanks_value
 
 __all__ = [
     "TowerProvenance",

@@ -7,6 +7,7 @@ import select
 import subprocess
 import sys
 import tracemalloc
+from functools import partial
 from pathlib import Path
 
 import pytest
@@ -978,6 +979,19 @@ class TestVerifyResidue:
         assert code == EXIT_USAGE
 
 
+# Each subprocess case runs with unbuffered standard streams and with the
+# default block-buffered stdout that a shell gives a pipe or a file.
+BUFFERING = (True, False)
+
+
+def _cli_env(unbuffered):
+    env = {**os.environ, "PYTHONPATH": str(Path(towercert.__file__).resolve().parent.parent)}
+    env.pop("PYTHONUNBUFFERED", None)
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    return env
+
+
 class TestPlumbing:
     def test_unknown_command(self, capsys):
         code, out, err = run(capsys, "frobnicate")
@@ -1038,12 +1052,11 @@ class TestPlumbing:
         assert len({EXIT_OK, EXIT_REJECTED, EXIT_USAGE, EXIT_NUMERIC}) == 4
 
     @staticmethod
-    def _cli_process(tmp_path, stdout, *argv, stderr=subprocess.PIPE):
-        src = str(Path(towercert.__file__).resolve().parent.parent)
+    def _cli_process(tmp_path, stdout, *argv, unbuffered, stderr=subprocess.PIPE, **popen):
+        """python -m towercert.cli, with PYTHONUNBUFFERED=1 or with it unset, as in a shell."""
         return subprocess.Popen(
             [sys.executable, "-m", "towercert.cli", *argv],
-            stdout=stdout, stderr=stderr, cwd=tmp_path,
-            env={**os.environ, "PYTHONPATH": src},
+            stdout=stdout, stderr=stderr, cwd=tmp_path, env=_cli_env(unbuffered), **popen,
         )
 
     @staticmethod
@@ -1054,34 +1067,179 @@ class TestPlumbing:
 
     @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
     def test_full_stdout_is_exit_3(self, tmp_path):
-        with open("/dev/full", "wb") as full:
-            proc = self._cli_process(tmp_path, full, "group", "perfect", "--n", "7")
-            err = proc.stderr.read()
-        self._assert_write_failure(proc, err)
-        assert b"No space left" in err
+        for unbuffered in BUFFERING:
+            with open("/dev/full", "wb") as full:
+                proc = self._cli_process(
+                    tmp_path, full, "group", "perfect", "--n", "7", unbuffered=unbuffered
+                )
+                err = proc.stderr.read()
+            self._assert_write_failure(proc, err)
+            assert b"No space left" in err
 
     @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
     def test_full_stderr_keeps_usage_exit_2(self, tmp_path):
-        with open("/dev/full", "wb") as full:
-            proc = self._cli_process(
-                tmp_path, subprocess.DEVNULL, "hl", "constant", "--prime-bound", "1", stderr=full
-            )
-        assert proc.wait(timeout=60) == EXIT_USAGE
+        for unbuffered in BUFFERING:
+            with open("/dev/full", "wb") as full:
+                proc = self._cli_process(
+                    tmp_path, subprocess.DEVNULL, "hl", "constant", "--prime-bound", "1",
+                    unbuffered=unbuffered, stderr=full,
+                )
+            assert proc.wait(timeout=60) == EXIT_USAGE, unbuffered
 
     @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
     def test_full_stdout_and_stderr_is_exit_3(self, tmp_path):
-        with open("/dev/full", "wb") as full:
-            proc = self._cli_process(tmp_path, full, "group", "perfect", "--n", "7", stderr=full)
-        assert proc.wait(timeout=60) == EXIT_NUMERIC
+        for unbuffered in BUFFERING:
+            with open("/dev/full", "wb") as full:
+                proc = self._cli_process(
+                    tmp_path, full, "group", "perfect", "--n", "7",
+                    unbuffered=unbuffered, stderr=full,
+                )
+            assert proc.wait(timeout=60) == EXIT_NUMERIC, unbuffered
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+    def test_help_to_full_stdout_is_exit_3(self, tmp_path):
+        # argparse ignores a failed write of its help; buffered, it would fail at exit
+        for unbuffered in BUFFERING:
+            with open("/dev/full", "wb") as full:
+                proc = self._cli_process(tmp_path, full, "--help", unbuffered=unbuffered)
+                err = proc.stderr.read()
+            self._assert_write_failure(proc, err)
+            assert b"No space left" in err
+
+    @pytest.mark.parametrize("argv", [("group", "perfect", "--n", "7"), ("--help",)])
+    def test_closed_stdout_is_exit_3(self, tmp_path, argv):
+        # `towercert ... >&-`: the process starts with sys.stdout None
+        for unbuffered in BUFFERING:
+            proc = self._cli_process(
+                tmp_path, subprocess.DEVNULL, *argv,
+                unbuffered=unbuffered, preexec_fn=partial(os.close, 1),
+            )
+            err = proc.stderr.read()
+            self._assert_write_failure(proc, err)
+            assert err.endswith(b": [Errno 9] stdout is closed\n")
 
     def test_pipe_closed_after_first_line_is_exit_3(self, tmp_path):
-        proc = self._cli_process(tmp_path, subprocess.PIPE, "search", "--m-max", "200000")
-        first = proc.stdout.readline()
-        proc.stdout.close()
-        err = proc.stderr.read()
-        self._assert_write_failure(proc, err)
-        assert parse_record(first.decode("utf-8").rstrip("\n")).payload["m"] == 2
-        assert b"Broken pipe" in err
+        for unbuffered in BUFFERING:
+            proc = self._cli_process(
+                tmp_path, subprocess.PIPE, "search", "--m-max", "200000", unbuffered=unbuffered
+            )
+            first = proc.stdout.readline()
+            proc.stdout.close()
+            err = proc.stderr.read()
+            self._assert_write_failure(proc, err)
+            assert parse_record(first.decode("utf-8").rstrip("\n")).payload["m"] == 2
+            assert b"Broken pipe" in err
+
+    def test_stdout_none_in_process_is_exit_3(self, capsys, monkeypatch):
+        monkeypatch.setattr(sys, "stdout", None)
+        assert main(["group", "perfect", "--n", "7"]) == EXIT_NUMERIC
+        assert main(["--help"]) == EXIT_NUMERIC
+        assert main(["search", "--m-max", "1"]) == EXIT_OK
+        lines = capsys.readouterr().err.splitlines()
+        assert lines == ["towercert: cannot write output: [Errno 9] stdout is closed"] * 2
+
+
+# Commands whose console-script run must match main() byte for byte: {out}
+# and {registry} are files in the test's directory.
+CONSOLE_SET = (
+    ("--help",),
+    ("search",),
+    ("certify", "eigenform", "--weight", "12", "--ell", "20"),
+    ("group", "perfect", "--n", "7"),
+    ("certify", "cyclotomic", "--m", "50"),
+    ("search", "--m-max", "600", "--certify"),
+    ("search", "--m-max", "600", "--certify", "--out", "{out}"),
+    ("certify", "eigenform", "--weight", "12", "--ell", "877", "--registry", "{registry}"),
+)
+
+
+class TestConsolePath:
+    """script_entry ends the process itself; what it leaves is what main() gives in process."""
+
+    @pytest.mark.parametrize("template", CONSOLE_SET, ids=" ".join)
+    def test_same_bytes_and_exit_code_as_main(self, capsys, tmp_path, template):
+        registry = tmp_path / "registry.jsonl"
+        if "{registry}" in template:
+            assert main(["search", "--m-max", "600", "--out", str(registry)]) == EXIT_OK
+
+        def argv(out):
+            return [a.format(out=out, registry=registry) for a in template]
+
+        code, out, err = run(capsys, *argv(tmp_path / "main.jsonl"))
+        proc = subprocess.run(
+            [sys.executable, "-m", "towercert.cli", *argv(tmp_path / "console.jsonl")],
+            capture_output=True, cwd=tmp_path, env=_cli_env(False), timeout=120,
+        )
+        assert (proc.returncode, proc.stdout.decode(), proc.stderr.decode()) == (code, out, err)
+        if "{out}" in template:
+            written = (tmp_path / "console.jsonl").read_bytes()
+            assert written and written == (tmp_path / "main.jsonl").read_bytes()
+
+    def test_no_process_outlives_a_pool(self, capsys, tmp_path):
+        argv = ["search", "--m-max", "60", "--certify", "--jobs", "2"]
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "towercert.cli", *argv],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, cwd=tmp_path, env=_cli_env(False),
+            start_new_session=True,
+        )
+        out, err = proc.communicate(timeout=120)
+        assert proc.returncode == EXIT_OK, err
+        assert out.decode() == run(capsys, *argv)[1]
+        with pytest.raises(ProcessLookupError):
+            os.killpg(proc.pid, 0)
+
+    def test_atexit_handlers_still_run(self, tmp_path):
+        code = (
+            "import atexit, sys\n"
+            "from towercert.cli import script_entry\n"
+            "atexit.register(print, 'handler ran', file=sys.stderr)\n"
+            "sys.argv[1:] = ['group', 'perfect', '--n', '7']\n"
+            "script_entry()"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", code],
+            capture_output=True, cwd=tmp_path, env=_cli_env(False), timeout=120,
+        )
+        assert proc.returncode == EXIT_OK, proc.stderr
+        assert proc.stderr == b"handler ran\n"
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+    @pytest.mark.parametrize(
+        "argv, stream, expected",
+        [
+            (("hl", "constant", "--prime-bound", "1"), "stderr", EXIT_USAGE),
+            (("--help",), "stdout", EXIT_NUMERIC),
+        ],
+        ids=["full-stderr", "help-to-full-stdout"],
+    )
+    def test_traced_run_keeps_the_exit_code(self, tmp_path, argv, stream, expected):
+        # a trace hook keeps the exit through sys.exit, where the interpreter flushes again
+        code = (
+            "import sys\n"
+            "from towercert.cli import script_entry\n"
+            "sys.settrace(lambda frame, event, arg: None)\n"
+            f"sys.argv[1:] = {list(argv)!r}\n"
+            "script_entry()"
+        )
+        with open("/dev/full", "wb") as full:
+            streams = {"stdout": subprocess.DEVNULL, "stderr": subprocess.DEVNULL, stream: full}
+            proc = subprocess.run(
+                [sys.executable, "-c", code],
+                cwd=tmp_path, env=_cli_env(False), timeout=120, **streams,
+            )
+        assert proc.returncode == expected
+
+    def test_profiler_still_reports(self, tmp_path):
+        # under cProfile the process takes the normal exit, after which it prints
+        argv = ["group", "perfect", "--n", "7"]
+        proc = subprocess.run(
+            [sys.executable, "-m", "cProfile", "-m", "towercert.cli", *argv],
+            capture_output=True, cwd=tmp_path, env=_cli_env(False), timeout=120,
+        )
+        assert proc.returncode == EXIT_OK, proc.stderr
+        first, rest = proc.stdout.split(b"\n", 1)
+        assert first.startswith(b'{"schema_version":"1","kind":"group_report"')
+        assert b"function calls" in rest and b"Ordered by" in rest
 
 
 class TestOutFile:

@@ -128,7 +128,7 @@ def _with(added):
         ("furuta --ell 5 --m-e 30", {"elliptic"}),
         ("search --m-max 20", {"hlsearch"}),
         ("hl constant --prime-bound 1000", {"hlsearch"}),
-        ("certify cyclotomic --m 50", {"hlsearch", "cubic", "tower"}),
+        ("certify cyclotomic --m 50", {"cubic", "tower"}),
         ("verify residue-claim --weight 12", {"modforms"}),
         ("certify eigenform --weight 12 --ell 877", {"modforms"}),
         ("hl count --x 1000 --prime-bound 1000", {"hlsearch"}),
