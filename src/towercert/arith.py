@@ -5,11 +5,8 @@ reproducible bit-for-bit on any platform; the one place wider integers are
 genuinely needed (the product in :mod:`towercert.elliptic`) handles that
 locally.  Primality is deterministic, never probabilistic.
 
-The conductor family ell = m^2 + 3m + 9 is defined here: shanks_value and
-DEFAULT_RESIDUES, which every command that names a conductor by m uses.
-hlsearch re-exports both and keeps the rest of the family's code (its
-inverse m_from_prime, the candidate search and the prime-value sieve), so
-certify cyclotomic --m compiles no prime-value sieve.
+The conductor family ell = m^2 + 3m + 9 is defined here: shanks_value,
+its inverse m_from_prime and DEFAULT_RESIDUES.
 """
 
 from __future__ import annotations
@@ -28,6 +25,7 @@ __all__ = [
     "exact_sqrt",
     "factorize",
     "shanks_value",
+    "m_from_prime",
 ]
 
 MAX_NATURAL = 2**63 - 1
@@ -98,6 +96,22 @@ def exact_sqrt(n: int) -> int | None:
         return None
     r = isqrt(n)
     return r if r * r == n else None
+
+
+def m_from_prime(ell: int) -> int | None:
+    """Invert shanks_value: m with m^2+3m+9 == ell, or None.
+
+    The positive root is (-3 + sqrt(4*ell - 27)) / 2; it must be a positive
+    integer for the inversion to exist.
+    """
+    check_natural(ell, "ell")
+    if ell < 13:
+        raise DomainError(f"ell must be at least 13 (m=1), got {ell}")
+    r = exact_sqrt(4 * ell - 27)
+    if r is None or (r - 3) % 2 != 0:
+        return None
+    m = (r - 3) // 2
+    return m if m >= 1 else None
 
 
 # Integers in one block of prime_segments, about 384 KB of flags: a multiple

@@ -16,11 +16,10 @@ A command loads only the modules it runs.  Importing this module and
 building the parser load arith, errors and records; every other library
 name a handler calls (sl2_perfect, certify_cyclotomic, Pool, ...) is a
 module attribute here that imports its module on the first call, so
-`group perfect` loads elliptic alone, `search` without --certify hlsearch
-alone, `certify cyclotomic --m` cubic and tower alone (the conductor
-family's shanks_value and DEFAULT_RESIDUES are arith's, so it compiles no
-prime-value sieve), and `certify eigenform` modforms alone unless its
---registry file cites a tower record for --ell.  The names stay attributes
+`group perfect` and `furuta` load elliptic alone, `search` without
+--certify hlsearch alone, `certify cyclotomic` cubic and tower alone, and
+`certify eigenform` modforms alone unless its --registry file cites a tower
+record for --ell.  The names stay attributes
 of this module, looked up by the handlers at each call, so a test or a
 tracer that rebinds one of them still sees every call.
 
@@ -56,7 +55,7 @@ from contextlib import nullcontext
 from functools import partial
 from importlib import import_module
 
-from .arith import DEFAULT_RESIDUES, check_natural, is_prime, shanks_value
+from .arith import DEFAULT_RESIDUES, check_natural, is_prime, m_from_prime, shanks_value
 from .errors import (
     CertificationRejected,
     DomainError,
@@ -96,7 +95,6 @@ def _lazy(module: str, name: str):
 
 
 search_shanks_candidates = _lazy(".hlsearch", "search_shanks_candidates")
-m_from_prime = _lazy(".hlsearch", "m_from_prime")
 hl_constant = _lazy(".hlsearch", "hl_constant")
 empirical_prime_count = _lazy(".hlsearch", "empirical_prime_count")
 certify_cyclotomic = _lazy(".tower", "certify_cyclotomic")
@@ -433,15 +431,6 @@ def _cmd_hl_count(args, emitter) -> int:
 
 
 def _cmd_furuta(args, emitter) -> int:
-    if args.count < MIN_FURUTA_PRIMES:
-        raise DomainError(
-            f"--count must be at least {MIN_FURUTA_PRIMES}: the construction "
-            "requires nine or more primes"
-        )
-    if args.m_e < 30 or args.m_e % 30 != 0:
-        raise DomainError("--m-e must be a positive multiple of 30")
-    if not is_prime(args.ell):
-        raise CertificationRejected(["composite"], ell=args.ell)
     emitter.record(record_for(furuta_n(args.ell, args.m_e, args.count)))
     return EXIT_OK
 

@@ -35,7 +35,7 @@ import math
 from typing import NamedTuple
 
 from .arith import MAX_NATURAL, check_natural, factorize, is_prime
-from .errors import DomainError, InputRangeError, ResourceLimitError
+from .errors import CertificationRejected, DomainError, InputRangeError, ResourceLimitError
 
 __all__ = [
     "FurutaWitness",
@@ -77,23 +77,26 @@ class GroupReport(NamedTuple):
 def furuta_n(ell: int, m_e: int, count: int = MIN_FURUTA_PRIMES) -> FurutaWitness:
     """The `count` smallest primes p = 1 mod ell with gcd(p, m_e) = 1.
 
-    count < 9 is rejected: the tower argument needs nine or more primes.
-    count > _MAX_PROGRESSION_STEPS is out of range (InputRangeError): each
-    progression step yields at most one prime.  So is an ell whose
-    candidates step*ell + 1 leave the 63-bit range before count primes are
-    found.
+    The checks run in this order; the first rule broken decides.  count < 9
+    is rejected (DomainError): the tower argument needs nine or more primes.
+    So is an m_e that is not a positive multiple of 30.  A composite ell
+    raises CertificationRejected(["composite"], ell=ell).  An m_e past the
+    63-bit width, and count > _MAX_PROGRESSION_STEPS, are out of range
+    (InputRangeError): each progression step yields at most one prime.  So
+    is an ell whose candidates step*ell + 1 leave the 63-bit range before
+    count primes are found.
     The product n is exact (Python integers are unbounded; this is the only
     quantity allowed past the 63-bit width contract).
     """
-    if not is_prime(ell):
-        raise DomainError(f"ell must be prime, got {ell}")
-    if m_e < 30 or m_e % 30 != 0:
-        raise DomainError(f"M_E must be a positive multiple of 30, got {m_e}")
-    check_natural(m_e, "M_E")
     if count < MIN_FURUTA_PRIMES:
         raise DomainError(
             f"the construction requires nine or more primes, got count={count}"
         )
+    if m_e < 30 or m_e % 30 != 0:
+        raise DomainError(f"M_E must be a positive multiple of 30, got {m_e}")
+    if not is_prime(ell):
+        raise CertificationRejected(["composite"], ell=ell)
+    check_natural(m_e, "M_E")
     if count > _MAX_PROGRESSION_STEPS:
         raise InputRangeError(
             f"count {count} above the {_MAX_PROGRESSION_STEPS} progression steps, "

@@ -52,8 +52,12 @@ class ResourceLimitError(RuntimeError):
 class CertificationRejected(Exception):
     """The input cannot enter the certification pipeline.
 
-    ``reasons`` holds machine-readable tags ("composite", "residue",
-    "not_shanks_form"); ``context`` holds the offending values.
+    ``reasons`` holds machine-readable tags; ``context`` holds the
+    offending values.  "composite" comes from tower.certify_cyclotomic and
+    elliptic.furuta_n, and from the CLI's `certify eigenform`, which checks
+    --ell before it reads --registry; "residue" from certify_cyclotomic;
+    "not_shanks_form" from the CLI, for a `certify cyclotomic --ell` that
+    is no m^2 + 3m + 9.
     """
 
     def __init__(self, reasons, **context):

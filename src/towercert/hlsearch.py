@@ -2,10 +2,7 @@
 
 Covers the candidate search with the mod-12 congruence filter, the
 singular-series constant for the restriction 144k^2 + 84k + 19
-(m = 12k + 2), and empirical counts of prime values below a cutoff.  The
-family's two definitions, shanks_value and DEFAULT_RESIDUES, live in arith,
-where certify cyclotomic reads them without loading this module's sieve;
-they are re-exported here, and their inverse m_from_prime stays here.
+(m = 12k + 2), and empirical counts of prime values below a cutoff.
 
 Both the search and the counts decide "f(k) is prime" for a range of k at
 once, by sieving over the roots of f mod p (Jacobson and Williams, Math.
@@ -50,7 +47,6 @@ from typing import NamedTuple
 from .arith import (
     DEFAULT_RESIDUES,
     MAX_NATURAL,
-    check_natural,
     exact_sqrt,
     is_prime,
     prime_flags,
@@ -66,10 +62,7 @@ __all__ = [
     "HLConstantResult",
     "PrimeCountReport",
     "CONDUCTOR_POLY",
-    "DEFAULT_RESIDUES",
     "MAX_PRIME_BOUND",
-    "shanks_value",
-    "m_from_prime",
     "search_shanks_candidates",
     "hl_constant",
     "empirical_prime_count",
@@ -131,22 +124,6 @@ class PrimeCountReport(NamedTuple):
     count: int
     estimate: float
     ratio: float
-
-
-def m_from_prime(ell: int) -> int | None:
-    """Invert shanks_value: m with m^2+3m+9 == ell, or None.
-
-    The positive root is (-3 + sqrt(4*ell - 27)) / 2; it must be a positive
-    integer for the inversion to exist.
-    """
-    check_natural(ell, "ell")
-    if ell < 13:
-        raise DomainError(f"ell must be at least 13 (m=1), got {ell}")
-    r = exact_sqrt(4 * ell - 27)
-    if r is None or (r - 3) % 2 != 0:
-        return None
-    m = (r - 3) // 2
-    return m if m >= 1 else None
 
 
 def _sieved_s(poly: QuadraticIntPoly) -> int:

@@ -21,9 +21,9 @@ from towercert.cli import (
     EXIT_USAGE,
     main,
 )
-from towercert.arith import is_prime
+from towercert.arith import is_prime, shanks_value
 from towercert.errors import DomainError, IntegralityError, NumericError
-from towercert.hlsearch import MAX_PRIME_BOUND, shanks_value
+from towercert.hlsearch import MAX_PRIME_BOUND
 from towercert.modforms import VALID_WEIGHTS
 from towercert.records import (
     SCHEMA_VERSION,
@@ -1560,7 +1560,7 @@ CALLERS = {
     "sl2_perfect": ("group", "perfect", "--n", "7"),
     "furuta_n": ("furuta", "--ell", "5", "--m-e", "30"),
     "certify_eigenform": ("certify", "eigenform", "--weight", "12", "--ell", "877"),
-    "is_prime": ("furuta", "--ell", "5", "--m-e", "30"),
+    "is_prime": ("certify", "eigenform", "--weight", "12", "--ell", "877"),
 }
 
 
@@ -1597,8 +1597,8 @@ class TestLazyNames:
         assert calls
 
     def test_parser_constants_match_their_owners(self):
-        from towercert import elliptic, hlsearch, modforms
+        from towercert import arith, elliptic, modforms
 
         assert cli.VALID_WEIGHTS == modforms.VALID_WEIGHTS
-        assert cli.DEFAULT_RESIDUES == hlsearch.DEFAULT_RESIDUES
+        assert cli.DEFAULT_RESIDUES == arith.DEFAULT_RESIDUES
         assert cli.MIN_FURUTA_PRIMES == elliptic.MIN_FURUTA_PRIMES

@@ -21,6 +21,7 @@ from oracles import (
     trial_division_prime,
 )
 from towercert import cubic
+from towercert.arith import shanks_value
 from towercert.cubic import (
     INTEGRALITY_TOL,
     MAX_CONDUCTOR,
@@ -38,7 +39,7 @@ from towercert.cubic import (
     regulator,
 )
 from towercert.errors import DomainError, InputRangeError, IntegralityError, NumericError
-from towercert.hlsearch import search_shanks_candidates, shanks_value
+from towercert.hlsearch import search_shanks_candidates
 from towercert.tower import certify_cyclotomic
 
 # Analytic class numbers frozen after cross-checking small conductors

@@ -20,7 +20,7 @@ from towercert.elliptic import (
     sl2_order,
     sl2_perfect,
 )
-from towercert.errors import DomainError, InputRangeError
+from towercert.errors import CertificationRejected, DomainError, InputRangeError
 
 ELL5_NINE_PRIMES = (11, 31, 41, 61, 71, 101, 131, 151, 181)
 
@@ -49,8 +49,21 @@ class TestFurutaN:
             furuta_n(5, 30, count=8)
 
     def test_composite_ell_rejected(self):
-        with pytest.raises(DomainError):
+        with pytest.raises(CertificationRejected):
             furuta_n(15, 30)
+
+    def test_argument_checks_in_order(self):
+        # count and M_E are usage errors before ell is tested; a composite
+        # ell is a rejection before M_E's width is
+        with pytest.raises(DomainError, match="M_E"):
+            furuta_n(15, 31)
+        with pytest.raises(DomainError, match="nine"):
+            furuta_n(15, 30, count=8)
+        for ell, m_e in ((15, 30), (4, 30 * 10**28)):
+            with pytest.raises(CertificationRejected) as caught:
+                furuta_n(ell, m_e)
+            assert caught.value.reasons == ("composite",)
+            assert caught.value.context == {"ell": ell}
 
     def test_bad_m_e_rejected(self):
         with pytest.raises(DomainError):

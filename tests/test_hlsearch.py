@@ -16,18 +16,15 @@ from oracles import (
     prime_count_mr,
 )
 from towercert import arith, hlsearch
-from towercert.arith import is_prime
+from towercert.arith import DEFAULT_RESIDUES, is_prime, m_from_prime, shanks_value
 from towercert.errors import DomainError, InputRangeError
 from towercert.hlsearch import (
     CONDUCTOR_POLY,
-    DEFAULT_RESIDUES,
     MAX_PRIME_BOUND,
     QuadraticIntPoly,
     empirical_prime_count,
     hl_constant,
-    m_from_prime,
     search_shanks_candidates,
-    shanks_value,
 )
 
 FROZEN_CONSTANT_1E6 = 0.28015118850435017

@@ -132,6 +132,7 @@ def _with(added):
         ("verify residue-claim --weight 12", {"modforms"}),
         ("certify eigenform --weight 12 --ell 877", {"modforms"}),
         ("hl count --x 1000 --prime-bound 1000", {"hlsearch"}),
+        ("certify cyclotomic --ell 2659", {"cubic", "tower"}),
     ],
 )
 def test_command_loads_only_its_modules(argv, added):
@@ -158,7 +159,7 @@ def test_eigenform_citing_a_tower_loads_tower(tmp_path):
     argv = ["certify", "eigenform", "--weight", "12", "--ell", "2659", "--registry", str(towers)]
     code = f"import os, towercert.cli as cli\nassert cli.main({argv!r} + ['--out', os.devnull]) == 0"
     # the cited tower record's payload is decoded
-    added = {"modforms", "tower", "cubic", "hlsearch", "json"}
+    added = {"modforms", "tower", "cubic", "json"}
     assert _loaded_in_fresh_process(code) == _with(added)
 
 

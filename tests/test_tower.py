@@ -5,6 +5,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from towercert import modforms
+from towercert.arith import shanks_value
 from towercert.errors import CertificationRejected, DomainError
 from towercert.tower import (
     TORSION_ASSUMPTION,
@@ -15,7 +16,6 @@ from towercert.tower import (
     schoof_holds,
     schoof_rhs,
 )
-from towercert.hlsearch import shanks_value
 from towercert.modforms import certify_eigenform
 
 
