@@ -366,17 +366,18 @@ def _cited_tower(path: str, ell: int):
     Every line must parse with its content hash, and a certified tower
     record for ell must carry the hash of ell's certificate, recomputed once
     at the first such record.  Errors name the physical line; blank lines
-    are skipped.
+    are skipped.  Each line is parsed as read, with its newline, so none is
+    copied; only a line that fails to parse is tested for being blank.
     """
     tower = recomputed = None
     try:
         with open(path, encoding="utf-8") as handle:
             for number, line in enumerate(handle, start=1):
-                if not line.strip():
-                    continue
                 try:
-                    record = parse_record(line.rstrip("\n"))
-                    payload = record.payload if record.kind == "cyclotomic_tower" else {}
+                    record = parse_record(line)
+                    if record.kind != "cyclotomic_tower":
+                        continue
+                    payload = record.payload
                     if not payload.get("certified") or payload.get("ell") != ell:
                         continue
                     if tower is None:
@@ -396,6 +397,8 @@ def _cited_tower(path: str, ell: int):
                             f"certificate (content hash {recomputed})"
                         )
                 except DomainError as exc:
+                    if line.isspace():  # a blank line never parses
+                        continue
                     raise DomainError(f"bad registry record at {path}:{number}: {exc}") from exc
     except (OSError, UnicodeDecodeError) as exc:
         raise DomainError(f"cannot read registry file {path}: {exc}") from exc

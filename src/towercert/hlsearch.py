@@ -315,23 +315,23 @@ def hl_constant(prime_bound: int) -> HLConstantResult:
     that are multiples of 5 are not read; the term log1p(-/+1.0/(p - 1))
     comes from maps of C functions, so no Python code runs per prime.  The
     offsets add 16 KB to the memory.  p = 5 gives its term, log1p(0.25),
-    once.  Every p - 1 is below 2^53, so each term has the bits of the
-    exact p - 1.  The terms are summed by one math.fsum, so the log-sum is
-    correctly rounded (the exact sum of the terms, rounded once, in any
-    order), then exponentiated; recomputation at the same bound is
-    bit-identical.
+    once.  terms_used is that 1 plus the primes the slices hold, counted
+    slice by slice, so no other flag is read.  Every p - 1 is below 2^53,
+    so each term has the bits of the exact p - 1.  The terms are summed by
+    one math.fsum, so the log-sum is correctly rounded (the exact sum of
+    the terms, rounded once, in any order), then exponentiated;
+    recomputation at the same bound is bit-identical.
     """
     if prime_bound < 5:
         raise DomainError(f"prime bound must be at least 5, got {prime_bound}")
     if prime_bound > MAX_PRIME_BOUND:
         raise InputRangeError(f"prime bound {prime_bound} exceeds {MAX_PRIME_BOUND}")
-    primes = 0
+    primes = 1  # p = 5, which no slice holds
     offsets = [30.0 * j for j in range(_WHEEL_CHUNK // 30)]
 
     def log_terms() -> Iterator[Iterator[float]]:
         nonlocal primes
         for lo, flags in prime_segments(prime_bound):
-            primes += flags.count(1)
             # each i < 30 with lo + i prime to 30, and the sign of the terms of its class
             wheel = [
                 (i, -1.0 if (lo + i) % 6 == 1 else 1.0) for i in range(30) if gcd(lo + i, 30) == 1
@@ -340,14 +340,15 @@ def hl_constant(prime_bound: int) -> HLConstantResult:
                 for i, sign in wheel:
                     j = chunk + i
                     # p - 1 of the primes p = lo + j + 30t, t < 512
-                    steps = compress(offsets, flags[j : j + _WHEEL_CHUNK : 30])
+                    class_flags = flags[j : j + _WHEEL_CHUNK : 30]
+                    primes += class_flags.count(1)
+                    steps = compress(offsets, class_flags)
                     p_minus_1 = map(add, repeat(float(lo + j - 1)), steps)
                     yield map(log1p, map(truediv, repeat(sign), p_minus_1))
 
     terms = chain((log1p(0.25),), chain.from_iterable(log_terms()))
     partial = math.exp(math.fsum(terms))
-    # every prime but 2 and 3 gives a term
-    return HLConstantResult(prime_bound, partial, partial / 4.0, primes - 2)
+    return HLConstantResult(prime_bound, partial, partial / 4.0, primes)
 
 
 def empirical_prime_count(

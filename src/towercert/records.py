@@ -32,6 +32,11 @@ a check that its keys are distinct, and one sha256 over a slice of the
 line; its payload text is canonical by its grammar, so nothing is decoded
 or re-encoded, and json is not even imported.  Every other line is decoded
 with json.loads and its payload re-encoded with canonical_json.
+SHA-256 comes from the interpreter's builtin module (_sha2 from CPython
+3.12, _sha256 before), not from hashlib: hashlib loads OpenSSL's libcrypto,
+about 3.5 MB of every process's peak RSS and 2-3 ms of its start, for one
+digest a line.  hashlib is the fallback on a build without those modules;
+the digests are the same.
 """
 
 from __future__ import annotations
@@ -40,11 +45,19 @@ import math
 import re
 import sys
 from _json import encode_basestring_ascii as _quote  # json.encoder's, without json
-from hashlib import sha256
 from operator import itemgetter
 from typing import NamedTuple
 
 from .errors import DomainError
+
+# the builtin module first, as random.py takes its sha512 (see the docstring)
+try:
+    from _sha2 import sha256  # CPython 3.12+
+except ImportError:
+    try:
+        from _sha256 import sha256  # CPython 3.10 and 3.11
+    except ImportError:  # a build without the builtin hashes
+        from hashlib import sha256
 
 __all__ = [
     "SCHEMA_VERSION",
@@ -293,12 +306,13 @@ _line_fields = itemgetter(*_LINE_FIELDS)
 _SCALAR = r"(?:0|-?[1-9][0-9]{0,639}|true|false|null)"
 _MEMBER = r'"[a-z0-9_]+":' + _SCALAR
 
-# A record line of canonical form whose payload holds only such values: its
-# groups are the kind, the payload text and the content hash.
+# A record line of canonical form whose payload holds only such values,
+# ending in at most one "\n", as a line read from a file does: its groups
+# are the kind, the payload text and the content hash.
 _RECORD_LINE = (
     re.escape('{"schema_version":' + _quote(SCHEMA_VERSION) + ',"kind":')
     + r'"([a-z_]+)","payload":(\{(?:' + _MEMBER + "(?:," + _MEMBER + r")*)?\})"
-    + r',"content_hash":"([0-9a-f]{64})"\}'
+    + r',"content_hash":"([0-9a-f]{64})"\}\n?'
 )
 
 # _RECORD_LINE's fullmatch, compiled on the first parse_record: importing
@@ -318,7 +332,9 @@ def parse_record(line: str) -> CertificateRecord:
     payload is the text itself, the hash over the line's head and payload
     text is the one the general path computes, and the record is the one it
     builds.  Any other line, and a line whose hash does not match, goes to
-    the general path, which decodes the line and gives its errors.  That
+    the general path, which decodes the line and gives its errors.  Both
+    paths take a line with or without its final "\n" (json.loads skips the
+    whitespace around a value), and give the same record.  The general
     path reads only the four members of _LINE_FIELDS, so a line that also
     holds the time it was written, as older files do, gives the record of
     the same line without it.

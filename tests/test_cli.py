@@ -479,13 +479,17 @@ class TestCertifyEigenform:
 
     @pytest.mark.parametrize(
         "layout, line",
-        [("blank_first", 2), ("crlf", 3)],
+        [("blank_first", 2), ("blanks_between", 6), ("crlf", 3)],
     )
     def test_registry_error_names_physical_line(self, capsys, tmp_path, layout, line):
         good = to_json_line(make_record("rejection", {"command": "t", "reasons": []}))
         registry_file = tmp_path / "registry.jsonl"
         if layout == "blank_first":
             registry_file.write_bytes(b'\n{"bad":1}\n')
+        elif layout == "blanks_between":
+            # empty and whitespace-only lines, each skipped, around a good line
+            text = f'\n \t\n{good}\n\x0c\n\n{{"bad":1}}\n{good}\n'
+            registry_file.write_bytes(text.encode("ascii"))
         else:
             registry_file.write_bytes(f'{good}\r\n\r\n{{"bad":1}}\r\n'.encode("ascii"))
         code, out, err = run(

@@ -271,6 +271,24 @@ class TestHLConstant:
         assert result.partial_product.hex() == partial_hex
         assert result.terms_used == terms
 
+    # the count read from the wheel's class slices is the count of every flag
+    # of every block, less 2 and 3: on both sides of the wheel chunk edges of
+    # the first two blocks (the last chunk of a block is partial), of the
+    # first three block edges, and at the survey band's ends
+    @pytest.mark.parametrize(
+        "bound",
+        [
+            *(lo + k * hlsearch._WHEEL_CHUNK + d
+              for lo in (0, arith._SEGMENT) for k in (1, 2, 25) for d in (-1, 0, 1)),
+            *SEGMENT_EDGES,
+            10**7,
+            10**7 + 70_000,
+        ],
+    )
+    def test_terms_used_is_the_whole_block_count(self, bound):
+        whole = sum(flags.count(1) for _, flags in arith.prime_segments(bound)) - 2
+        assert hl_constant(bound).terms_used == whole
+
     @pytest.mark.parametrize("bound", [10**6, 8 * 10**6])
     def test_memory_bounded(self, bound):
         # the block being read and the one being sieved, plus the base primes

@@ -3,10 +3,13 @@ import functools
 import hashlib
 import importlib
 import json
+import os
+import pathlib
 import pickle
 import pkgutil
 import random
 import re
+import subprocess
 import sys
 from typing import NamedTuple
 
@@ -538,6 +541,47 @@ class TestGoldenRecords:
         assert to_json_line(parse_record(old)) == line
 
 
+class TestSha256Source:
+    """records hashes with the interpreter's builtin SHA-256, and with hashlib only without one."""
+
+    def test_builtin_module_first(self):
+        for name in ("_sha2", "_sha256", "hashlib"):
+            try:
+                expected = importlib.import_module(name).sha256.__module__
+            except ImportError:
+                continue
+            break
+        assert records.sha256.__module__ == expected
+
+    # the empty message, both sides of the one-block padding limit (55 bytes),
+    # both sides of a whole block (64), and a long message
+    @pytest.mark.parametrize("size", [0, 55, 56, 63, 64, 65, 10**5])
+    def test_digest_is_hashlib_digest(self, size):
+        data = random.Random(size).randbytes(size)
+        assert records.sha256(data).hexdigest() == hashlib.sha256(data).hexdigest()
+
+    def test_hashlib_fallback_writes_the_golden_lines(self):
+        # with neither builtin module importable, records falls back to hashlib
+        code = (
+            "import json, sys\n"
+            "sys.modules['_sha2'] = sys.modules['_sha256'] = None\n"
+            "import test_records as t\n"
+            "from towercert import records\n"
+            "assert records.sha256.__module__ == '_hashlib', records.sha256.__module__\n"
+            "for case, line in t.GOLDEN_LINES.items():\n"
+            "    assert records.parse_record(line) == t.golden_record(case), case\n"
+            "print(json.dumps({c: records.to_json_line(t.golden_record(c)) for c in t.GOLDEN_LINES}))"
+        )
+        tests = pathlib.Path(__file__).resolve().parent
+        path = os.pathsep.join([str(tests.parent / "src"), str(tests)])
+        proc = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True,
+            env={**os.environ, "PYTHONPATH": path}, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout) == GOLDEN_LINES
+
+
 class TestSingleEncoding:
     @pytest.mark.parametrize("case", sorted(GOLDEN_LINES))
     def test_line_reuses_hashed_text(self, case, monkeypatch):
@@ -765,6 +809,7 @@ class TestFastPathAgreesWithDecoding:
         monkeypatch.setattr(json, "loads", refuse)
         monkeypatch.setattr(records, "canonical_json", refuse)
         assert parse_record(line) == expected
+        assert parse_record(line + "\n") == expected
 
     @pytest.mark.parametrize("case", sorted(GOLDEN_LINES))
     def test_golden_lines(self, case):
@@ -776,6 +821,9 @@ class TestFastPathAgreesWithDecoding:
         assert kinds == {"shanks_candidate", "cyclotomic_tower"}
         for line in search_lines:
             assert parse_record(line) == records._parse_decoded(line), line
+            # as a file iterator yields it, with its "\n": the same record
+            assert parse_record(line + "\n") == records._parse_decoded(line + "\n")
+            assert parse_record(line + "\n") == parse_record(line)
 
     def test_seeded_mutations(self, search_lines):
         rng = random.Random(20260101)
@@ -804,6 +852,11 @@ class TestFastPathAgreesWithDecoding:
             _signed_line("mystery", '{"m":2}'),
             GOLDEN_LINES["shanks_candidate"].replace("05d07a004b", "05D07A004B"),
             GOLDEN_LINES["shanks_candidate"] + " ",
+            GOLDEN_LINES["shanks_candidate"] + "\n",
+            GOLDEN_LINES["shanks_candidate"] + "\n\n",
+            GOLDEN_LINES["shanks_candidate"] + " \n",
+            "\n" + GOLDEN_LINES["shanks_candidate"],
+            _resigned(GOLDEN_LINES["shanks_candidate"].replace('"m":2', '"m":3')) + "\n",
             GOLDEN_LINES["shanks_candidate"] + "\r\n",
             GOLDEN_LINES["shanks_candidate"] + "\r",
             GOLDEN_LINES["shanks_candidate"].encode("ascii"),
@@ -812,7 +865,8 @@ class TestFastPathAgreesWithDecoding:
         ids=[
             "duplicate-key", "minus-zero", "leading-zero", "640-digits", "641-digits",
             "escaped-key", "empty-payload", "unknown-kind",
-            "uppercase-hash", "trailing-space", "crlf", "cr", "bytes", "write-time",
+            "uppercase-hash", "trailing-space", "newline", "two-newlines", "space-newline",
+            "leading-newline", "resigned-newline", "crlf", "cr", "bytes", "write-time",
         ],
     )
     def test_named_cases(self, line):

@@ -67,14 +67,27 @@ def test_package_import_loads_no_submodule():
     assert proc.stdout == "[]\n"
 
 
-# What importing towercert.cli loads: the package, cli and the record codec.
-CLI_BASE = {f"towercert{m}" for m in ("", ".cli", ".arith", ".errors", ".records")}
+def _imports(name):
+    try:
+        importlib.import_module(name)
+    except ImportError:
+        return False
+    return True
+
+
+# What importing towercert.cli loads: the package, cli and the record codec,
+# and hashlib with OpenSSL's _hashlib only on an interpreter without a
+# builtin SHA-256 module, the one records takes first.
+CLI_BASE = {f"towercert{m}" for m in ("", ".cli", ".arith", ".errors", ".records")} | (
+    set() if _imports("_sha2") or _imports("_sha256") else {"hashlib", "_hashlib"}
+)
 
 
 # The standard modules the probe reports: the process pool's; dataclasses
 # and inspect (which imports ast, dis and tokenize), which no command loads;
-# and json, which only a command that decodes a record loads.
-REPORTED = ("multiprocessing", "dataclasses", "inspect", "json")
+# json, which only a command that decodes a record loads; and hashlib and
+# _hashlib, which map OpenSSL's libcrypto (about 3.5 MB) into the process.
+REPORTED = ("multiprocessing", "dataclasses", "inspect", "json", "hashlib", "_hashlib")
 
 
 def _loaded_in_fresh_process(code):
