@@ -6,7 +6,7 @@ genuinely needed (the product in :mod:`towercert.elliptic`) handles that
 locally.  Primality is deterministic, never probabilistic.
 
 The conductor family ell = m^2 + 3m + 9 is defined here: shanks_value,
-its inverse m_from_prime and DEFAULT_RESIDUES.
+its inverse m_from_prime and RESIDUES.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from .errors import DomainError, InputRangeError
 __all__ = [
     "MAX_NATURAL",
     "MR_WITNESSES",
-    "DEFAULT_RESIDUES",
+    "RESIDUES",
     "is_prime",
     "exact_sqrt",
     "factorize",
@@ -38,7 +38,7 @@ _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
 # Residues of m mod 12 with ell = m^2+3m+9 = 7 mod 12, prime or not; for a
 # prime ell that makes the sextic subfield of Q(zeta_ell) totally imaginary.
-DEFAULT_RESIDUES = frozenset({2, 7, 10, 11})
+RESIDUES = frozenset({2, 7, 10, 11})
 
 
 def check_natural(n: int, what: str = "value") -> int:

@@ -51,11 +51,11 @@ import errno
 import os
 import stat
 import sys
-from contextlib import nullcontext
+from contextlib import nullcontext, suppress
 from functools import partial
 from importlib import import_module
 
-from .arith import DEFAULT_RESIDUES, check_natural, is_prime, m_from_prime, shanks_value
+from .arith import check_natural, is_prime, m_from_prime, shanks_value
 from .errors import (
     CertificationRejected,
     DomainError,
@@ -131,16 +131,23 @@ class _Emitter:
 
     FILE is opened up front, so an unopenable path fails before any work,
     but it is only emptied by start() or the first line: a command stopped
-    by a usage error leaves an existing FILE as it was.  An OSError from
+    by a usage error leaves an existing FILE as it was, and main removes
+    one that opening created (created is its path).  An OSError from
     writing, emptying or closing the output is raised as _OutputError.
     """
 
     def __init__(self, path: str | None):
+        self.created = None
         if path is None:
             self._stream = sys.stdout or _NoStdout()
         else:
-            # O_CREAT without the O_TRUNC of mode "w": start() truncates later
-            fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
+            # O_CREAT without the O_TRUNC of mode "w": start() truncates later;
+            # O_EXCL first, to learn whether FILE is new
+            try:
+                fd = os.open(path, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+                self.created = path
+            except FileExistsError:
+                fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
             self._stream = open(fd, "w", encoding="utf-8", newline="")
         self._owns = self._pending = path is not None
 
@@ -217,13 +224,6 @@ def build_parser() -> argparse.ArgumentParser:
         "search", parents=[common], help="sweep the family ell = m^2+3m+9"
     )
     search.add_argument("--m-max", type=int, required=True, metavar="N")
-    default_residues = ",".join(map(str, sorted(DEFAULT_RESIDUES)))
-    search.add_argument(
-        "--residues",
-        default=default_residues,
-        metavar="R,R,...",
-        help=f"allowed residues of m mod 12 (default {default_residues})",
-    )
     search.add_argument(
         "--certify", action="store_true", help="run tower certification on prime conductors"
     )
@@ -281,32 +281,25 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _parse_residues(text: str) -> frozenset[int]:
-    try:
-        return frozenset(int(part) for part in text.split(","))
-    except ValueError as exc:
-        raise DomainError(f"--residues must be comma-separated integers: {exc}") from exc
-
-
 def _certify_record(m: int):
     """certify_cyclotomic(m)'s record, whether it certifies, and whether it failed numerically.
 
-    A rejection, or a numeric failure with its diagnostics, becomes a
-    rejection record, so a sweep emits it in place and carries on.
+    A numeric failure becomes a rejection record with its diagnostics, so a
+    sweep emits it in place and carries on.  A CertificationRejected passes
+    through to _run: a sweep hands over only m in RESIDUES with a prime
+    conductor, which certify_cyclotomic never rejects.
     """
     context = {"m": m, "ell": shanks_value(m)}
     try:
         certificate = certify_cyclotomic(m)
         return record_for(certificate), certificate.certified, False
-    except CertificationRejected as exc:
-        reasons, context, failed = exc.reasons, exc.context, False
     except IntegralityError as exc:
-        reasons, failed = ["integrality"], True
+        reasons = ["integrality"]
         context.update(value=exc.value, gap=exc.gap, unit_index_suspected=exc.unit_index_suspected)
     except NumericError as exc:
-        reasons, failed = ["numeric"], True
+        reasons = ["numeric"]
         context["message"] = str(exc)
-    return rejection_record("certify cyclotomic", reasons, context), False, failed
+    return rejection_record("certify cyclotomic", reasons, context), False, True
 
 
 def _search_lines(certify: bool, cand):
@@ -324,7 +317,7 @@ def _search_lines(certify: bool, cand):
 def _cmd_search(args, emitter) -> int:
     if args.jobs < 1:
         raise DomainError("--jobs must be a positive integer")
-    candidates = search_shanks_candidates(args.m_max, _parse_residues(args.residues))
+    candidates = search_shanks_candidates(args.m_max)
     if args.certify:
         from .cubic import MAX_CONDUCTOR
 
@@ -459,8 +452,9 @@ def _say(message: str) -> None:
 def _run(args, emitter) -> int:
     """Run the command's handler and map its outcome to an exit code.
 
-    A CertificationRejected becomes a rejection record labelled with the
-    command ("certify eigenform", "furuta", ...), and exit 1.
+    A CertificationRejected, from a handler or the library, becomes a
+    rejection record labelled with the command ("certify cyclotomic",
+    "furuta", ...), and exit 1; no other code makes a record of one.
     """
     try:
         return args.handler(args, emitter)
@@ -497,6 +491,9 @@ def main(argv=None) -> int:
     except _OutputError as exc:
         _say(f"cannot write output: {exc}")
         return EXIT_NUMERIC
+    if code == EXIT_USAGE and emitter.created:
+        with suppress(OSError):  # a usage error writes nothing, so no new FILE either
+            os.remove(emitter.created)
     return code
 
 

@@ -1,8 +1,9 @@
 """Prime search in the quadratic family ell = m^2 + 3m + 9.
 
-Covers the candidate search with the mod-12 congruence filter, the
-singular-series constant for the restriction 144k^2 + 84k + 19
-(m = 12k + 2), and empirical counts of prime values below a cutoff.
+Covers the candidate search over the m in arith.RESIDUES (the classes
+mod 12 that tower.certify_cyclotomic accepts), the singular-series
+constant for the restriction 144k^2 + 84k + 19 (m = 12k + 2), and
+empirical counts of prime values below a cutoff.
 
 Both the search and the counts decide "f(k) is prime" for a range of k at
 once, by sieving over the roots of f mod p (Jacobson and Williams, Math.
@@ -45,8 +46,8 @@ from operator import add, getitem, mod, mul, sub, truediv
 from typing import NamedTuple
 
 from .arith import (
-    DEFAULT_RESIDUES,
     MAX_NATURAL,
+    RESIDUES,
     exact_sqrt,
     is_prime,
     prime_flags,
@@ -268,19 +269,17 @@ def _prime_value_blocks(
         yield k0, flags
 
 
-def _candidates(m_max: int, residues: frozenset[int]) -> Iterator[ShanksCandidate]:
-    mask = [r in residues for r in range(12)]
+def _candidates(m_max: int) -> Iterator[ShanksCandidate]:
+    mask = [r in RESIDUES for r in range(12)]
     for m0, flags in _prime_value_blocks(_FAMILY_POLY, 1, m_max + 1):
         for m, prime in compress(enumerate(flags, m0), islice(cycle(mask), m0 % 12, None)):
             yield ShanksCandidate(m, (m + 3) * m + 9, m % 12, prime == 1)
 
 
-def search_shanks_candidates(
-    m_max: int, residues: frozenset[int] = DEFAULT_RESIDUES
-) -> Iterator[ShanksCandidate]:
-    """Lazy iterator over the candidates m <= m_max in the residue filter, ascending.
+def search_shanks_candidates(m_max: int) -> Iterator[ShanksCandidate]:
+    """Lazy iterator over the candidates m <= m_max with m mod 12 in RESIDUES, ascending.
 
-    The arguments are checked when this is called, not on the first next().
+    m_max is checked when this is called, not on the first next().
     Candidates whose conductor is composite are kept (flagged) so sweep
     reports can show why an m was skipped.  The flags are exact; they come
     from the prime-value sieve (see the module docstring) over every m,
@@ -290,12 +289,8 @@ def search_shanks_candidates(
     """
     if m_max < 1:
         raise DomainError(f"m_max must be positive, got {m_max}")
-    if not residues:
-        raise DomainError("residue set must be nonempty")
-    if not all(0 <= r < 12 for r in residues):
-        raise DomainError(f"residues must lie in [0, 12), got {sorted(residues)}")
     shanks_value(m_max)  # overflow raises InputRangeError here, before any work
-    return _candidates(m_max, residues)
+    return _candidates(m_max)
 
 
 def hl_constant(prime_bound: int) -> HLConstantResult:

@@ -26,7 +26,7 @@ from __future__ import annotations
 import math
 from typing import NamedTuple
 
-from .arith import DEFAULT_RESIDUES, MR_WITNESSES, is_prime, shanks_value
+from .arith import MR_WITNESSES, RESIDUES, is_prime, shanks_value
 from .cubic import UNIT_INDEX_ASSUMPTION, class_number
 from .errors import CertificationRejected, DomainError
 
@@ -127,7 +127,7 @@ def certify_cyclotomic(m: int) -> CyclotomicTowerCertificate:
     reasons = []
     if not is_prime(ell):
         reasons.append("composite")
-    if m % 12 not in DEFAULT_RESIDUES:
+    if m % 12 not in RESIDUES:
         reasons.append("residue")
     if reasons:
         raise CertificationRejected(reasons, m=m, ell=ell)

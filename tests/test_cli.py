@@ -1,3 +1,4 @@
+import argparse
 import hashlib
 import importlib.util
 import math
@@ -100,6 +101,32 @@ class TestCertifyCyclotomic:
         (record,) = records_of(out)
         assert record.kind == "rejection"
         assert record.payload["reasons"] == ["residue"]
+
+    # certify_cyclotomic's rejections reach _run, which writes each as one line
+    @pytest.mark.parametrize(
+        "which, value, payload, content_hash",
+        [
+            ("--m", "3", '"reasons":["composite","residue"],"m":3,"ell":27',
+             "aee68445037095888489364c10aaa9f69387f13b9fe434d4c4a087d95da4c843"),
+            ("--m", "1", '"reasons":["residue"],"m":1,"ell":13',
+             "09c31906be6422ff1d59bd540877f2d0cb30d5929b694fb65bf28783ca125477"),
+            ("--m", "4", '"reasons":["residue"],"m":4,"ell":37',
+             "f59b6be9b524ca33f3a90b8d9f96d5bb753393b574a2f189ebd1527573c2e76d"),
+            ("--m", "99983", '"reasons":["composite"],"m":99983,"ell":9996900247',
+             "4ee0fb690648840ed2e21279082701ad7c66964a01429c7c75a2d50fa5e50fef"),
+            ("--ell", "13", '"reasons":["residue"],"m":1,"ell":13',
+             "09c31906be6422ff1d59bd540877f2d0cb30d5929b694fb65bf28783ca125477"),
+            ("--ell", "877", '"reasons":["residue"],"m":28,"ell":877',
+             "f577288f50badb77000b4185b5feb6e343ec1955b4408a5782da0e7ba8b8a825"),
+        ],
+    )
+    def test_rejection_bytes_pinned(self, capsys, which, value, payload, content_hash):
+        code, out, err = run(capsys, "certify", "cyclotomic", which, value)
+        line = (
+            '{"schema_version":"1","kind":"rejection","payload":{"command":"certify cyclotomic",'
+            f'{payload}}},"content_hash":"{content_hash}"}}\n'
+        )
+        assert (code, out, err) == (EXIT_REJECTED, line, "")
 
     def test_ell_below_13_is_usage(self, capsys):
         code, out, err = run(capsys, "certify", "cyclotomic", "--ell", "12")
@@ -577,13 +604,14 @@ class TestSearch:
             assert m >= last_m
             last_m = m
 
-    def test_custom_residue_class_rejected_inside_certify(self, capsys):
-        # m = 1 passes a user-widened sweep filter but not certification
-        code, out, err = run(capsys, "search", "--m-max", "1", "--residues", "1", "--certify")
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    def test_certify_sweep_emits_no_rejection(self, capsys, jobs):
+        # the search yields only m in RESIDUES, so every prime conductor gets a certificate
+        code, out, err = run(capsys, "search", "--m-max", "600", "--certify", "--jobs", jobs)
         assert code == EXIT_OK
-        records = records_of(out)
-        assert [r.kind for r in records] == ["shanks_candidate", "rejection"]
-        assert records[1].payload["reasons"] == ["residue"]
+        kinds = [r.kind for r in records_of(out)]
+        assert "rejection" not in kinds
+        assert (len(kinds), kinds.count("cyclotomic_tower")) == (264, 64)
 
     def test_composite_conductor_not_certified(self, capsys):
         code, out, err = run(capsys, "search", "--m-max", "14", "--certify")
@@ -793,7 +821,8 @@ class TestSearch:
         assert peak < 2**20
 
     def test_bad_residues(self, capsys):
-        for bad in ("13", "", "2,x", "-1"):
+        # the filter is arith.RESIDUES alone: search takes no --residues
+        for bad in ("13", "", "2,x", "-1", "2"):
             code, out, err = run(capsys, "search", "--m-max", "12", "--residues", bad)
             assert code == EXIT_USAGE, bad
 
@@ -997,6 +1026,26 @@ def _cli_env(unbuffered):
 
 
 class TestPlumbing:
+    def test_option_table_pinned(self):
+        def leaves(parser, path=()):
+            subs = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+            if not subs:
+                yield " ".join(path), tuple(s for a in parser._actions for s in a.option_strings)
+            for action in subs:
+                for name, child in action.choices.items():
+                    yield from leaves(child, (*path, name))
+
+        assert dict(leaves(cli.build_parser())) == {
+            "search": ("-h", "--help", "--out", "--m-max", "--certify", "--jobs"),
+            "certify cyclotomic": ("-h", "--help", "--out", "--m", "--ell"),
+            "certify eigenform": ("-h", "--help", "--out", "--weight", "--ell", "--registry"),
+            "hl constant": ("-h", "--help", "--out", "--prime-bound"),
+            "hl count": ("-h", "--help", "--out", "--x", "--prime-bound"),
+            "furuta": ("-h", "--help", "--out", "--ell", "--m-e", "--count"),
+            "group perfect": ("-h", "--help", "--out", "--n"),
+            "verify residue-claim": ("-h", "--help", "--out", "--weight"),
+        }
+
     def test_unknown_command(self, capsys):
         code, out, err = run(capsys, "frobnicate")
         assert code == EXIT_USAGE
@@ -1151,6 +1200,7 @@ CONSOLE_SET = (
     ("certify", "eigenform", "--weight", "12", "--ell", "20"),
     ("group", "perfect", "--n", "7"),
     ("certify", "cyclotomic", "--m", "50"),
+    ("certify", "cyclotomic", "--m", "3"),
     ("search", "--m-max", "600", "--certify"),
     ("search", "--m-max", "600", "--certify", "--out", "{out}"),
     ("certify", "eigenform", "--weight", "12", "--ell", "877", "--registry", "{registry}"),
@@ -1290,6 +1340,10 @@ class TestOutFile:
         assert code == EXIT_USAGE
         assert target.read_bytes() == b"one line that must survive\n"
         assert out == ""
+        # a FILE absent before stays absent
+        target = tmp_path / "new.jsonl"
+        assert run(capsys, *argv, "--out", str(target))[:2] == (EXIT_USAGE, "")
+        assert not target.exists()
 
     def test_digit_limit_does_not_come_from_the_environment(self, tmp_path):
         # PYTHONINTMAXSTRDIGITS=0 lifts the interpreter's limit, not the encoder's
@@ -1422,7 +1476,7 @@ class TestCommandSetDigest:
 
 
 # The survey path: a written registry file read back, and the singular series
-# at bounds on both sides of the modulus 3888 of its symbol table.
+# at its least bound and two more.
 SURVEY_SET = (
     ("search", "--m-max", "3000", "--out", "{registry}"),
     ("certify", "eigenform", "--weight", "12", "--ell", "877", "--registry", "{registry}"),
@@ -1529,7 +1583,7 @@ USAGE_SET = (
     ("verify", "residue-claim", "--weight", "14"),
 )
 
-USAGE_SET_SHA256 = "b4380ccfc4505c4b0c5126b1abc5fbe2fd82dd6360f0ffbcc1d42fb4bdebcf19"
+USAGE_SET_SHA256 = "c416c40b2953f7162d3136aa28b8212f6813bffcbc4d18e6cdd2faa62f33cd5c"
 
 
 class TestUsageDigest:
@@ -1601,8 +1655,7 @@ class TestLazyNames:
         assert calls
 
     def test_parser_constants_match_their_owners(self):
-        from towercert import arith, elliptic, modforms
+        from towercert import elliptic, modforms
 
         assert cli.VALID_WEIGHTS == modforms.VALID_WEIGHTS
-        assert cli.DEFAULT_RESIDUES == arith.DEFAULT_RESIDUES
         assert cli.MIN_FURUTA_PRIMES == elliptic.MIN_FURUTA_PRIMES

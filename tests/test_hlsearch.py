@@ -16,7 +16,7 @@ from oracles import (
     prime_count_mr,
 )
 from towercert import arith, hlsearch
-from towercert.arith import DEFAULT_RESIDUES, is_prime, m_from_prime, shanks_value
+from towercert.arith import RESIDUES, is_prime, m_from_prime, shanks_value
 from towercert.errors import DomainError, InputRangeError
 from towercert.hlsearch import (
     CONDUCTOR_POLY,
@@ -146,22 +146,11 @@ class TestSearch:
         large = [(c.m, c.ell) for c in candidates if c.is_prime_ell and c.ell > 2000]
         assert large == [(50, 2659), (58, 3547)]
 
-    def test_empty_residues_rejected(self):
-        with pytest.raises(DomainError):
-            search_shanks_candidates(10, frozenset())
-
-    def test_out_of_range_residues_rejected(self):
-        with pytest.raises(DomainError):
-            search_shanks_candidates(10, frozenset({2, 12}))
-
-    @pytest.mark.parametrize(
-        "residues", [DEFAULT_RESIDUES, frozenset({0}), frozenset({5, 11}), frozenset(range(12))]
-    )
-    def test_residue_filter_in_every_block_phase(self, monkeypatch, residues):
+    def test_residue_filter_in_every_block_phase(self, monkeypatch):
         # blocks of 7 m start at m = 1, 8, 15, ...: at every residue mod 12
         monkeypatch.setattr(hlsearch, "_SIEVE_CAP", 7)
-        got = [tuple(c) for c in search_shanks_candidates(600, residues)]
-        ms = [m for m in range(1, 601) if m % 12 in residues]
+        got = [tuple(c) for c in search_shanks_candidates(600)]
+        ms = [m for m in range(1, 601) if m % 12 in RESIDUES]
         assert got == [(m, shanks_value(m), m % 12, is_prime(shanks_value(m))) for m in ms]
 
     def test_filtered_prime_conductors_are_7_mod_12(self):
@@ -467,19 +456,20 @@ class TestPrimeValueSieve:
         assert list(flags) == [int(is_prime(poly.evaluate(j))) for j in range(len(flags))]
 
     def test_search_flags_across_block_boundaries(self):
-        every = frozenset(range(12))
-        candidates = list(search_shanks_candidates(12_000, every))
-        assert [c.m for c in candidates] == list(range(1, 12_001))
-        for cand in candidates:
-            assert cand.ell == cand.m**2 + 3 * cand.m + 9, cand
-            assert cand.residue == cand.m % 12, cand
-            assert cand.is_prime_ell == is_prime(cand.ell), cand
+        # the sieve the search reads flags every m, in the filter or not
+        blocks = hlsearch._prime_value_blocks(hlsearch._FAMILY_POLY, 1, 12_001)
+        flags = [(m, flag) for m0, block in blocks for m, flag in enumerate(block, m0)]
+        assert [m for m, _ in flags] == list(range(1, 12_001))
+        for m, flag in flags:
+            assert flag == is_prime(m**2 + 3 * m + 9), m
+        kept = [(m, shanks_value(m), m % 12, flag == 1) for m, flag in flags if m % 12 in RESIDUES]
+        assert [tuple(c) for c in search_shanks_candidates(12_000)] == kept
 
     def test_survivors_past_the_cap_go_to_is_prime(self, monkeypatch):
         # with a cap of 30, values past 31^2 = 961 are left to is_prime
         monkeypatch.setattr(hlsearch, "_SIEVE_CAP", 30)
         calls = _counting_is_prime(monkeypatch)
-        for cand in search_shanks_candidates(3000, frozenset(range(12))):
+        for cand in search_shanks_candidates(3000):
             assert cand.is_prime_ell == is_prime(cand.ell), cand
         assert calls and min(calls) > 31**2
         # k^2 + 432 (D = -3 * 24^2) has the survivor 31^2 at k = 23, the least
