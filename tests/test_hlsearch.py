@@ -146,11 +146,17 @@ class TestSearch:
         large = [(c.m, c.ell) for c in candidates if c.is_prime_ell and c.ell > 2000]
         assert large == [(50, 2659), (58, 3547)]
 
-    def test_residue_filter_in_every_block_phase(self, monkeypatch):
-        # blocks of 7 m start at m = 1, 8, 15, ...: at every residue mod 12
+    @pytest.mark.parametrize(
+        "residues", [RESIDUES, frozenset({0}), frozenset({5, 11}), frozenset(range(12))]
+    )
+    def test_residue_filter_in_every_block_phase(self, monkeypatch, residues):
+        # blocks of 7 m start at m = 1, 8, 15, ...: at every residue mod 12; the
+        # mask that walks them is built from the module's residue set, so other
+        # sets put the same block-phase alignment to the test
         monkeypatch.setattr(hlsearch, "_SIEVE_CAP", 7)
+        monkeypatch.setattr(hlsearch, "RESIDUES", residues)
         got = [tuple(c) for c in search_shanks_candidates(600)]
-        ms = [m for m in range(1, 601) if m % 12 in RESIDUES]
+        ms = [m for m in range(1, 601) if m % 12 in residues]
         assert got == [(m, shanks_value(m), m % 12, is_prime(shanks_value(m))) for m in ms]
 
     def test_filtered_prime_conductors_are_7_mod_12(self):
